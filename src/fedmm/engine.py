@@ -26,13 +26,14 @@ import numpy as np
 
 from .config import ExperimentConfig, config_to_dict
 from .data import Shard, batches, build_scenario, gen_synthetic
-from .errors import DataError, DimensionError
+from .errors import DataError, DimensionError, NumericError, ValidationError
 from .losses import LossConfig, local_objective
 from .metrics import MetricsReport, evaluate, parse_mode, report_from_predictions
 from .models import (
     Encoder,
     GlobalModelSet,
     TaskHead,
+    assign_params,
     build_encoder,
     clone_encoder,
     clone_head,
@@ -42,6 +43,7 @@ from .models import (
     head_forward,
     init_dense,
     param_count,
+    params_overlap,
     save_model,
     unflatten_params,
 )
@@ -119,7 +121,11 @@ def _baseline_submodel(cfg: ExperimentConfig, spec, modality: int) -> GlobalMode
 
 @dataclass
 class ClientState:
-    """One client's private shard, local model copy, optimizer, and RNG."""
+    """One client's private shard, local model copy, optimizer, and RNG.
+
+    The encoder and head arrays belong to the client alone (``make_client``
+    clones them): ``client_update`` writes into them in place.
+    """
 
     client_id: int
     modality_id: int
@@ -219,17 +225,24 @@ def client_update(
 ) -> ClientUpdate:
     """Copy the broadcast parameters in, run E local epochs, return the result.
 
-    The client keeps its own whitening running statistics across rounds;
-    only parameters are overwritten by the broadcast. Other-modality
-    encoders of ``global_model`` are read-only throughout.
+    The broadcast and every optimizer step are copied into the parameter
+    arrays the client already owns, so no layer object is rebuilt per
+    batch and no client array ever aliases ``global_model``. The client
+    keeps its own whitening running statistics across rounds; only
+    parameters are overwritten by the broadcast. Other-modality encoders
+    of ``global_model`` are read-only throughout.
     """
     if client.shard.n == 0:
         raise DataError(f"client {client.client_id} has an empty shard")
     slot = client.encoder.modality_id
-    client.encoder = unflatten_params(
-        flatten_params(global_model.encoders[slot]), client.encoder
-    )
-    client.head = unflatten_params(flatten_params(global_model.head), client.head)
+    if params_overlap(client.encoder, global_model.encoders[slot]) or params_overlap(
+        client.head, global_model.head
+    ):
+        raise ValidationError(
+            f"client {client.client_id} parameters share memory with the global model"
+        )
+    assign_params(client.encoder, flatten_params(global_model.encoders[slot]))
+    assign_params(client.head, flatten_params(global_model.head))
 
     n_enc = param_count(client.encoder)
     ce_total = ntx_total = 0.0
@@ -249,11 +262,16 @@ def client_update(
             )
             grad = np.concatenate([res.grad_encoder, res.grad_head])
             flat = adam_step(flat, grad, client.adam)
-            client.encoder = unflatten_params(flat[:n_enc], client.encoder)
-            client.head = unflatten_params(flat[n_enc:], client.head)
+            assign_params(client.encoder, flat[:n_enc])
+            assign_params(client.head, flat[n_enc:])
             ce_total += res.ce
             ntx_total += res.ntx
             n_batches += 1
+    # a client's last-batch whitening caches would otherwise live until
+    # its next round: memory that grows with the client count
+    for stage in client.encoder.stages():
+        if stage.whitening is not None:
+            stage.whitening.drop_cache()
     return ClientUpdate(
         client_id=client.client_id,
         modality_id=slot,
@@ -281,13 +299,22 @@ def aggregate(updates: list[ClientUpdate], model: GlobalModelSet) -> GlobalModel
     """Weighted-average client parameters into a new global model.
 
     Encoders average within their modality group with renormalized
-    data-proportional weights; the head averages over all clients. Sums
+    data-proportional weights; the head averages over all clients. Each
+    upload must be finite; a NaN or Inf raises NumericError naming the
+    round (``model.round + 1``) and the client. Sums
     run in ascending client-id order over deltas from the broadcast
     parameters; a single-member group copies its update verbatim.
     """
     if not updates:
         raise DataError("aggregation needs at least one client update")
     updates = sorted(updates, key=lambda u: u.client_id)
+    for u in updates:
+        for kind, flat in (("encoder", u.encoder_flat), ("head", u.head_flat)):
+            if not np.isfinite(flat).all():
+                raise NumericError(
+                    f"round {model.round + 1}: client {u.client_id} uploaded "
+                    f"non-finite {kind} parameters"
+                )
     plan = build_aggregation_plan(updates)
     new_encoders = []
     for m, enc in enumerate(model.encoders):

@@ -167,10 +167,11 @@ def local_objective(
 
     Classification term: the local features are zero-padded into the full
     slot layout and scored by the shared head. Alignment term (when
-    ``cfg.lambda_mim > 0`` and other modalities exist): the batch is pushed
-    through the local adapter into every other modality's body, those
-    features are averaged, and the contrastive loss pulls the local
-    features toward them. Both terms are averaged over the batch, which
+    ``cfg.lambda_mim > 0`` and other modalities exist): the local adapter's
+    activation on the batch, as the local forward pass already computed
+    it, is pushed through every other modality's body, those features are
+    averaged, and the contrastive loss pulls the local features toward
+    them. Both terms are averaged over the batch, which
     rescales the summed objective by a constant 1/B and keeps their
     relative weight independent of batch size. Gradients cover the local
     encoder and the head; the other models stay untouched.
@@ -196,7 +197,8 @@ def local_objective(
     ntx = 0.0
     others = [m for m in range(n_mod) if m != slot]
     if cfg.lambda_mim > 0.0 and others:
-        stacked = [cross_encode(encoder, global_set.encoders[m], x) for m in others]
+        adapter_out = cache.inputs[1]
+        stacked = [cross_encode(adapter_out, global_set.encoders[m]) for m in others]
         f_global = stacked[0] if len(stacked) == 1 else sum(stacked) / len(stacked)
         ntx_sum, grad_ntx = ntxent(f_local, f_global, cfg)
         ntx = ntx_sum / x.shape[0]

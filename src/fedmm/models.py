@@ -21,13 +21,13 @@ from .nncore import (
     Array,
     DenseLayer,
     WhiteningState,
-    _batch_whiten_core,
     activation_backward,
     activation_forward,
     batch_whitening_backward,
     batch_whitening_forward,
     dense_backward,
     dense_forward,
+    is_symmetric,
     whiten_batch,
 )
 
@@ -316,104 +316,30 @@ def head_forward(head: TaskHead, z: Array) -> Prediction:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class CrossEncodeCache:
-    x: Array
-    adapter_preact: Array
-    adapter_whiten_w: Array | None
-    body_inputs: list[Array]
-    body_preact: list[Array]
-    body_whiten_w: list[Array | None]
-    local: Encoder
-    global_other: Encoder
+def cross_encode(adapter_out: Array, global_other: Encoder) -> Array:
+    """Run a client's adapter activation through another modality's body.
 
-
-def _cross_forward(local: Encoder, global_other: Encoder, x: Array, cache: CrossEncodeCache | None):
-    if x.ndim != 2 or x.shape[1] != local.input_dim:
-        raise DimensionError(
-            f"modality {local.modality_id}: input {x.shape} does not match "
-            f"expected dim {local.input_dim}"
-        )
-    if local.adapter.dense.out_dim != global_other.body[0].dense.in_dim:
-        raise DimensionError(
-            f"adapter output {local.adapter.dense.out_dim} does not match "
-            f"body input {global_other.body[0].dense.in_dim} of modality "
-            f"{global_other.modality_id}"
-        )
-    z = dense_forward(local.adapter.dense, x)
-    if local.adapter.whitening is not None:
-        # the client's own alignment layer, on this batch's statistics;
-        # nothing is read from or written to the running estimates
-        st = local.adapter.whitening
-        z, _, _, adapter_w, _ = _batch_whiten_core(z, st.gamma, st.beta, st.eps)
-        if cache is not None:
-            cache.adapter_whiten_w = adapter_w
-    if cache is not None:
-        cache.adapter_preact = z
-    h = activation_forward(z, local.adapter.activation) if local.adapter.activation else z
-    for stage in global_other.body:
-        if cache is not None:
-            cache.body_inputs.append(h)
-        z = dense_forward(stage.dense, h)
-        whiten_w = None
-        if stage.whitening is not None:
-            st = stage.whitening
-            z, _, _, whiten_w, _ = _batch_whiten_core(z, st.gamma, st.beta, st.eps)
-        if cache is not None:
-            cache.body_preact.append(z)
-            cache.body_whiten_w.append(whiten_w)
-        h = activation_forward(z, stage.activation) if stage.activation else z
-    return h
-
-
-def cross_encode(local: Encoder, global_other: Encoder, x: Array) -> Array:
-    """Local adapter feeding another modality's body.
-
+    ``adapter_out`` is the output of the client's own input adapter,
+    including its whitening layer, on the current batch: the body input
+    that :func:`encode_train` caches as ``cache.inputs[1]``. Reusing it
+    means the adapter, and its eigendecomposition, runs once per batch.
     The other model's parameters act as constants: no statistics are read
     or written on its whitening layers (the batch's own statistics are
     used) and no gradient ever reaches its parameters.
     """
-    return _cross_forward(local, global_other, x, None)
-
-
-def cross_encode_with_cache(
-    local: Encoder, global_other: Encoder, x: Array
-) -> tuple[Array, CrossEncodeCache]:
-    cache = CrossEncodeCache(
-        x=x,
-        adapter_preact=np.empty(0),
-        adapter_whiten_w=None,
-        body_inputs=[],
-        body_preact=[],
-        body_whiten_w=[],
-        local=local,
-        global_other=global_other,
-    )
-    out = _cross_forward(local, global_other, x, cache)
-    return out, cache
-
-
-def cross_encode_backward(cache: CrossEncodeCache, grad_out: Array):
-    """Gradient of a cross-encoded output wrt the local adapter (weight, bias).
-
-    The other model's parameters receive no gradient by construction;
-    whitening statistics are treated as constants.
-    """
-    g = grad_out
-    for i in reversed(range(len(cache.global_other.body))):
-        stage = cache.global_other.body[i]
-        if stage.activation is not None:
-            g = activation_backward(cache.body_preact[i], stage.activation, g)
+    if adapter_out.ndim != 2 or adapter_out.shape[1] != global_other.hidden_dim:
+        raise DimensionError(
+            f"adapter output {adapter_out.shape} does not match body input "
+            f"{global_other.hidden_dim} of modality {global_other.modality_id}"
+        )
+    h = adapter_out
+    for stage in global_other.body:
+        z = dense_forward(stage.dense, h)
         if stage.whitening is not None:
-            g = (g * stage.whitening.gamma) @ cache.body_whiten_w[i]
-        g = g @ stage.dense.weight.T
-    adapter = cache.local.adapter
-    if adapter.activation is not None:
-        g = activation_backward(cache.adapter_preact, adapter.activation, g)
-    if adapter.whitening is not None:
-        g = (g * adapter.whitening.gamma) @ cache.adapter_whiten_w
-    _, grad_w, grad_b = dense_backward(adapter.dense, cache.x, g)
-    return grad_w, grad_b
+            st = stage.whitening
+            z = whiten_batch(z, st.gamma, st.beta, st.eps)
+        h = activation_forward(z, stage.activation) if stage.activation else z
+    return h
 
 
 # ---------------------------------------------------------------------------
@@ -421,11 +347,20 @@ def cross_encode_backward(cache: CrossEncodeCache, grad_out: Array):
 # ---------------------------------------------------------------------------
 
 
-def _stage_param_arrays(stage: Stage) -> list[Array]:
-    arrays = [stage.dense.weight.ravel(), stage.dense.bias]
-    if stage.whitening is not None:
-        arrays += [stage.whitening.gamma, stage.whitening.beta]
-    return arrays
+def _param_arrays(part) -> list[Array]:
+    """The parameter arrays of ``part`` themselves, in flatten order."""
+    if isinstance(part, Encoder):
+        arrays = []
+        for stage in part.stages():
+            arrays += [stage.dense.weight, stage.dense.bias]
+            if stage.whitening is not None:
+                arrays += [stage.whitening.gamma, stage.whitening.beta]
+        return arrays
+    if isinstance(part, TaskHead):
+        return [part.layer.weight, part.layer.bias]
+    if isinstance(part, GlobalModelSet):
+        return [arr for p in part.encoders + [part.head] for arr in _param_arrays(p)]
+    raise ValidationError(f"cannot flatten object of type {type(part).__name__}")
 
 
 def flatten_params(part) -> Array:
@@ -435,21 +370,38 @@ def flatten_params(part) -> Array:
     gamma and beta when the stage whitens; a model set lists encoders in
     modality order with the head last. Running statistics are excluded.
     """
-    if isinstance(part, Encoder):
-        return np.concatenate(
-            [arr for stage in part.stages() for arr in _stage_param_arrays(stage)]
-        )
-    if isinstance(part, TaskHead):
-        return np.concatenate([part.layer.weight.ravel(), part.layer.bias])
-    if isinstance(part, GlobalModelSet):
-        return np.concatenate(
-            [flatten_params(enc) for enc in part.encoders] + [flatten_params(part.head)]
-        )
-    raise ValidationError(f"cannot flatten object of type {type(part).__name__}")
+    return np.concatenate([arr.ravel() for arr in _param_arrays(part)])
 
 
 def param_count(part) -> int:
-    return flatten_params(part).size
+    return sum(arr.size for arr in _param_arrays(part))
+
+
+def params_overlap(a, b) -> bool:
+    """True when any parameter array of ``a`` may share memory with one of ``b``."""
+    arrays_b = _param_arrays(b)
+    return any(np.may_share_memory(x, y) for x in _param_arrays(a) for y in arrays_b)
+
+
+def assign_params(part, flat: Array) -> None:
+    """Copy ``flat`` into the parameter arrays ``part`` already owns.
+
+    The in-place inverse of :func:`flatten_params`: no layer object is
+    rebuilt and no array of ``part`` is replaced, so running statistics
+    and every other reference to the part stay as they are. ``flat`` is
+    copied, never aliased.
+    """
+    arrays = _param_arrays(part)
+    expected = sum(arr.size for arr in arrays)
+    if flat.shape != (expected,):
+        raise DimensionError(
+            f"flat vector has {flat.shape} entries, "
+            f"{type(part).__name__} needs ({expected},)"
+        )
+    cursor = 0
+    for arr in arrays:
+        arr[...] = flat[cursor : cursor + arr.size].reshape(arr.shape)
+        cursor += arr.size
 
 
 def _take(flat: Array, cursor: int, n: int) -> tuple[Array, int]:
@@ -636,12 +588,18 @@ def load_model(path) -> GlobalModelSet:
         offset = reader.offset
         header = reader.floats(3)
         mean = reader.floats(st.dim)
+        cov_offset = reader.offset
         cov = reader.floats(st.dim * st.dim).reshape(st.dim, st.dim)
         stats = np.concatenate([header, mean, cov.ravel()])
         if not np.all(np.isfinite(stats)):
             raise FormatError(
                 "checkpoint running statistics contain non-finite values",
                 offset=offset,
+            )
+        if not is_symmetric(cov, 1e-12):
+            raise FormatError(
+                "checkpoint running covariance is not symmetric within 1e-12",
+                offset=cov_offset,
             )
         st.stats_ready = bool(header[0])
         st.eps = float(header[1])

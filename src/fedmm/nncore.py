@@ -159,6 +159,14 @@ def activation_backward(x: Array, kind: str, grad_out: Array) -> Array:
 # ---------------------------------------------------------------------------
 
 
+def is_symmetric(matrix: Array, atol: float) -> bool:
+    """True when ``matrix`` equals its transpose within ``atol``.
+
+    One subtraction and one comparison; a NaN anywhere makes it False.
+    """
+    return bool((np.abs(matrix - matrix.T) <= atol).all())
+
+
 def whitening_matrix(cov: Array, eps: float) -> Array:
     """ZCA whitening matrix W = U diag((lambda + eps)^-1/2) U^T.
 
@@ -168,7 +176,7 @@ def whitening_matrix(cov: Array, eps: float) -> Array:
     cov = np.asarray(cov, dtype=np.float64)
     if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
         raise DimensionError(f"covariance must be square, got {cov.shape}")
-    if not np.allclose(cov, cov.T, rtol=0.0, atol=1e-9):
+    if not is_symmetric(cov, 1e-9):
         raise ValidationError("covariance matrix is not symmetric within 1e-9")
     try:
         lam, u = np.linalg.eigh(cov)
@@ -231,7 +239,7 @@ class WhiteningState:
             raise DimensionError(
                 f"running covariance must be ({d}, {d}), got {self.running_cov.shape}"
             )
-        if not np.allclose(self.running_cov, self.running_cov.T, rtol=0.0, atol=1e-12):
+        if not is_symmetric(self.running_cov, 1e-12):
             raise ValidationError("running covariance is not symmetric within 1e-12")
         if self.eps < 0.0:
             raise ValidationError("eps must be non-negative")
@@ -252,6 +260,10 @@ class WhiteningState:
     @property
     def dim(self) -> int:
         return self.gamma.shape[0]
+
+    def drop_cache(self) -> None:
+        """Release the last train-mode forward's artifacts."""
+        self.cache_mean = self.cache_w = self.cache_xhat = None
 
 
 def batch_whitening_forward(x: Array, state: WhiteningState, mode: str) -> Array:

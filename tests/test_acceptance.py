@@ -44,6 +44,7 @@ from fedmm.models import (
     build_model,
     clone_model,
     cross_encode,
+    encode_train,
     flatten_params,
     load_model,
     param_count,
@@ -196,8 +197,6 @@ def _composite_point(seed):
         x = rng.normal(size=(3, 3)) + 0.8
         y = (rng.uniform(size=(3, 2)) > 0.5).astype(float)
         probe = clone_model(model)
-        from fedmm.models import encode_train
-
         f_local, cache = encode_train(probe.encoders[0], x)
         margins = [np.abs(p).min() for p in cache.preact[:-1]]
         # small feature norms inflate the cosine's higher derivatives and
@@ -218,7 +217,8 @@ def _check_composite(seed):
     analytic = np.concatenate([res.grad_encoder, res.grad_head])
     n_enc = param_count(enc)
 
-    f_global = cross_encode(model.encoders[0], model.encoders[1], x)
+    _, theta0_cache = encode_train(clone_model(model).encoders[0], x)
+    f_global = cross_encode(theta0_cache.inputs[1], model.encoders[1])
     base = model.encoders[0]
     z1 = x @ base.adapter.dense.weight + base.adapter.dense.bias
     mu = z1.mean(axis=0)
@@ -643,6 +643,18 @@ def test_criterion_10_format_robustness(tmp_path):
             corruptions += 1
         path.write_bytes(original)
         loader(path)  # still loads after restoring
+
+    # an asymmetric running covariance is rejected at load, not at evaluation
+    original = ckpt_path.read_bytes()
+    dim = reloaded.encoders[-1].adapter.whitening.dim  # the file's last statistics block
+    cov_offset = len(original) - 8 * dim * dim
+    skewed = bytearray(original)
+    skewed[cov_offset + 8 : cov_offset + 16] = np.float64(1e-6).tobytes()
+    ckpt_path.write_bytes(bytes(skewed))
+    with pytest.raises(FormatError) as info:
+        load_model(ckpt_path)
+    assert info.value.offset == cov_offset
+    corruptions += 1
     print(
         f"[acceptance 10] PASS - roundtrips bit-exact; {corruptions} corrupted "
         f"variants all raised typed format errors"

@@ -2,6 +2,7 @@
 runs, the late-fusion baseline, and the ablation grid."""
 
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from fedmm.engine import (
     run_round,
     timings_csv,
 )
-from fedmm.errors import DataError, DimensionError
+from fedmm.errors import DataError, DimensionError, NumericError, ValidationError
 from fedmm.losses import LossConfig
 from fedmm.models import flatten_params, unflatten_params
 
@@ -104,11 +105,31 @@ class TestClientUpdate:
         client_update(client, model, cfg, loss_cfg)
         st = client.encoder.adapter.whitening
         assert st.stats_ready
+        assert st.cache_w is None and st.cache_xhat is None  # released per update
         snapshot = st.running_cov.tobytes()
         client_update(client, model, cfg, loss_cfg)  # second broadcast
         st = client.encoder.adapter.whitening
         assert st.stats_ready
         assert st.running_cov.tobytes() != snapshot  # evolved, not reset
+
+    def test_broadcast_model_is_left_unchanged(self):
+        # client arrays are written in place and must never alias the
+        # global model, which other clients read during the same round
+        cfg = tiny_cfg(use_fw=True)
+        _, model, clients, loss_cfg = _setup(cfg)
+        snapshot = flatten_params(model).tobytes()
+        for client in clients:
+            client_update(client, model, cfg, loss_cfg)
+            client_update(client, model, cfg, loss_cfg)
+        assert flatten_params(model).tobytes() == snapshot
+
+    def test_client_sharing_global_arrays_is_rejected(self):
+        cfg = tiny_cfg()
+        _, model, clients, loss_cfg = _setup(cfg)
+        global_encoder = model.encoders[clients[0].modality_id]
+        shared = dataclasses.replace(clients[0], encoder=global_encoder)
+        with pytest.raises(ValidationError, match="client 0"):
+            client_update(shared, model, cfg, loss_cfg)
 
 
 def _fake_updates(model, spec):
@@ -226,6 +247,21 @@ class TestAggregate:
         with pytest.raises(DimensionError):
             aggregate(updates, model)
 
+    @pytest.mark.parametrize("part", ["encoder_flat", "head_flat"])
+    def test_non_finite_upload_names_round_and_client(self, part):
+        cfg = tiny_cfg()
+        _, model, _, _ = _setup(cfg)
+        model.round = 6
+        updates = _fake_updates(model, 8)
+        bad = getattr(updates[-1], part).copy()
+        bad[1] = np.nan
+        updates[-1] = dataclasses.replace(updates[-1], **{part: bad})
+        with pytest.raises(NumericError) as info:
+            aggregate(updates, model)
+        message = str(info.value)
+        assert "round 7" in message
+        assert f"client {updates[-1].client_id} " in message
+
     def test_plan_weights_sum_to_one(self):
         cfg = tiny_cfg()
         _, model, _, _ = _setup(cfg)
@@ -274,6 +310,33 @@ class TestRunExperiment:
         a = run_experiment(tiny_cfg())
         b = run_experiment(tiny_cfg())
         assert experiment_csv(a) == experiment_csv(b)
+
+    def test_golden_log_hash(self, tmp_path):
+        # Pins the bytes of log.csv, not just run-to-run determinism: a
+        # change that alters any arithmetic of training or evaluation fails
+        # here. The constant is specific to the numpy/OpenBLAS build it was
+        # recorded with (numpy 2.4.6, OpenBLAS 0.3.31, x86-64); another
+        # build may round differently and then needs a fresh recording
+        # from an unchanged tree.
+        cfg = ExperimentConfig(
+            dataset=DatasetSpec(
+                n_sites=240, latent_dim=6, modality_dims=(6, 10), n_labels=4, n_groups=4
+            ),
+            scenario=ScenarioSpec(kind="group-skew"),
+            k_clients=4,
+            rounds=3,
+            batch_size=16,
+            d_hidden=16,
+            d_feature=8,
+            use_fw=True,
+            use_mim=True,
+            inference_modes=("both", "only-0", "only-1"),
+            seed=0,
+            output_dir=str(tmp_path),
+        )
+        run_experiment(cfg)
+        digest = hashlib.sha256((tmp_path / "log.csv").read_bytes()).hexdigest()
+        assert digest == "238e7deaa80a0492720fee2c78bbf940c26c211c766fb2bfae0917329e137262"
 
     def test_parallel_matches_serial(self):
         serial = run_experiment(tiny_cfg())

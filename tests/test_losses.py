@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from fedmm import nncore
 from fedmm.errors import BatchSizeError, ConfigError, DimensionError, ValidationError
 from fedmm.losses import (
     LossConfig,
@@ -254,8 +255,8 @@ class TestLocalObjective:
         res = local_objective(x, y, run_a.encoders[0], run_a.head, run_a, cfg)
 
         run_b = clone_model(model)
-        f_local, _ = encode_train(run_b.encoders[0], x)
-        f_global = cross_encode(run_b.encoders[0], run_b.encoders[1], x)
+        f_local, cache = encode_train(run_b.encoders[0], x)
+        f_global = cross_encode(cache.inputs[1], run_b.encoders[1])
         ntx_direct, _ = ntxent(f_local, f_global, cfg)
         assert res.ntx == ntx_direct / x.shape[0]
 
@@ -281,7 +282,8 @@ class TestLocalObjective:
         n_enc = param_count(enc)
 
         # constants of the stop-gradient semantics, captured at theta0
-        f_global = cross_encode(model.encoders[0], model.encoders[1], x)
+        _, theta0_cache = encode_train(clone_model(model).encoders[0], x)
+        f_global = cross_encode(theta0_cache.inputs[1], model.encoders[1])
         base_enc = model.encoders[0]
         z1 = x @ base_enc.adapter.dense.weight + base_enc.adapter.dense.bias
         mu = z1.mean(axis=0)
@@ -316,6 +318,25 @@ class TestLocalObjective:
         theta0 = np.concatenate([flatten_params(enc), flatten_params(head)])
         np.testing.assert_allclose(frozen_loss(theta0)[0], res.loss, rtol=1e-12)
         assert grad_check(frozen_loss, theta0, h=1e-5) < 1e-4
+
+    def test_one_whitening_per_step(self, monkeypatch):
+        # the cross-encoding reuses the adapter activation of the local
+        # forward pass, so the adapter's covariance is decomposed only once
+        calls = []
+        original = nncore.whitening_matrix
+
+        def counting(cov, eps):
+            calls.append(cov.shape)
+            return original(cov, eps)
+
+        monkeypatch.setattr(nncore, "whitening_matrix", counting)
+        model = _tiny_model(seed=4, use_whitening=True)
+        rng = np.random.default_rng(11)
+        x = rng.normal(size=(6, 3))
+        y = (rng.uniform(size=(6, 2)) > 0.5).astype(float)
+        res = local_objective(x, y, model.encoders[0], model.head, model, LossConfig())
+        assert res.ntx > 0.0
+        assert calls == [(5, 5)]
 
     def test_loss_parts_add_up(self):
         model = _tiny_model(seed=5)

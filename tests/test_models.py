@@ -9,12 +9,11 @@ from fedmm.models import (
     GlobalModelSet,
     Stage,
     TaskHead,
+    assign_params,
     build_encoder,
     build_model,
     clone_model,
     cross_encode,
-    cross_encode_backward,
-    cross_encode_with_cache,
     encode,
     encode_backward,
     encode_train,
@@ -27,7 +26,7 @@ from fedmm.models import (
     save_model,
     unflatten_params,
 )
-from fedmm.nncore import DenseLayer, grad_check
+from fedmm.nncore import DenseLayer, dense_forward, whiten_batch
 
 
 def small_model(use_whitening=True, task_kind="multi-label", seed=0):
@@ -160,7 +159,8 @@ class TestCrossEncode:
         x = np.random.default_rng(2).normal(size=(6, 5))
         local = model.encoders[0]
         twin = Encoder(modality_id=1, adapter=model.encoders[1].adapter, body=local.body)
-        out_cross = cross_encode(local, twin, x)
+        _, cache = encode_train(local, x)
+        out_cross = cross_encode(cache.inputs[1], twin)
         out_plain = encode(local, x, "train")
         np.testing.assert_array_equal(out_cross, out_plain)
 
@@ -170,63 +170,43 @@ class TestCrossEncode:
         local.adapter.dense.weight[:] = 0.0
         local.adapter.dense.bias[:] = 0.0
         x = np.random.default_rng(3).normal(size=(5, 5))
-        out = cross_encode(local, model.encoders[1], x)
+        _, cache = encode_train(local, x)
+        out = cross_encode(cache.inputs[1], model.encoders[1])
         np.testing.assert_allclose(out, np.tile(out[0], (5, 1)), atol=1e-12)
 
-    def test_gradient_reaches_adapter_only(self):
-        # the backward surface exposes adapter gradients and nothing else,
-        # so the other model's parameters receive exactly zero gradient
-        model = small_model(use_whitening=True)
-        x = np.random.default_rng(4).normal(size=(6, 5))
-        out, cache = cross_encode_with_cache(model.encoders[0], model.encoders[1], x)
-        probe = np.random.default_rng(5).normal(size=out.shape)
-        grad_w, grad_b = cross_encode_backward(cache, probe)
-        assert grad_w.shape == model.encoders[0].adapter.dense.weight.shape
-        assert grad_b.shape == model.encoders[0].adapter.dense.bias.shape
-        assert np.abs(grad_w).max() > 0.0
-
-    def test_adapter_gradient_matches_frozen_statistics_oracle(self):
-        model = small_model(use_whitening=True, seed=7)
-        local, other = model.encoders
-        rng = np.random.default_rng(6)
-        x = rng.normal(size=(5, 5)) + 0.3  # keep relu inputs off the kink
-        out0, cache = cross_encode_with_cache(local, other, x)
-        probe = rng.normal(size=out0.shape)
-        grad_w, grad_b = cross_encode_backward(cache, probe)
-        analytic = np.concatenate([grad_w.ravel(), grad_b])
-
-        # capture the adapter whitening statistics of the unperturbed forward
-        from fedmm.nncore import whitening_matrix
-
-        st = local.adapter.whitening
-        z0 = x @ local.adapter.dense.weight + local.adapter.dense.bias
-        mu = z0.mean(axis=0)
-        c = z0 - mu
-        w_frozen = whitening_matrix(c.T @ c / z0.shape[0], st.eps)
-
-        w_shape = local.adapter.dense.weight.shape
-
-        def f(theta):
-            w_a = theta[: w_shape[0] * w_shape[1]].reshape(w_shape)
-            b_a = theta[w_shape[0] * w_shape[1] :]
-            z = x @ w_a + b_a
-            h = np.maximum(st.gamma * ((z - mu) @ w_frozen) + st.beta, 0.0)
-            for stage in other.body:
-                h = h @ stage.dense.weight + stage.dense.bias
-                if stage.activation == "relu":
-                    h = np.maximum(h, 0.0)
-            return float((h * probe).sum()), analytic
-
-        theta0 = np.concatenate(
-            [local.adapter.dense.weight.ravel(), local.adapter.dense.bias]
+    def test_cached_adapter_matches_recomputed_adapter_bitwise(self):
+        # default shapes: B=64, modality dims 24/40, hidden 64, feature 32
+        model = build_model(
+            input_dims=[24, 40],
+            hidden_dim=64,
+            feature_dim=32,
+            n_labels=8,
+            task_kind="multi-label",
+            use_whitening=True,
+            rng=np.random.default_rng(5),
         )
-        assert grad_check(f, theta0, h=1e-6) < 1e-5
+        local, other = model.encoders
+        x = np.random.default_rng(6).normal(size=(64, 24))
+        _, cache = encode_train(clone_model(model).encoders[0], x)
+
+        # the former cross-encoding path: rerun the adapter on the batch
+        st = local.adapter.whitening
+        z = dense_forward(local.adapter.dense, x)
+        expected = np.maximum(whiten_batch(z, st.gamma, st.beta, st.eps), 0.0)
+        for stage in other.body:
+            expected = dense_forward(stage.dense, expected)
+            if stage.activation is not None:
+                expected = np.maximum(expected, 0.0)
+
+        out = cross_encode(cache.inputs[1], other)
+        assert out.tobytes() == expected.tobytes()
 
     def test_topology_mismatch_rejected(self):
         enc_a = build_encoder(0, 5, 6, 4, False, np.random.default_rng(0))
         enc_b = build_encoder(1, 7, 8, 4, False, np.random.default_rng(1))
+        _, cache = encode_train(enc_a, np.zeros((3, 5)))
         with pytest.raises(DimensionError):
-            cross_encode(enc_a, enc_b, np.zeros((3, 5)))
+            cross_encode(cache.inputs[1], enc_b)
 
 
 class TestFlattening:
@@ -257,6 +237,26 @@ class TestFlattening:
         enc = build_encoder(0, 5, 6, 4, False, np.random.default_rng(0))
         with pytest.raises(DimensionError):
             unflatten_params(np.zeros(param_count(enc) + 1), enc)
+
+    def test_assign_writes_in_place_without_aliasing(self):
+        enc = small_model(use_whitening=True, seed=11).encoders[0]
+
+        def owned():
+            adapter = enc.adapter
+            return [adapter.dense.weight, adapter.whitening.gamma, enc.body[-1].dense.bias]
+
+        before = owned()
+        target = flatten_params(small_model(use_whitening=True, seed=12).encoders[0])
+        assign_params(enc, target)
+        assert flatten_params(enc).tobytes() == target.tobytes()
+        assert all(a is b for a, b in zip(before, owned()))
+        target[:] = 0.0
+        assert flatten_params(enc).any()
+
+    def test_assign_length_mismatch_rejected(self):
+        enc = build_encoder(0, 5, 6, 4, False, np.random.default_rng(0))
+        with pytest.raises(DimensionError):
+            assign_params(enc, np.zeros(param_count(enc) - 1))
 
     def test_encode_backward_alignment(self):
         # the flat gradient must line up with the flat parameter layout

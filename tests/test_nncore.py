@@ -165,6 +165,12 @@ class TestWhiteningMatrix:
         with pytest.raises(ValidationError):
             whitening_matrix(np.array([[1.0, 0.5], [0.0, 1.0]]), eps=1e-5)
 
+    def test_symmetry_tolerance_edge_and_nan(self):
+        whitening_matrix(np.array([[1.0, 1e-9], [0.0, 1.0]]), eps=1e-5)
+        for cov in ([[1.0, 2e-9], [0.0, 1.0]], [[1.0, np.nan], [np.nan, 1.0]]):
+            with pytest.raises(ValidationError):
+                whitening_matrix(np.array(cov), eps=1e-5)
+
     def test_singular_without_eps_rejected(self):
         with pytest.raises(NumericError):
             whitening_matrix(np.zeros((2, 2)), eps=0.0)
