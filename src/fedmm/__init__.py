@@ -11,7 +11,6 @@ scenario generation, metrics, and a CLI.
 from .config import ExperimentConfig, config_from_dict, load_config
 from .data import (
     DatasetSpec,
-    Sample,
     ScenarioSpec,
     Shard,
     batches,
@@ -44,7 +43,7 @@ from .errors import (
     StateError,
     ValidationError,
 )
-from .losses import LossConfig, bce_multilabel, ce_singlelabel, cosine, local_objective, ntxent
+from .losses import LossConfig, bce_multilabel, ce_singlelabel, local_objective, ntxent
 from .metrics import MetricsReport, evaluate, macro_f1, micro_f1
 from .models import (
     DenseLayer,

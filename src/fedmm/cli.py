@@ -21,6 +21,7 @@ from pathlib import Path
 
 from .config import load_config
 from .data import (
+    SCENARIO_KINDS,
     DatasetSpec,
     ScenarioSpec,
     build_scenario,
@@ -171,6 +172,9 @@ def _cmd_ablate(args) -> int:
     scenarios = tuple(s.strip() for s in args.scenarios.split(",") if s.strip())
     if not scenarios:
         raise ConfigError("--scenarios must name at least one scenario kind")
+    unknown = [s for s in scenarios if s not in SCENARIO_KINDS]
+    if unknown:
+        raise ConfigError(f"unknown scenario kind(s): {', '.join(unknown)}")
     table = run_ablation(cfg, scenarios=scenarios)
     header = "modules".ljust(12) + "".join(s.rjust(18) for s in table.scenarios)
     print(header)

@@ -84,14 +84,6 @@ class ScenarioSpec:
 
 
 @dataclass
-class Sample:
-    geo_key: int
-    modality_id: int
-    features: Array
-    labels: Array | int
-
-
-@dataclass
 class Shard:
     """Columnar store of one modality's samples; immutable by convention."""
 
@@ -124,15 +116,6 @@ class Shard:
     @property
     def dim(self) -> int:
         return self.features.shape[1]
-
-    def sample(self, i: int) -> Sample:
-        labels = self.labels[i] if self.task_kind == "multi-label" else int(self.labels[i])
-        return Sample(
-            geo_key=int(self.geo_keys[i]),
-            modality_id=self.modality_id,
-            features=self.features[i],
-            labels=labels,
-        )
 
     def select(self, idx) -> "Shard":
         return Shard(

@@ -1,16 +1,23 @@
 """Synchronous round-based federated training.
 
-Each round: broadcast the global parameters, run every client's local
-update (serially or on a thread pool; results are identical either way
-because each client owns its state and RNG stream and the global snapshot
-is read-only), aggregate per-modality encoders and the shared head, then
-optionally evaluate. Aggregation accumulates client deltas around the
-broadcast reference in ascending client-id order, which makes "all clients
-returned the broadcast unchanged" an exact fixed point and keeps the
-result independent of completion order.
+Each round (:func:`run_round`): broadcast the global parameters, run every
+client's local update (serially or on a thread pool; results are identical
+either way because each client owns its state and RNG stream and the
+global snapshot is read-only), aggregate per-modality encoders and the
+shared head, then optionally evaluate. Aggregation accumulates client
+deltas around the broadcast reference in ascending client-id order, which
+makes "all clients returned the broadcast unchanged" an exact fixed point
+and keeps the result independent of completion order.
+
+Each client owns one parameter vector laid out as [encoder | head]; its
+encoder and head buffers are the two slices, so an Adam step on the vector
+is the whole local update and the broadcast is two slice copies.
 
 Whitening running statistics never leave a client: the first broadcast
 initializes them and later broadcasts overwrite parameters only.
+
+The late-fusion baseline is P single-modality federations: it calls
+:func:`run_round` once per modality and merges the round logs.
 """
 
 from __future__ import annotations
@@ -34,6 +41,7 @@ from .models import (
     GlobalModelSet,
     TaskHead,
     assign_params,
+    bind_params,
     build_encoder,
     clone_encoder,
     clone_head,
@@ -123,8 +131,9 @@ def _baseline_submodel(cfg: ExperimentConfig, spec, modality: int) -> GlobalMode
 class ClientState:
     """One client's private shard, local model copy, optimizer, and RNG.
 
-    The encoder and head arrays belong to the client alone (``make_client``
-    clones them): ``client_update`` writes into them in place.
+    ``params`` is the client's own vector laid out as [encoder | head];
+    ``encoder.params`` and ``head.params`` are its two slices (``make_client``
+    binds them), and ``client_update`` writes into it in place.
     """
 
     client_id: int
@@ -132,6 +141,7 @@ class ClientState:
     shard: Shard
     encoder: Encoder
     head: TaskHead
+    params: np.ndarray
     adam: AdamState
     rng: np.random.Generator
 
@@ -199,8 +209,12 @@ def make_client(
         raise DataError(f"client {client_id} has an empty shard")
     encoder = clone_encoder(encoder_template)
     head = clone_head(head_template)
+    n_enc = param_count(encoder)
+    params = np.empty(n_enc + param_count(head))
+    bind_params(encoder, params[:n_enc])
+    bind_params(head, params[n_enc:])
     adam = AdamState.create(
-        param_count(encoder) + param_count(head),
+        params.size,
         lr=cfg.lr,
         beta1=cfg.beta1,
         beta2=cfg.beta2,
@@ -212,6 +226,7 @@ def make_client(
         shard=shard,
         encoder=encoder,
         head=head,
+        params=params,
         adam=adam,
         rng=client_rng(cfg.seed, client_id),
     )
@@ -226,7 +241,7 @@ def client_update(
     """Copy the broadcast parameters in, run E local epochs, return the result.
 
     The broadcast and every optimizer step are copied into the parameter
-    arrays the client already owns, so no layer object is rebuilt per
+    vector the client already owns, so no layer object is rebuilt per
     batch and no client array ever aliases ``global_model``. The client
     keeps its own whitening running statistics across rounds; only
     parameters are overwritten by the broadcast. Other-modality encoders
@@ -244,7 +259,6 @@ def client_update(
     assign_params(client.encoder, flatten_params(global_model.encoders[slot]))
     assign_params(client.head, flatten_params(global_model.head))
 
-    n_enc = param_count(client.encoder)
     ce_total = ntx_total = 0.0
     n_batches = 0
     for _ in range(cfg.local_epochs):
@@ -257,13 +271,8 @@ def client_update(
                 global_model,
                 loss_cfg,
             )
-            flat = np.concatenate(
-                [flatten_params(client.encoder), flatten_params(client.head)]
-            )
             grad = np.concatenate([res.grad_encoder, res.grad_head])
-            flat = adam_step(flat, grad, client.adam)
-            assign_params(client.encoder, flat[:n_enc])
-            assign_params(client.head, flat[n_enc:])
+            client.params[...] = adam_step(client.params, grad, client.adam)
             ce_total += res.ce
             ntx_total += res.ntx
             n_batches += 1
@@ -447,8 +456,10 @@ def baseline_fedavg_latefusion(
 
     Each modality trains its own encoder and private head (feature dim in,
     labels out) with plain weighted averaging; no whitening, no contrastive
-    term. Inference averages the per-modality probabilities; single-modality
-    modes use that modality's model alone.
+    term. Each round calls :func:`run_round` once per modality and merges
+    the logs in modality order: client losses united, seconds and bytes
+    summed. Inference averages the per-modality probabilities;
+    single-modality modes use that modality's model alone.
     """
     cfg.validate()
     spec = cfg.resolved_dataset()
@@ -469,22 +480,18 @@ def baseline_fedavg_latefusion(
     }
     rounds: list[RoundLog] = []
     for r in range(1, cfg.rounds + 1):
-        started = time.perf_counter()
-        client_ce: dict[int, float] = {}
-        payload = 0
+        logs = []
         for m in range(p):
-            updates = _run_updates(
-                clients_by_modality[m], submodels[m], cfg, loss_cfg, parallel
+            submodels[m], mlog = run_round(
+                submodels[m], clients_by_modality[m], cfg, loss_cfg, parallel
             )
-            submodels[m] = aggregate(updates, submodels[m])
-            payload += sum(u.encoder_flat.size + u.head_flat.size for u in updates)
-            client_ce.update({u.client_id: u.mean_ce for u in updates})
+            logs.append(mlog)
         rlog = RoundLog(
             round_index=r,
-            client_ce=client_ce,
-            client_ntx={cid: 0.0 for cid in client_ce},
-            seconds=time.perf_counter() - started,
-            bytes_exchanged=2 * 8 * payload,
+            client_ce={k: v for mlog in logs for k, v in mlog.client_ce.items()},
+            client_ntx={k: v for mlog in logs for k, v in mlog.client_ntx.items()},
+            seconds=sum(mlog.seconds for mlog in logs),
+            bytes_exchanged=sum(mlog.bytes_exchanged for mlog in logs),
         )
         if r % cfg.eval_every == 0 or r == cfg.rounds:
             rlog.evals = {

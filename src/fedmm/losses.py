@@ -1,5 +1,5 @@
-"""Classification losses, cosine similarity, the contrastive alignment loss,
-and the combined per-client training objective.
+"""Classification losses, the contrastive alignment loss, and the combined
+per-client training objective.
 
 Gradient conventions: classification losses return gradients with respect
 to the pre-activation logits, averaged over the batch. The contrastive
@@ -84,15 +84,6 @@ def ce_singlelabel(probs: Array, y: Array) -> tuple[float, Array]:
     onehot[rows, y] = 1.0
     grad_logits = (probs - onehot) / probs.shape[0]
     return loss, grad_logits
-
-
-def cosine(a: Array, b: Array) -> float:
-    """Cosine similarity; defined as 0 when either vector is near zero."""
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
-    if na <= _NORM_FLOOR or nb <= _NORM_FLOOR:
-        return 0.0
-    return float(np.clip(float(a @ b) / (na * nb), -1.0, 1.0))
 
 
 def _unit_rows(f: Array) -> tuple[Array, Array, Array]:

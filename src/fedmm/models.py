@@ -1,16 +1,21 @@
-"""Encoder/head model family, zero-padded fusion, cross-encoding, and
-parameter flattening plus binary checkpoints.
+"""Encoder/head model family, zero-padded fusion, cross-encoding, the
+parameter buffer, and binary checkpoints.
 
 The architecture is fixed: a dense input adapter (modality dim -> hidden,
-relu) followed by a body of [hidden -> hidden dense, optional whitening,
+optional whitening, relu) followed by a body of [hidden -> hidden dense,
 relu] and a final hidden -> feature dense. All encoders of a model share
 the body topology, which is what lets one modality's adapter feed another
 modality's body during cross-encoding. Modality slots concatenate in
 ascending modality id; absent slots are zero-filled.
+
+Each encoder and each head keeps its parameters in one contiguous float64
+vector, ``params``, in flatten order; every layer's arrays are views into
+it (see :func:`bind_params`).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import struct
 from dataclasses import dataclass, field
 
@@ -23,6 +28,7 @@ from .nncore import (
     WhiteningState,
     activation_backward,
     activation_forward,
+    as_tensor,
     batch_whitening_backward,
     batch_whitening_forward,
     dense_backward,
@@ -48,11 +54,16 @@ class Stage:
 
 @dataclass
 class Encoder:
-    """Modality-specific backbone: input adapter plus shared-topology body."""
+    """Modality-specific backbone: input adapter plus shared-topology body.
+
+    Construction binds the stages' parameter arrays to the encoder's own
+    buffer, so a stage belongs to one encoder.
+    """
 
     modality_id: int
     adapter: Stage
     body: list[Stage]
+    params: Array = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.adapter.dense.out_dim != self.body[0].dense.in_dim:
@@ -60,6 +71,9 @@ class Encoder:
                 f"adapter output {self.adapter.dense.out_dim} does not match "
                 f"body input {self.body[0].dense.in_dim}"
             )
+        if any(stage.whitening is not None for stage in self.body):
+            raise ValidationError("only the adapter stage may whiten")
+        bind_params(self)
 
     @property
     def input_dim(self) -> int:
@@ -83,10 +97,12 @@ class TaskHead:
 
     layer: DenseLayer
     task_kind: str
+    params: Array = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.task_kind not in TASK_KINDS:
             raise ValidationError(f"unknown task kind {self.task_kind!r}")
+        bind_params(self)
 
     @property
     def n_labels(self) -> int:
@@ -323,9 +339,8 @@ def cross_encode(adapter_out: Array, global_other: Encoder) -> Array:
     including its whitening layer, on the current batch: the body input
     that :func:`encode_train` caches as ``cache.inputs[1]``. Reusing it
     means the adapter, and its eigendecomposition, runs once per batch.
-    The other model's parameters act as constants: no statistics are read
-    or written on its whitening layers (the batch's own statistics are
-    used) and no gradient ever reaches its parameters.
+    The other model's parameters act as constants: no gradient ever
+    reaches them. Bodies never whiten (see :class:`Encoder`).
     """
     if adapter_out.ndim != 2 or adapter_out.shape[1] != global_other.hidden_dim:
         raise DimensionError(
@@ -335,9 +350,6 @@ def cross_encode(adapter_out: Array, global_other: Encoder) -> Array:
     h = adapter_out
     for stage in global_other.body:
         z = dense_forward(stage.dense, h)
-        if stage.whitening is not None:
-            st = stage.whitening
-            z = whiten_batch(z, st.gamma, st.beta, st.eps)
         h = activation_forward(z, stage.activation) if stage.activation else z
     return h
 
@@ -347,124 +359,123 @@ def cross_encode(adapter_out: Array, global_other: Encoder) -> Array:
 # ---------------------------------------------------------------------------
 
 
-def _param_arrays(part) -> list[Array]:
-    """The parameter arrays of ``part`` themselves, in flatten order."""
-    if isinstance(part, Encoder):
-        arrays = []
-        for stage in part.stages():
-            arrays += [stage.dense.weight, stage.dense.bias]
-            if stage.whitening is not None:
-                arrays += [stage.whitening.gamma, stage.whitening.beta]
-        return arrays
-    if isinstance(part, TaskHead):
-        return [part.layer.weight, part.layer.bias]
+def _param_slots(part) -> list[tuple[object, str]]:
+    """(owner, attribute) of every parameter array of ``part``, in flatten order."""
+    stages = part.stages() if isinstance(part, Encoder) else [Stage(part.layer)]
+    slots: list[tuple[object, str]] = []
+    for stage in stages:
+        slots += [(stage.dense, "weight"), (stage.dense, "bias")]
+        if stage.whitening is not None:
+            slots += [(stage.whitening, "gamma"), (stage.whitening, "beta")]
+    return slots
+
+
+def bind_params(part, buffer: Array | None = None) -> None:
+    """Make one float64 vector the only home of ``part``'s parameters.
+
+    Copies every parameter array of ``part`` into ``buffer`` (a new vector
+    when None) in :func:`flatten_params` order, rebinds each layer's
+    weight/bias and each whitening layer's gamma/beta to a reshaped view
+    of it, and stores it as ``part.params``. Writing the buffer then
+    writes the layers. Invariant: never rebind a parameter attribute of a
+    bound part (``layer.weight = w`` detaches that layer from ``params``);
+    write through the buffer or the view (``part.params[...] = flat``).
+    """
+    slots = _param_slots(part)
+    n = sum(getattr(owner, name).size for owner, name in slots)
+    if buffer is None:
+        buffer = np.empty(n)
+    elif buffer.shape != (n,):
+        raise DimensionError(f"buffer has {buffer.shape} entries, part needs ({n},)")
+    cursor = 0
+    for owner, name in slots:
+        arr = getattr(owner, name)
+        view = buffer[cursor : cursor + arr.size].reshape(arr.shape)
+        view[...] = arr
+        setattr(owner, name, view)
+        cursor += arr.size
+    part.params = buffer
+
+
+def _buffers(part) -> list[Array]:
+    if isinstance(part, (Encoder, TaskHead)):
+        return [part.params]
     if isinstance(part, GlobalModelSet):
-        return [arr for p in part.encoders + [part.head] for arr in _param_arrays(p)]
+        return [p.params for p in part.encoders + [part.head]]
     raise ValidationError(f"cannot flatten object of type {type(part).__name__}")
 
 
 def flatten_params(part) -> Array:
-    """Canonical flat parameter vector.
+    """Canonical flat parameter vector: a copy of the part's buffer.
 
     Order: per stage (adapter first, body in order) weight, bias, then
     gamma and beta when the stage whitens; a model set lists encoders in
     modality order with the head last. Running statistics are excluded.
     """
-    return np.concatenate([arr.ravel() for arr in _param_arrays(part)])
+    return np.concatenate(_buffers(part))
 
 
 def param_count(part) -> int:
-    return sum(arr.size for arr in _param_arrays(part))
+    return sum(buf.size for buf in _buffers(part))
 
 
 def params_overlap(a, b) -> bool:
-    """True when any parameter array of ``a`` may share memory with one of ``b``."""
-    arrays_b = _param_arrays(b)
-    return any(np.may_share_memory(x, y) for x in _param_arrays(a) for y in arrays_b)
+    """True when any parameter buffer of ``a`` may share memory with one of ``b``."""
+    return any(np.may_share_memory(x, y) for x in _buffers(a) for y in _buffers(b))
 
 
-def assign_params(part, flat: Array) -> None:
-    """Copy ``flat`` into the parameter arrays ``part`` already owns.
+def assign_params(part: Encoder | TaskHead, flat: Array) -> None:
+    """Copy ``flat`` into the buffer ``part`` already owns.
 
     The in-place inverse of :func:`flatten_params`: no layer object is
     rebuilt and no array of ``part`` is replaced, so running statistics
     and every other reference to the part stay as they are. ``flat`` is
     copied, never aliased.
     """
-    arrays = _param_arrays(part)
-    expected = sum(arr.size for arr in arrays)
-    if flat.shape != (expected,):
+    if flat.shape != part.params.shape:
         raise DimensionError(
             f"flat vector has {flat.shape} entries, "
-            f"{type(part).__name__} needs ({expected},)"
+            f"{type(part).__name__} needs {part.params.shape}"
         )
-    cursor = 0
-    for arr in arrays:
-        arr[...] = flat[cursor : cursor + arr.size].reshape(arr.shape)
-        cursor += arr.size
+    part.params[...] = flat
 
 
-def _take(flat: Array, cursor: int, n: int) -> tuple[Array, int]:
-    return flat[cursor : cursor + n], cursor + n
-
-
-def _unflatten_stage(flat: Array, cursor: int, template: Stage) -> tuple[Stage, int]:
-    w_shape = template.dense.weight.shape
-    w, cursor = _take(flat, cursor, w_shape[0] * w_shape[1])
-    b, cursor = _take(flat, cursor, w_shape[1])
-    dense = DenseLayer(weight=w.reshape(w_shape).copy(), bias=b.copy())
-    whitening = None
-    if template.whitening is not None:
-        t = template.whitening
-        gamma, cursor = _take(flat, cursor, t.dim)
-        beta, cursor = _take(flat, cursor, t.dim)
-        whitening = WhiteningState(
-            gamma=gamma.copy(),
-            beta=beta.copy(),
-            running_mean=t.running_mean.copy(),
-            running_cov=t.running_cov.copy(),
-            eps=t.eps,
-            momentum=t.momentum,
-            stats_ready=t.stats_ready,
-        )
-    return Stage(dense=dense, whitening=whitening, activation=template.activation), cursor
+def _copy_stage(stage: Stage) -> Stage:
+    """Same structure and running statistics, forward caches dropped; the
+    parameter arrays stay shared until the new part binds its own buffer."""
+    st = stage.whitening
+    if st is not None:
+        mean, cov = st.running_mean.copy(), st.running_cov.copy()
+        st = dataclasses.replace(st, running_mean=mean, running_cov=cov)
+        st.drop_cache()
+    return Stage(dataclasses.replace(stage.dense), st, stage.activation)
 
 
 def unflatten_params(flat: Array, template):
-    """Rebuild a model part from a flat vector.
+    """A new model part with ``template``'s structure and ``flat``'s parameters.
 
-    Parameters come from ``flat``; whitening running statistics are copied
-    from ``template`` (they are state, not parameters). Forward caches are
-    dropped.
+    Whitening running statistics are copied from ``template`` (they are
+    state, not parameters) and forward caches are dropped. The new part
+    owns a copy of ``flat``; NaN/Inf entries raise NumericError.
     """
-    flat = np.asarray(flat, dtype=np.float64)
+    flat = as_tensor(flat)
     expected = param_count(template)
     if flat.shape != (expected,):
         raise DimensionError(
             f"flat vector has {flat.shape} entries, template needs ({expected},)"
         )
-    if isinstance(template, Encoder):
-        cursor = 0
-        adapter, cursor = _unflatten_stage(flat, cursor, template.adapter)
-        body = []
-        for stage in template.body:
-            new_stage, cursor = _unflatten_stage(flat, cursor, stage)
-            body.append(new_stage)
-        return Encoder(modality_id=template.modality_id, adapter=adapter, body=body)
-    if isinstance(template, TaskHead):
-        cursor = 0
-        stage, cursor = _unflatten_stage(flat, cursor, Stage(template.layer))
-        return TaskHead(layer=stage.dense, task_kind=template.task_kind)
     if isinstance(template, GlobalModelSet):
-        cursor = 0
-        encoders = []
-        for enc in template.encoders:
-            n = param_count(enc)
-            piece, cursor = _take(flat, cursor, n)
-            encoders.append(unflatten_params(piece, enc))
-        head = unflatten_params(flat[cursor:], template.head)
+        parts = template.encoders + [template.head]
+        pieces = np.split(flat, np.cumsum([param_count(p) for p in parts])[:-1])
+        *encoders, head = [unflatten_params(x, p) for x, p in zip(pieces, parts)]
         return GlobalModelSet(encoders=encoders, head=head, round=template.round)
-    raise ValidationError(f"cannot unflatten into type {type(template).__name__}")
+    if isinstance(template, Encoder):
+        body = [_copy_stage(s) for s in template.body]
+        part = Encoder(template.modality_id, _copy_stage(template.adapter), body)
+    else:
+        part = TaskHead(dataclasses.replace(template.layer), template.task_kind)
+    assign_params(part, flat)
+    return part
 
 
 def clone_encoder(encoder: Encoder) -> Encoder:

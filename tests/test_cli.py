@@ -186,3 +186,11 @@ class TestAblate:
             "MF+FW",
             "MF+FW+MIM",
         ]
+
+    def test_unknown_scenario_rejected_before_any_run(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, rounds=1, inference_modes=["both"])
+        out = tmp_path / "ablate"
+        args = ["ablate", "--config", str(cfg), "--out", str(out)]
+        assert main(args + ["--scenarios", "iid,bogus"]) == 2
+        assert "bogus" in capsys.readouterr().err
+        assert not out.exists()

@@ -56,6 +56,37 @@ def tiny_cfg(**overrides):
     return ExperimentConfig(**base)
 
 
+def golden_cfg(out_dir):
+    return ExperimentConfig(
+        dataset=DatasetSpec(
+            n_sites=240, latent_dim=6, modality_dims=(6, 10), n_labels=4, n_groups=4
+        ),
+        scenario=ScenarioSpec(kind="group-skew"),
+        k_clients=4,
+        rounds=3,
+        batch_size=16,
+        d_hidden=16,
+        d_feature=8,
+        use_fw=True,
+        use_mim=True,
+        inference_modes=("both", "only-0", "only-1"),
+        seed=0,
+        output_dir=str(out_dir),
+    )
+
+
+def final_params(log):
+    models = [log.model] if log.model is not None else log.baseline_models
+    return [flatten_params(m).tobytes() for m in models]
+
+
+def assert_parallel_matches_serial(entry_point):
+    serial = entry_point(tiny_cfg())
+    parallel = entry_point(tiny_cfg(), parallel=True)
+    assert experiment_csv(serial) == experiment_csv(parallel)
+    assert final_params(serial) == final_params(parallel)
+
+
 def _setup(cfg):
     dataset = gen_synthetic(cfg.resolved_dataset())
     shards = build_scenario(dataset, cfg.scenario, cfg.k_clients)
@@ -122,6 +153,24 @@ class TestClientUpdate:
             client_update(client, model, cfg, loss_cfg)
             client_update(client, model, cfg, loss_cfg)
         assert flatten_params(model).tobytes() == snapshot
+
+    def test_parameters_stay_views_of_client_buffer(self):
+        cfg = tiny_cfg(use_fw=True)
+        _, model, clients, loss_cfg = _setup(cfg)
+        client = clients[0]
+        update = client_update(client, model, cfg, loss_cfg)
+        arrays = [client.head.layer.weight, client.head.layer.bias]
+        for stage in client.encoder.stages():
+            arrays += [stage.dense.weight, stage.dense.bias]
+            if stage.whitening is not None:
+                arrays += [stage.whitening.gamma, stage.whitening.beta]
+        assert client.encoder.adapter.whitening is not None
+        assert all(arr.base is client.params for arr in arrays)
+        assert client.params.tobytes() == (
+            update.encoder_flat.tobytes() + update.head_flat.tobytes()
+        )
+        for flat in (update.encoder_flat, update.head_flat):
+            assert not np.may_share_memory(flat, client.params)
 
     def test_client_sharing_global_arrays_is_rejected(self):
         cfg = tiny_cfg()
@@ -318,34 +367,12 @@ class TestRunExperiment:
         # recorded with (numpy 2.4.6, OpenBLAS 0.3.31, x86-64); another
         # build may round differently and then needs a fresh recording
         # from an unchanged tree.
-        cfg = ExperimentConfig(
-            dataset=DatasetSpec(
-                n_sites=240, latent_dim=6, modality_dims=(6, 10), n_labels=4, n_groups=4
-            ),
-            scenario=ScenarioSpec(kind="group-skew"),
-            k_clients=4,
-            rounds=3,
-            batch_size=16,
-            d_hidden=16,
-            d_feature=8,
-            use_fw=True,
-            use_mim=True,
-            inference_modes=("both", "only-0", "only-1"),
-            seed=0,
-            output_dir=str(tmp_path),
-        )
-        run_experiment(cfg)
+        run_experiment(golden_cfg(tmp_path))
         digest = hashlib.sha256((tmp_path / "log.csv").read_bytes()).hexdigest()
         assert digest == "238e7deaa80a0492720fee2c78bbf940c26c211c766fb2bfae0917329e137262"
 
     def test_parallel_matches_serial(self):
-        serial = run_experiment(tiny_cfg())
-        parallel = run_experiment(tiny_cfg(), parallel=True)
-        assert experiment_csv(serial) == experiment_csv(parallel)
-        assert (
-            flatten_params(serial.model).tobytes()
-            == flatten_params(parallel.model).tobytes()
-        )
+        assert_parallel_matches_serial(run_experiment)
 
     def test_different_seeds_differ(self):
         a = run_experiment(tiny_cfg(seed=0))
@@ -427,6 +454,17 @@ class TestBaseline:
         only1 = evaluate_late_fusion(log.baseline_models, dataset.test, "only-1")
         report = log.rounds[-1].evals["only-1"]
         assert report.micro_f1 == only1.micro_f1
+
+    def test_golden_log_hash(self, tmp_path):
+        # the baseline twin of TestRunExperiment::test_golden_log_hash, same
+        # config and the same build caveat; recorded at the commit before
+        # the baseline went through run_round
+        baseline_fedavg_latefusion(golden_cfg(tmp_path))
+        digest = hashlib.sha256((tmp_path / "log.csv").read_bytes()).hexdigest()
+        assert digest == "85204ad712c0bd5990cee146976c747c28ab0c3bac7dcd5fa36e3260740d61bb"
+
+    def test_parallel_matches_serial(self):
+        assert_parallel_matches_serial(baseline_fedavg_latefusion)
 
     def test_baseline_deterministic(self):
         a = baseline_fedavg_latefusion(tiny_cfg(rounds=1))

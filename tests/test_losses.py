@@ -12,7 +12,6 @@ from fedmm.losses import (
     LossConfig,
     bce_multilabel,
     ce_singlelabel,
-    cosine,
     local_objective,
     ntxent,
 )
@@ -86,21 +85,6 @@ class TestCeSinglelabel:
     def test_index_out_of_range(self):
         with pytest.raises(ValidationError):
             ce_singlelabel(np.full((2, 3), 1 / 3), np.array([0, 3]))
-
-
-class TestCosine:
-    def test_orthogonal(self):
-        assert cosine(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 0.0
-
-    def test_self_similarity(self):
-        v = np.array([0.3, -1.2, 4.0])
-        assert abs(cosine(v, v) - 1.0) < 1e-12
-
-    def test_antiparallel_scale_invariant(self):
-        assert cosine(np.array([1.0, 0.0]), np.array([-2.0, 0.0])) == -1.0
-
-    def test_degenerate_zero_norm(self):
-        assert cosine(np.zeros(3), np.array([1.0, 0.0, 0.0])) == 0.0
 
 
 def _ntxent_reference(f_local, f_global, tau, variant):

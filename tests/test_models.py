@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from fedmm.errors import DimensionError, FormatError, ValidationError
+from fedmm.errors import DimensionError, FormatError, NumericError, ValidationError
 from fedmm.models import (
     Encoder,
     GlobalModelSet,
@@ -26,7 +26,7 @@ from fedmm.models import (
     save_model,
     unflatten_params,
 )
-from fedmm.nncore import DenseLayer, dense_forward, whiten_batch
+from fedmm.nncore import DenseLayer, WhiteningState, dense_forward, whiten_batch
 
 
 def small_model(use_whitening=True, task_kind="multi-label", seed=0):
@@ -158,7 +158,10 @@ class TestCrossEncode:
         model = small_model(use_whitening=True)
         x = np.random.default_rng(2).normal(size=(6, 5))
         local = model.encoders[0]
-        twin = Encoder(modality_id=1, adapter=model.encoders[1].adapter, body=local.body)
+        # building an encoder binds its stages to a new buffer, so the twin
+        # takes copies and leaves the model's own encoders bound
+        copy = clone_model(model)
+        twin = Encoder(1, adapter=copy.encoders[1].adapter, body=copy.encoders[0].body)
         _, cache = encode_train(local, x)
         out_cross = cross_encode(cache.inputs[1], twin)
         out_plain = encode(local, x, "train")
@@ -253,6 +256,27 @@ class TestFlattening:
         target[:] = 0.0
         assert flatten_params(enc).any()
 
+    def test_layers_are_views_of_the_buffer(self):
+        enc = build_encoder(0, 5, 6, 4, True, np.random.default_rng(0))
+        enc.params[...] = np.arange(param_count(enc), dtype=np.float64)
+        assert enc.adapter.dense.weight[0, 1] == 1.0
+        assert enc.adapter.whitening.beta[0] == 5 * 6 + 6 + 6
+        assert flatten_params(enc).tobytes() == enc.params.tobytes()
+
+    def test_unflatten_copies_input_and_rejects_nan(self):
+        model = small_model(use_whitening=True, seed=3)
+        flat = flatten_params(model)
+        rebuilt = unflatten_params(flat, model)
+        for part in rebuilt.encoders + [rebuilt.head]:
+            assert not np.may_share_memory(part.params, flat)
+        flat[:] = 0.0
+        assert flatten_params(rebuilt).any()
+        flat[7] = np.nan
+        with pytest.raises(NumericError):
+            unflatten_params(flat, model)
+        with pytest.raises(NumericError):
+            unflatten_params(flat[: param_count(model.encoders[0])], model.encoders[0])
+
     def test_assign_length_mismatch_rejected(self):
         enc = build_encoder(0, 5, 6, 4, False, np.random.default_rng(0))
         with pytest.raises(DimensionError):
@@ -322,6 +346,13 @@ def test_clone_is_deep():
     twin = clone_model(model)
     twin.encoders[0].adapter.dense.weight[:] = 0.0
     assert np.abs(model.encoders[0].adapter.dense.weight).max() > 0.0
+
+
+def test_whitening_body_stage_rejected():
+    adapter = Stage(DenseLayer(np.zeros((3, 4)), np.zeros(4)), None, "relu")
+    body = [Stage(DenseLayer(np.eye(4), np.zeros(4)), WhiteningState.create(4), "relu")]
+    with pytest.raises(ValidationError):
+        Encoder(modality_id=0, adapter=adapter, body=body)
 
 
 def test_model_invariants_enforced():
