@@ -49,7 +49,6 @@ from .models import (
     DenseLayer,
     Encoder,
     GlobalModelSet,
-    Prediction,
     TaskHead,
     cross_encode,
     encode,

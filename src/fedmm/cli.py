@@ -191,30 +191,38 @@ def _cmd_ablate(args) -> int:
     return 0
 
 
+_REPORT_COLUMNS = {"round": int, "mode": str, "micro_f1": float, "macro_f1": float,
+                   "accuracy": float}
+
+
 def parse_log_csv(text: str) -> list[dict]:
+    """Rows of a ``log.csv``; the columns the report reads are parsed."""
     lines = [ln for ln in text.strip().split("\n") if ln]
     if not lines:
         raise ConfigError("log file is empty")
+    if len(lines) == 1:
+        raise ConfigError("log file has a header but no rows")
     header = lines[0].split(",")
     rows = []
-    for line in lines[1:]:
+    for n, line in enumerate(lines[1:], start=2):
         parts = line.split(",")
         if len(parts) != len(header):
             raise ConfigError("log file has a malformed row")
-        rows.append(dict(zip(header, parts)))
+        row = dict(zip(header, parts))
+        try:
+            row.update({col: kind(row[col]) for col, kind in _REPORT_COLUMNS.items()})
+        except (KeyError, ValueError) as exc:
+            raise ConfigError(f"log file line {n}: bad report column ({exc})") from None
+        rows.append(row)
     return rows
 
 
 def summarize_log(text: str) -> tuple[list[dict], list[tuple[int, float]]]:
     """Final-round rows per mode plus the fused-mode F1 trajectory."""
     rows = parse_log_csv(text)
-    last_round = max(int(r["round"]) for r in rows)
-    final_rows = [r for r in rows if int(r["round"]) == last_round]
-    trajectory = [
-        (int(r["round"]), float(r["micro_f1"]))
-        for r in rows
-        if r["mode"] == "both"
-    ]
+    last_round = max(r["round"] for r in rows)
+    final_rows = [r for r in rows if r["round"] == last_round]
+    trajectory = [(r["round"], r["micro_f1"]) for r in rows if r["mode"] == "both"]
     return final_rows, trajectory
 
 
@@ -228,9 +236,9 @@ def _cmd_report(args) -> int:
     for row in final_rows:
         print(
             f"{row['mode']:<10}"
-            f"{float(row['micro_f1']):>10.4f}"
-            f"{float(row['macro_f1']):>10.4f}"
-            f"{float(row['accuracy']):>10.4f}"
+            f"{row['micro_f1']:>10.4f}"
+            f"{row['macro_f1']:>10.4f}"
+            f"{row['accuracy']:>10.4f}"
         )
     if trajectory:
         print("\nmicro_f1 trajectory (both):")

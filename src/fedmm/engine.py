@@ -43,8 +43,6 @@ from .models import (
     assign_params,
     bind_params,
     build_encoder,
-    clone_encoder,
-    clone_head,
     encode,
     flatten_params,
     fuse,
@@ -207,8 +205,8 @@ def make_client(
 ) -> ClientState:
     if shard.n == 0:
         raise DataError(f"client {client_id} has an empty shard")
-    encoder = clone_encoder(encoder_template)
-    head = clone_head(head_template)
+    encoder = unflatten_params(encoder_template.params, encoder_template)
+    head = unflatten_params(head_template.params, head_template)
     n_enc = param_count(encoder)
     params = np.empty(n_enc + param_count(head))
     bind_params(encoder, params[:n_enc])
@@ -256,8 +254,8 @@ def client_update(
         raise ValidationError(
             f"client {client.client_id} parameters share memory with the global model"
         )
-    assign_params(client.encoder, flatten_params(global_model.encoders[slot]))
-    assign_params(client.head, flatten_params(global_model.head))
+    assign_params(client.encoder, global_model.encoders[slot].params)
+    assign_params(client.head, global_model.head.params)
 
     ce_total = ntx_total = 0.0
     n_batches = 0
@@ -271,8 +269,7 @@ def client_update(
                 global_model,
                 loss_cfg,
             )
-            grad = np.concatenate([res.grad_encoder, res.grad_head])
-            client.params[...] = adam_step(client.params, grad, client.adam)
+            client.params[...] = adam_step(client.params, res.grad, client.adam)
             ce_total += res.ce
             ntx_total += res.ntx
             n_batches += 1
@@ -330,36 +327,32 @@ def aggregate(updates: list[ClientUpdate], model: GlobalModelSet) -> GlobalModel
         group = [u for u in updates if u.modality_id == m]
         if not group:
             raise DataError(f"no client update for modality {m} this round")
-        base = flatten_params(enc)
-        for u in group:
-            if u.encoder_flat.shape != base.shape:
-                raise DimensionError(
-                    f"client {u.client_id} encoder has {u.encoder_flat.shape}, "
-                    f"expected {base.shape}"
-                )
-        if len(group) == 1:
-            flat = group[0].encoder_flat.copy()
-        else:
-            flat = base.copy()
-            for u in group:
-                flat += plan.group_weights[m][u.client_id] * (u.encoder_flat - base)
+        weights = plan.group_weights[m]
+        members = [(u.client_id, u.encoder_flat, weights[u.client_id]) for u in group]
+        flat = _average("encoder", enc.params, members)
         new_encoders.append(unflatten_params(flat, enc))
-
-    base_head = flatten_params(model.head)
-    for u in updates:
-        if u.head_flat.shape != base_head.shape:
-            raise DimensionError(
-                f"client {u.client_id} head has {u.head_flat.shape}, "
-                f"expected {base_head.shape}"
-            )
-    if len(updates) == 1:
-        head_flat = updates[0].head_flat.copy()
-    else:
-        head_flat = base_head.copy()
-        for u in updates:
-            head_flat += plan.alpha[u.client_id] * (u.head_flat - base_head)
+    members = [(u.client_id, u.head_flat, plan.alpha[u.client_id]) for u in updates]
+    head_flat = _average("head", model.head.params, members)
     new_head = unflatten_params(head_flat, model.head)
     return GlobalModelSet(encoders=new_encoders, head=new_head, round=model.round + 1)
+
+
+def _average(
+    kind: str, base: np.ndarray, members: list[tuple[int, np.ndarray, float]]
+) -> np.ndarray:
+    """``base`` plus the weighted deltas of the (client id, flat, weight)
+    members, summed in their order; a single member is returned verbatim."""
+    for client_id, flat, _ in members:
+        if flat.shape != base.shape:
+            raise DimensionError(
+                f"client {client_id} {kind} has {flat.shape}, expected {base.shape}"
+            )
+    if len(members) == 1:
+        return members[0][1]
+    out = base.copy()
+    for _, flat, weight in members:
+        out += weight * (flat - base)
+    return out
 
 
 def _run_updates(
@@ -442,7 +435,7 @@ def evaluate_late_fusion(
     prob_sum = None
     for m in wanted:
         feats = encode(submodels[m].encoders[0], test_shards[m].features, "eval")
-        probs = head_forward(submodels[m].head, fuse(feats, 0, 1)).probabilities
+        probs = head_forward(submodels[m].head, fuse(feats, 0, 1))
         prob_sum = probs if prob_sum is None else prob_sum + probs
     fused = prob_sum / len(wanted)
     labels = test_shards[wanted[0]].labels

@@ -22,8 +22,9 @@ from .models import (
     encode_backward,
     encode_train,
     fuse,
+    head_forward,
 )
-from .nncore import Array, activation_forward, dense_forward
+from .nncore import Array, dense_backward
 
 NTXENT_VARIANTS = ("negatives-only", "standard")
 
@@ -113,20 +114,15 @@ def ntxent(f_local: Array, f_global: Array, cfg: LossConfig) -> tuple[float, Arr
     sims = np.clip(ul @ ug.T, -1.0, 1.0)
     logits = sims / cfg.tau
 
+    masked = logits
     if cfg.ntxent_variant == "negatives-only":
         masked = logits.copy()
         np.fill_diagonal(masked, -np.inf)
-        row_max = masked.max(axis=1, keepdims=True)
-        ex = np.exp(masked - row_max)
-        denom = row_max[:, 0] + np.log(ex.sum(axis=1))
-        weights = ex / ex.sum(axis=1, keepdims=True)  # zero on the diagonal
-        coeff = (weights - np.eye(b)) / cfg.tau
-    else:
-        row_max = logits.max(axis=1, keepdims=True)
-        ex = np.exp(logits - row_max)
-        denom = row_max[:, 0] + np.log(ex.sum(axis=1))
-        weights = ex / ex.sum(axis=1, keepdims=True)
-        coeff = (weights - np.eye(b)) / cfg.tau
+    row_max = masked.max(axis=1, keepdims=True)
+    ex = np.exp(masked - row_max)
+    denom = row_max[:, 0] + np.log(ex.sum(axis=1))
+    weights = ex / ex.sum(axis=1, keepdims=True)  # negatives-only: zero diagonal
+    coeff = (weights - np.eye(b)) / cfg.tau
 
     loss = float((-np.diag(logits) + denom).sum())
 
@@ -142,8 +138,7 @@ class LocalObjectiveResult:
     loss: float
     ce: float
     ntx: float
-    grad_encoder: Array
-    grad_head: Array
+    grad: Array  # laid out like the client's parameters: [encoder | head]
 
 
 def local_objective(
@@ -164,24 +159,17 @@ def local_objective(
     averaged, and the contrastive loss pulls the local features toward
     them. Both terms are averaged over the batch, which
     rescales the summed objective by a constant 1/B and keeps their
-    relative weight independent of batch size. Gradients cover the local
-    encoder and the head; the other models stay untouched.
+    relative weight independent of batch size. The gradient covers the
+    local encoder and the head as one vector in ``[encoder | head]``
+    flatten order; the other models stay untouched.
     """
     slot = encoder.modality_id
     n_mod = global_set.n_modalities
     f_local, cache = encode_train(encoder, x)
     fused = fuse(f_local, slot, n_mod)
-    logits = dense_forward(head.layer, fused)
-    if head.task_kind == "multi-label":
-        probs = activation_forward(logits, "sigmoid")
-        ce, grad_logits = bce_multilabel(probs, y)
-    else:
-        probs = activation_forward(logits, "softmax-rows")
-        ce, grad_logits = ce_singlelabel(probs, y)
-
-    grad_head_w = fused.T @ grad_logits
-    grad_head_b = grad_logits.sum(axis=0)
-    grad_fused = grad_logits @ head.layer.weight.T
+    task_loss = bce_multilabel if head.task_kind == "multi-label" else ce_singlelabel
+    ce, grad_logits = task_loss(head_forward(head, fused), y)
+    grad_fused, grad_head_w, grad_head_b = dense_backward(head.layer, fused, grad_logits)
     d = encoder.feature_dim
     grad_f_local = grad_fused[:, slot * d : (slot + 1) * d]
 
@@ -200,6 +188,5 @@ def local_objective(
         loss=cfg.lambda_mim * ntx + ce,
         ce=ce,
         ntx=ntx,
-        grad_encoder=grad_encoder,
-        grad_head=np.concatenate([grad_head_w.ravel(), grad_head_b]),
+        grad=np.concatenate([grad_encoder, grad_head_w.ravel(), grad_head_b]),
     )

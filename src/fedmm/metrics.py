@@ -143,6 +143,6 @@ def evaluate(model: GlobalModelSet, test_shards: list[Shard], mode: str) -> Metr
     for m in wanted:
         blocks[m] = encode(model.encoders[m], test_shards[m].features, "eval")
     fused = fuse_full(blocks, model.n_modalities, model.feature_dim)
-    probs = head_forward(model.head, fused).probabilities
+    probs = head_forward(model.head, fused)
     labels = test_shards[wanted[0]].labels
     return report_from_predictions(probs, labels, model.head.task_kind)

@@ -110,13 +110,6 @@ class TaskHead:
 
 
 @dataclass
-class Prediction:
-    """Class probabilities, one row per sample."""
-
-    probabilities: Array
-
-
-@dataclass
 class GlobalModelSet:
     """Per-modality encoders plus the shared head; the unit of aggregation."""
 
@@ -207,32 +200,40 @@ def build_model(
 # ---------------------------------------------------------------------------
 
 
-def _stage_forward(stage: Stage, x: Array, mode: str) -> Array:
-    z = dense_forward(stage.dense, x)
-    if stage.whitening is not None:
+def _forward(stages: list[Stage], x: Array, mode: str, cache=None) -> Array:
+    """The one loop over encoder stages; ``cache`` (an :class:`EncodeCache`)
+    collects each stage's input and pre-activation. In eval mode, never-calibrated whitening
+    statistics (e.g. a freshly aggregated global model) give way to the
+    batch's own, instead of erroring out."""
+    out = x
+    for stage in stages:
+        if cache is not None:
+            cache.inputs.append(out)
+        z = dense_forward(stage.dense, out)
         st = stage.whitening
-        if mode == "eval" and not st.stats_ready:
-            # never-calibrated statistics (e.g. a freshly aggregated global
-            # model): align to the evaluation batch instead of erroring out
-            z = whiten_batch(z, st.gamma, st.beta, st.eps)
-        else:
-            z = batch_whitening_forward(z, st, mode)
-    if stage.activation is not None:
-        z = activation_forward(z, stage.activation)
-    return z
+        if st is not None:
+            if mode == "eval" and not st.stats_ready:
+                z = whiten_batch(z, st.gamma, st.beta, st.eps)
+            else:
+                z = batch_whitening_forward(z, st, mode)
+        if cache is not None:
+            cache.preact.append(z)
+        out = activation_forward(z, stage.activation) if stage.activation else z
+    return out
 
 
-def encode(encoder: Encoder, x: Array, mode: str) -> Array:
-    """Run ``x`` through adapter and body; whitening layers respect ``mode``."""
+def _check_input(encoder: Encoder, x: Array) -> None:
     if x.ndim != 2 or x.shape[1] != encoder.input_dim:
         raise DimensionError(
             f"modality {encoder.modality_id}: input {x.shape} does not match "
             f"expected dim {encoder.input_dim}"
         )
-    out = x
-    for stage in encoder.stages():
-        out = _stage_forward(stage, out, mode)
-    return out
+
+
+def encode(encoder: Encoder, x: Array, mode: str) -> Array:
+    """Run ``x`` through adapter and body; whitening layers respect ``mode``."""
+    _check_input(encoder, x)
+    return _forward(encoder.stages(), x, mode)
 
 
 @dataclass
@@ -245,21 +246,9 @@ class EncodeCache:
 
 def encode_train(encoder: Encoder, x: Array) -> tuple[Array, EncodeCache]:
     """Train-mode forward that keeps the caches the backward pass needs."""
-    if x.ndim != 2 or x.shape[1] != encoder.input_dim:
-        raise DimensionError(
-            f"modality {encoder.modality_id}: input {x.shape} does not match "
-            f"expected dim {encoder.input_dim}"
-        )
+    _check_input(encoder, x)
     cache = EncodeCache()
-    out = x
-    for stage in encoder.stages():
-        cache.inputs.append(out)
-        z = dense_forward(stage.dense, out)
-        if stage.whitening is not None:
-            z = batch_whitening_forward(z, stage.whitening, "train")
-        cache.preact.append(z)
-        out = activation_forward(z, stage.activation) if stage.activation else z
-    return out, cache
+    return _forward(encoder.stages(), x, "train", cache), cache
 
 
 def encode_backward(encoder: Encoder, cache: EncodeCache, grad_out: Array) -> Array:
@@ -318,13 +307,12 @@ def fuse_full(
     return out
 
 
-def head_forward(head: TaskHead, z: Array) -> Prediction:
+def head_forward(head: TaskHead, z: Array) -> Array:
+    """Class probabilities, one row per sample: sigmoid per label for a
+    multi-label head, a row softmax for a single-label one."""
     logits = dense_forward(head.layer, z)
-    if head.task_kind == "multi-label":
-        probs = activation_forward(logits, "sigmoid")
-    else:
-        probs = activation_forward(logits, "softmax-rows")
-    return Prediction(probabilities=probs)
+    kind = "sigmoid" if head.task_kind == "multi-label" else "softmax-rows"
+    return activation_forward(logits, kind)
 
 
 # ---------------------------------------------------------------------------
@@ -339,19 +327,16 @@ def cross_encode(adapter_out: Array, global_other: Encoder) -> Array:
     including its whitening layer, on the current batch: the body input
     that :func:`encode_train` caches as ``cache.inputs[1]``. Reusing it
     means the adapter, and its eigendecomposition, runs once per batch.
-    The other model's parameters act as constants: no gradient ever
-    reaches them. Bodies never whiten (see :class:`Encoder`).
+    The body runs in eval mode, so no state of ``global_other`` changes,
+    and its parameters act as constants: no gradient ever reaches them.
+    Bodies never whiten (see :class:`Encoder`).
     """
     if adapter_out.ndim != 2 or adapter_out.shape[1] != global_other.hidden_dim:
         raise DimensionError(
             f"adapter output {adapter_out.shape} does not match body input "
             f"{global_other.hidden_dim} of modality {global_other.modality_id}"
         )
-    h = adapter_out
-    for stage in global_other.body:
-        z = dense_forward(stage.dense, h)
-        h = activation_forward(z, stage.activation) if stage.activation else z
-    return h
+    return _forward(global_other.body, adapter_out, "eval")
 
 
 # ---------------------------------------------------------------------------
@@ -476,14 +461,6 @@ def unflatten_params(flat: Array, template):
         part = TaskHead(dataclasses.replace(template.layer), template.task_kind)
     assign_params(part, flat)
     return part
-
-
-def clone_encoder(encoder: Encoder) -> Encoder:
-    return unflatten_params(flatten_params(encoder), encoder)
-
-
-def clone_head(head: TaskHead) -> TaskHead:
-    return unflatten_params(flatten_params(head), head)
 
 
 def clone_model(model: GlobalModelSet) -> GlobalModelSet:

@@ -214,7 +214,7 @@ def _check_composite(seed):
     work = clone_model(model)
     enc, head = work.encoders[0], work.head
     res = local_objective(x, y, enc, head, work, cfg)
-    analytic = np.concatenate([res.grad_encoder, res.grad_head])
+    analytic = res.grad
     n_enc = param_count(enc)
 
     _, theta0_cache = encode_train(clone_model(model).encoders[0], x)
@@ -408,8 +408,7 @@ def test_criterion_04_single_client_reduction():
                 shard.features[idx], shard.labels[idx], enc, head, model, loss_cfg
             )
             flat = np.concatenate([flatten_params(enc), flatten_params(head)])
-            grad = np.concatenate([res.grad_encoder, res.grad_head])
-            flat = adam_step(flat, grad, adam)
+            flat = adam_step(flat, res.grad, adam)
             enc = unflatten_params(flat[:n_enc], enc)
             head = unflatten_params(flat[n_enc:], head)
             model.encoders[0], model.head = enc, head

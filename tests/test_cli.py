@@ -4,6 +4,9 @@ import json
 
 from fedmm.cli import main, summarize_log
 from fedmm.data import load_shard, read_manifest
+from fedmm.engine import CSV_COLUMNS
+
+LOG_HEADER = ",".join(CSV_COLUMNS) + "\n"
 
 
 def write_config(tmp_path, **overrides):
@@ -109,6 +112,18 @@ class TestReport:
 
     def test_report_missing_file(self, tmp_path, capsys):
         assert main(["report", "--log", str(tmp_path / "none.csv")]) == 2
+
+    def test_report_header_only_log(self, tmp_path, capsys):
+        log = tmp_path / "log.csv"
+        log.write_text(LOG_HEADER)
+        assert main(["report", "--log", str(log)]) == 2
+        assert "no rows" in capsys.readouterr().err
+
+    def test_report_non_numeric_round(self, tmp_path, capsys):
+        log = tmp_path / "log.csv"
+        log.write_text(LOG_HEADER + "one,both,0.5,0.5,0.5,0.0,0.0,0\n")
+        assert main(["report", "--log", str(log)]) == 2
+        assert "line 2" in capsys.readouterr().err
 
 
 class TestGenData:

@@ -75,6 +75,12 @@ def golden_cfg(out_dir):
     )
 
 
+def single_label(cfg):
+    return dataclasses.replace(
+        cfg, dataset=dataclasses.replace(cfg.dataset, task_kind="single-label")
+    )
+
+
 def final_params(log):
     models = [log.model] if log.model is not None else log.baseline_models
     return [flatten_params(m).tobytes() for m in models]
@@ -371,6 +377,13 @@ class TestRunExperiment:
         digest = hashlib.sha256((tmp_path / "log.csv").read_bytes()).hexdigest()
         assert digest == "238e7deaa80a0492720fee2c78bbf940c26c211c766fb2bfae0917329e137262"
 
+    def test_golden_log_hash_single_label(self, tmp_path):
+        # the single-label (softmax head) twin of test_golden_log_hash, same
+        # build caveat
+        run_experiment(single_label(golden_cfg(tmp_path)))
+        digest = hashlib.sha256((tmp_path / "log.csv").read_bytes()).hexdigest()
+        assert digest == "28289b2a82793eadbdcd916215f9c5d83e1379141c9cc27a18d179c0d4699358"
+
     def test_parallel_matches_serial(self):
         assert_parallel_matches_serial(run_experiment)
 
@@ -462,6 +475,11 @@ class TestBaseline:
         baseline_fedavg_latefusion(golden_cfg(tmp_path))
         digest = hashlib.sha256((tmp_path / "log.csv").read_bytes()).hexdigest()
         assert digest == "85204ad712c0bd5990cee146976c747c28ab0c3bac7dcd5fa36e3260740d61bb"
+
+    def test_golden_log_hash_single_label(self, tmp_path):
+        baseline_fedavg_latefusion(single_label(golden_cfg(tmp_path)))
+        digest = hashlib.sha256((tmp_path / "log.csv").read_bytes()).hexdigest()
+        assert digest == "f91ff57cc8191fb0edc2e1000925c279b98ac0447ac7d4acbdc2b4228c4d14f2"
 
     def test_parallel_matches_serial(self):
         assert_parallel_matches_serial(baseline_fedavg_latefusion)

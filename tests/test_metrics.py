@@ -129,7 +129,7 @@ class TestEvaluate:
         model, ds = _fixture_model_and_data()
         only = evaluate(model, ds.test, "only-1")
         feats = encode(model.encoders[1], ds.test[1].features, "eval")
-        probs = head_forward(model.head, fuse(feats, 1, 2)).probabilities
+        probs = head_forward(model.head, fuse(feats, 1, 2))
         direct = report_from_predictions(probs, ds.test[1].labels, "multi-label")
         assert only.micro_f1 == direct.micro_f1
         assert only.accuracy == direct.accuracy

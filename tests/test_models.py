@@ -135,18 +135,18 @@ class TestHeadForward:
     def test_zero_head_multilabel_gives_half(self):
         head = TaskHead(DenseLayer(np.zeros((4, 3)), np.zeros(3)), "multi-label")
         pred = head_forward(head, np.random.default_rng(0).normal(size=(5, 4)))
-        np.testing.assert_allclose(pred.probabilities, np.full((5, 3), 0.5))
+        np.testing.assert_allclose(pred, np.full((5, 3), 0.5))
 
     def test_zero_head_singlelabel_gives_uniform(self):
         head = TaskHead(DenseLayer(np.zeros((4, 4)), np.zeros(4)), "single-label")
         pred = head_forward(head, np.random.default_rng(0).normal(size=(5, 4)))
-        np.testing.assert_allclose(pred.probabilities, np.full((5, 4), 0.25))
+        np.testing.assert_allclose(pred, np.full((5, 4), 0.25))
 
     def test_probabilities_stay_in_unit_interval(self):
         rng = np.random.default_rng(1)
         head = TaskHead(DenseLayer(rng.normal(size=(4, 3)) * 5, rng.normal(size=3)), "multi-label")
         pred = head_forward(head, rng.normal(size=(20, 4)) * 5)
-        assert np.all(pred.probabilities >= 0.0) and np.all(pred.probabilities <= 1.0)
+        assert np.all(pred >= 0.0) and np.all(pred <= 1.0)
 
     def test_unknown_task_kind_rejected(self):
         with pytest.raises(ValidationError):
