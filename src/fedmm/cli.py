@@ -61,7 +61,13 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--out", default=None, help="override the config output_dir")
         if name in ("run", "baseline"):
             cmd.add_argument(
-                "--parallel", action="store_true", help="run clients on a thread pool"
+                "--parallel",
+                action="store_true",
+                help=(
+                    "run clients on a thread pool of one worker per usable CPU "
+                    "(at most one per client), with numpy's BLAS capped to one "
+                    "thread while it runs; same results as serial"
+                ),
             )
         if name == "ablate":
             cmd.add_argument(

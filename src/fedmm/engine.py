@@ -1,13 +1,20 @@
 """Synchronous round-based federated training.
 
 Each round (:func:`run_round`): broadcast the global parameters, run every
-client's local update (serially or on a thread pool; results are identical
-either way because each client owns its state and RNG stream and the
-global snapshot is read-only), aggregate per-modality encoders and the
-shared head, then optionally evaluate. Aggregation accumulates client
-deltas around the broadcast reference in ascending client-id order, which
-makes "all clients returned the broadcast unchanged" an exact fixed point
-and keeps the result independent of completion order.
+client's local update, aggregate per-modality encoders and the shared head,
+then optionally evaluate. Local updates run serially, or with
+``parallel=True`` on a thread pool of one worker per usable CPU (never more
+than there are clients; inline when that is one). While the pool runs, the
+BLAS numpy loaded is capped to one thread, so workers times BLAS threads
+stay within the usable cores. Results are identical either way because
+each client owns its state and RNG stream and the global snapshot is
+read-only. A failed local update re-raises its exception with
+``round r: client k:`` prepended to the message.
+
+Aggregation accumulates client deltas around the broadcast reference in
+ascending client-id order, which makes "all clients returned the broadcast
+unchanged" an exact fixed point and keeps the result independent of
+completion order.
 
 Each client owns one parameter vector laid out as [encoder | head]; its
 encoder and head buffers are the two slices, so an Adam step on the vector
@@ -22,8 +29,12 @@ The late-fusion baseline is P single-modality federations: it calls
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import dataclasses
+import functools
 import json
+import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -41,8 +52,8 @@ from .models import (
     GlobalModelSet,
     TaskHead,
     assign_params,
-    bind_params,
     build_encoder,
+    copy_part,
     encode,
     flatten_params,
     fuse,
@@ -205,12 +216,10 @@ def make_client(
 ) -> ClientState:
     if shard.n == 0:
         raise DataError(f"client {client_id} has an empty shard")
-    encoder = unflatten_params(encoder_template.params, encoder_template)
-    head = unflatten_params(head_template.params, head_template)
-    n_enc = param_count(encoder)
-    params = np.empty(n_enc + param_count(head))
-    bind_params(encoder, params[:n_enc])
-    bind_params(head, params[n_enc:])
+    n_enc = param_count(encoder_template)
+    params = np.empty(n_enc + param_count(head_template))
+    encoder = copy_part(encoder_template, params[:n_enc])
+    head = copy_part(head_template, params[n_enc:])
     adam = AdamState.create(
         params.size,
         lr=cfg.lr,
@@ -269,7 +278,7 @@ def client_update(
                 global_model,
                 loss_cfg,
             )
-            client.params[...] = adam_step(client.params, res.grad, client.adam)
+            adam_step(client.params, res.grad, client.adam)
             ce_total += res.ce
             ntx_total += res.ntx
             n_batches += 1
@@ -355,6 +364,66 @@ def _average(
     return out
 
 
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+@functools.cache
+def _blas_thread_calls():
+    """(get, set) thread-count functions of the OpenBLAS numpy loaded, or None.
+
+    Looked up through numpy's LAPACK extension, whose dependencies include
+    the BLAS library; other BLAS builds export none of these names.
+    """
+    lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    for prefix, suffix in (("", ""), ("scipy_", "64_"), ("", "64_")):
+        setter = getattr(lib, f"{prefix}openblas_set_num_threads{suffix}", None)
+        getter = getattr(lib, f"{prefix}openblas_get_num_threads{suffix}", None)
+        if setter is not None and getter is not None:
+            setter.argtypes, setter.restype = [ctypes.c_int], None
+            getter.argtypes, getter.restype = [], ctypes.c_int
+            return getter, setter
+    return None
+
+
+@contextlib.contextmanager
+def _single_threaded_blas():
+    """Cap numpy's BLAS to one thread for the block, then restore its count.
+
+    BLAS thread count changes no result bits, so without a known setter the
+    block simply runs uncapped.
+    """
+    calls = _blas_thread_calls()
+    if calls is None:
+        yield
+        return
+    get_threads, set_threads = calls
+    before = get_threads()
+    set_threads(1)
+    try:
+        yield
+    finally:
+        set_threads(before)
+
+
+def _update(
+    client: ClientState,
+    model: GlobalModelSet,
+    cfg: ExperimentConfig,
+    loss_cfg: LossConfig,
+) -> ClientUpdate:
+    """:func:`client_update`; a failure keeps its class and gains the round
+    and the client at the front of its message."""
+    try:
+        return client_update(client, model, cfg, loss_cfg)
+    except Exception as exc:
+        exc.args = (f"round {model.round + 1}: client {client.client_id}: {exc}",)
+        raise
+
+
 def _run_updates(
     clients: list[ClientState],
     model: GlobalModelSet,
@@ -362,12 +431,16 @@ def _run_updates(
     loss_cfg: LossConfig,
     parallel: bool,
 ) -> list[ClientUpdate]:
-    if parallel and len(clients) > 1:
-        with ThreadPoolExecutor(max_workers=min(8, len(clients))) as pool:
-            return list(
-                pool.map(lambda c: client_update(c, model, cfg, loss_cfg), clients)
-            )
-    return [client_update(c, model, cfg, loss_cfg) for c in clients]
+    """Every client's local update, in client order.
+
+    With ``parallel``, one worker per usable CPU runs them, but no more
+    workers than clients; with one worker they run inline.
+    """
+    workers = min(_usable_cpus(), len(clients)) if parallel else 1
+    if workers <= 1:
+        return [_update(c, model, cfg, loss_cfg) for c in clients]
+    with _single_threaded_blas(), ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(lambda c: _update(c, model, cfg, loss_cfg), clients))
 
 
 def run_round(

@@ -165,11 +165,16 @@ def local_objective(
     """
     slot = encoder.modality_id
     n_mod = global_set.n_modalities
+    n_enc = encoder.params.size
+    grad = np.empty(n_enc + head.params.size)
     f_local, cache = encode_train(encoder, x)
     fused = fuse(f_local, slot, n_mod)
     task_loss = bce_multilabel if head.task_kind == "multi-label" else ce_singlelabel
     ce, grad_logits = task_loss(head_forward(head, fused), y)
     grad_fused, grad_head_w, grad_head_b = dense_backward(head.layer, fused, grad_logits)
+    n_head_w = grad_head_w.size
+    grad[n_enc : n_enc + n_head_w] = grad_head_w.reshape(-1)
+    grad[n_enc + n_head_w :] = grad_head_b
     d = encoder.feature_dim
     grad_f_local = grad_fused[:, slot * d : (slot + 1) * d]
 
@@ -183,10 +188,5 @@ def local_objective(
         ntx = ntx_sum / x.shape[0]
         grad_f_local = grad_f_local + (cfg.lambda_mim / x.shape[0]) * grad_ntx
 
-    grad_encoder = encode_backward(encoder, cache, grad_f_local)
-    return LocalObjectiveResult(
-        loss=cfg.lambda_mim * ntx + ce,
-        ce=ce,
-        ntx=ntx,
-        grad=np.concatenate([grad_encoder, grad_head_w.ravel(), grad_head_b]),
-    )
+    encode_backward(encoder, cache, grad_f_local, grad[:n_enc])
+    return LocalObjectiveResult(loss=cfg.lambda_mim * ntx + ce, ce=ce, ntx=ntx, grad=grad)

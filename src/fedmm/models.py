@@ -56,14 +56,15 @@ class Stage:
 class Encoder:
     """Modality-specific backbone: input adapter plus shared-topology body.
 
-    Construction binds the stages' parameter arrays to the encoder's own
-    buffer, so a stage belongs to one encoder.
+    Construction copies the stages' parameter arrays into ``params`` (a
+    new vector when not given) and binds them to it, so a stage belongs to
+    one encoder.
     """
 
     modality_id: int
     adapter: Stage
     body: list[Stage]
-    params: Array = field(init=False, repr=False)
+    params: Array | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.adapter.dense.out_dim != self.body[0].dense.in_dim:
@@ -73,7 +74,7 @@ class Encoder:
             )
         if any(stage.whitening is not None for stage in self.body):
             raise ValidationError("only the adapter stage may whiten")
-        bind_params(self)
+        bind_params(self, self.params)
 
     @property
     def input_dim(self) -> int:
@@ -93,16 +94,17 @@ class Encoder:
 
 @dataclass
 class TaskHead:
-    """Shared classifier over the concatenated modality slots."""
+    """Shared classifier over the concatenated modality slots; its
+    parameters are bound to ``params`` like an :class:`Encoder`'s."""
 
     layer: DenseLayer
     task_kind: str
-    params: Array = field(init=False, repr=False)
+    params: Array | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.task_kind not in TASK_KINDS:
             raise ValidationError(f"unknown task kind {self.task_kind!r}")
-        bind_params(self)
+        bind_params(self, self.params)
 
     @property
     def n_labels(self) -> int:
@@ -251,11 +253,19 @@ def encode_train(encoder: Encoder, x: Array) -> tuple[Array, EncodeCache]:
     return _forward(encoder.stages(), x, "train", cache), cache
 
 
-def encode_backward(encoder: Encoder, cache: EncodeCache, grad_out: Array) -> Array:
-    """Backprop through a cached train forward; returns a flat gradient
-    aligned with :func:`flatten_params` of the encoder."""
+def encode_backward(
+    encoder: Encoder, cache: EncodeCache, grad_out: Array, out: Array
+) -> Array:
+    """Backprop through a cached train forward into ``out``, a vector laid
+    out like the encoder's ``params`` (:func:`flatten_params` order); each
+    stage's gradient is written into its slice. Returns ``out``."""
+    if out.shape != encoder.params.shape:
+        raise DimensionError(
+            f"gradient buffer has {out.shape} entries, encoder needs "
+            f"{encoder.params.shape}"
+        )
     stages = encoder.stages()
-    grads: list[list[Array]] = [[] for _ in stages]
+    end = out.size
     g = grad_out
     for i in reversed(range(len(stages))):
         stage = stages[i]
@@ -266,8 +276,10 @@ def encode_backward(encoder: Encoder, cache: EncodeCache, grad_out: Array) -> Ar
             g, grad_gamma, grad_beta = batch_whitening_backward(stage.whitening, g)
             pieces = [grad_gamma, grad_beta]
         g, grad_w, grad_b = dense_backward(stage.dense, cache.inputs[i], g)
-        grads[i] = [grad_w.ravel(), grad_b] + pieces
-    return np.concatenate([arr for stage_grads in grads for arr in stage_grads])
+        for piece in reversed([grad_w, grad_b] + pieces):
+            out[end - piece.size : end] = piece.reshape(-1)
+            end -= piece.size
+    return out
 
 
 def fuse(features: Array, slot: int, n_modalities: int) -> Array:
@@ -436,6 +448,16 @@ def _copy_stage(stage: Stage) -> Stage:
     return Stage(dataclasses.replace(stage.dense), st, stage.activation)
 
 
+def copy_part(template: Encoder | TaskHead, buffer: Array | None = None):
+    """A new encoder or head with ``template``'s structure, parameters and
+    running statistics, forward caches dropped. Its parameters are copied
+    once, into ``buffer`` (a new vector when None), and live there."""
+    if isinstance(template, Encoder):
+        body = [_copy_stage(s) for s in template.body]
+        return Encoder(template.modality_id, _copy_stage(template.adapter), body, buffer)
+    return TaskHead(dataclasses.replace(template.layer), template.task_kind, buffer)
+
+
 def unflatten_params(flat: Array, template):
     """A new model part with ``template``'s structure and ``flat``'s parameters.
 
@@ -454,11 +476,7 @@ def unflatten_params(flat: Array, template):
         pieces = np.split(flat, np.cumsum([param_count(p) for p in parts])[:-1])
         *encoders, head = [unflatten_params(x, p) for x, p in zip(pieces, parts)]
         return GlobalModelSet(encoders=encoders, head=head, round=template.round)
-    if isinstance(template, Encoder):
-        body = [_copy_stage(s) for s in template.body]
-        part = Encoder(template.modality_id, _copy_stage(template.adapter), body)
-    else:
-        part = TaskHead(dataclasses.replace(template.layer), template.task_kind)
+    part = copy_part(template)
     assign_params(part, flat)
     return part
 

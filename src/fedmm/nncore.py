@@ -353,7 +353,18 @@ class AdamState:
 
 
 def adam_step(params: Array, grads: Array, state: AdamState) -> Array:
-    """One optimizer step; mutates ``state`` and returns the new parameters."""
+    """One optimizer step, in place: writes ``params`` and both moment
+    arrays of ``state`` and returns ``params``.
+
+    Each elementwise operation runs in the order of the textbook update
+
+        m = beta1 * m + (1 - beta1) * g
+        v = beta2 * v + (1 - beta2) * g * g
+        params = params - lr * m_hat / (sqrt(v_hat) + eps) - lr * wd * params
+
+    (the decay term reads the parameters from before the step), so the
+    result is bitwise the same as evaluating it out of place.
+    """
     if params.shape != grads.shape:
         raise DimensionError(f"params {params.shape} vs grads {grads.shape}")
     if params.shape != state.first_moment.shape:
@@ -362,16 +373,27 @@ def adam_step(params: Array, grads: Array, state: AdamState) -> Array:
         )
     state.step_count += 1
     t = state.step_count
-    state.first_moment = state.beta1 * state.first_moment + (1.0 - state.beta1) * grads
-    state.second_moment = (
-        state.beta2 * state.second_moment + (1.0 - state.beta2) * grads * grads
-    )
-    m_hat = state.first_moment / (1.0 - state.beta1**t)
-    v_hat = state.second_moment / (1.0 - state.beta2**t)
-    new = params - state.lr * m_hat / (np.sqrt(v_hat) + state.eps_opt)
+    m, v = state.first_moment, state.second_moment
+    scratch = np.multiply(grads, 1.0 - state.beta1)
+    m *= state.beta1
+    m += scratch
+    np.multiply(grads, 1.0 - state.beta2, out=scratch)
+    scratch *= grads
+    v *= state.beta2
+    v += scratch
+    denom = np.divide(v, 1.0 - state.beta2**t)
+    np.sqrt(denom, out=denom)
+    denom += state.eps_opt
+    step = np.divide(m, 1.0 - state.beta1**t, out=scratch)
+    step *= state.lr
+    step /= denom
     if state.weight_decay != 0.0:
-        new = new - state.lr * state.weight_decay * params
-    return new
+        decay = np.multiply(params, state.lr * state.weight_decay, out=denom)
+        params -= step
+        params -= decay
+    else:
+        params -= step
+    return params
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,14 @@ runs, the late-fusion baseline, and the ablation grid."""
 
 import dataclasses
 import hashlib
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+from fedmm import engine
 from fedmm.config import ExperimentConfig
 from fedmm.data import DatasetSpec, ScenarioSpec, build_scenario, gen_synthetic
 from fedmm.engine import (
@@ -350,6 +354,128 @@ class TestRunRound:
         m2, log2 = run_round(m1, clients, cfg, loss_cfg)
         assert (log1.round_index, log2.round_index) == (1, 2)
         assert m2.round == 2
+
+
+def usable_cpus(monkeypatch, n):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+def fake_blas(monkeypatch, threads=2):
+    """Stand-in BLAS thread-count calls; returns the live count and the counts set."""
+    state = {"threads": threads}
+    history = []
+
+    def set_threads(n):
+        state["threads"] = n
+        history.append(n)
+
+    calls = (lambda: state["threads"], set_threads)
+    monkeypatch.setattr(engine, "_blas_thread_calls", lambda: calls)
+    return state, history
+
+
+class TestClientPool:
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 8])
+    def test_width_is_usable_cpus_capped_by_clients(self, monkeypatch, cpus):
+        widths = []
+
+        class RecordingPool(ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                widths.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        usable_cpus(monkeypatch, cpus)
+        monkeypatch.setattr(engine, "ThreadPoolExecutor", RecordingPool)
+        cfg = tiny_cfg()
+        _, model, clients, loss_cfg = _setup(cfg)
+        run_round(model, clients, cfg, loss_cfg, parallel=True)
+        assert len(clients) == 4
+        assert widths == ([] if cpus == 1 else [min(cpus, 4)])
+
+    def test_one_usable_cpu_runs_inline(self, monkeypatch):
+        serial = run_experiment(tiny_cfg())
+        threads = set()
+        original = engine.client_update
+
+        def recording_update(*args):
+            threads.add(threading.get_ident())
+            return original(*args)
+
+        usable_cpus(monkeypatch, 1)
+        monkeypatch.setattr(engine, "client_update", recording_update)
+        parallel = run_experiment(tiny_cfg(), parallel=True)
+        assert threads == {threading.get_ident()}
+        assert experiment_csv(parallel) == experiment_csv(serial)
+        assert final_params(parallel) == final_params(serial)
+
+    @pytest.mark.parametrize("fail", [False, True])
+    def test_blas_capped_inside_pool_and_restored(self, monkeypatch, fail):
+        usable_cpus(monkeypatch, 2)
+        state, history = fake_blas(monkeypatch, threads=2)
+        seen = []
+        original = engine.client_update
+
+        def checking_update(client, *args):
+            seen.append(state["threads"])
+            if fail and client.client_id == 1:
+                raise NumericError("boom")
+            return original(client, *args)
+
+        monkeypatch.setattr(engine, "client_update", checking_update)
+        cfg = tiny_cfg()
+        _, model, clients, loss_cfg = _setup(cfg)
+        if fail:
+            with pytest.raises(NumericError, match="client 1: boom"):
+                run_round(model, clients, cfg, loss_cfg, parallel=True)
+        else:
+            run_round(model, clients, cfg, loss_cfg, parallel=True)
+        assert seen and set(seen) == {1}  # a failure cancels clients not yet started
+        assert history == [1, 2] and state["threads"] == 2
+
+    def test_serial_path_leaves_blas_alone(self, monkeypatch):
+        _, history = fake_blas(monkeypatch)
+        cfg = tiny_cfg()
+        _, model, clients, loss_cfg = _setup(cfg)
+        run_round(model, clients, cfg, loss_cfg, parallel=False)
+        usable_cpus(monkeypatch, 1)
+        run_round(model, clients, cfg, loss_cfg, parallel=True)
+        assert history == []
+
+    def test_real_blas_thread_count_restored(self, monkeypatch):
+        calls = engine._blas_thread_calls()
+        if calls is None:
+            pytest.skip("numpy's BLAS exports no OpenBLAS thread-count calls")
+        get_threads, set_threads = calls
+        original = get_threads()
+        usable_cpus(monkeypatch, 2)
+        cfg = tiny_cfg()
+        _, model, clients, loss_cfg = _setup(cfg)
+        set_threads(2)  # a count other than the cap, whatever the machine's default
+        try:
+            run_round(model, clients, cfg, loss_cfg, parallel=True)
+            assert get_threads() == 2
+        finally:
+            set_threads(original)
+
+    def test_missing_blas_setter_matches_serial(self, monkeypatch):
+        serial = run_experiment(tiny_cfg())
+        usable_cpus(monkeypatch, 2)
+        monkeypatch.setattr(engine, "_blas_thread_calls", lambda: None)
+        parallel = run_experiment(tiny_cfg(), parallel=True)
+        assert experiment_csv(parallel) == experiment_csv(serial)
+        assert final_params(parallel) == final_params(serial)
+
+    @pytest.mark.parametrize(
+        "parallel,cpus", [(False, 2), (True, 1), (True, 2)], ids=["serial", "inline", "pool"]
+    )
+    def test_failed_update_names_round_and_client(self, monkeypatch, parallel, cpus):
+        usable_cpus(monkeypatch, cpus)
+        cfg = tiny_cfg(use_fw=True)
+        _, model, clients, loss_cfg = _setup(cfg)
+        model, _ = run_round(model, clients, cfg, loss_cfg, parallel)
+        clients[2].shard.features[0] = np.nan
+        with pytest.raises(ValidationError, match=r"^round 2: client 2: covariance"):
+            run_round(model, clients, cfg, loss_cfg, parallel)
 
 
 class TestRunExperiment:

@@ -225,7 +225,8 @@ class TestLocalObjective:
 
         grad_f = (grad_logits @ head.layer.weight.T)[:, :3]
         np.testing.assert_array_equal(
-            res.grad[: param_count(enc)], encode_backward(enc, cache, grad_f)
+            res.grad[: param_count(enc)],
+            encode_backward(enc, cache, grad_f, np.empty(param_count(enc))),
         )
 
     def test_single_other_modality_equals_one_contrastive_call(self):

@@ -287,8 +287,14 @@ class TestFlattening:
         enc = build_encoder(0, 4, 5, 3, True, np.random.default_rng(13))
         x = np.random.default_rng(14).normal(size=(6, 4))
         out, cache = encode_train(enc, x)
-        grad = encode_backward(enc, cache, np.ones_like(out))
-        assert grad.shape == (param_count(enc),)
+        buffer = np.full(param_count(enc), np.nan)
+        grad = encode_backward(enc, cache, np.ones_like(out), buffer)
+        assert grad is buffer
+        assert np.isfinite(grad).all()  # every slice written
+        # the last stage has no activation: its bias gradient is the column sum
+        np.testing.assert_array_equal(grad[-3:], np.full(3, 6.0))
+        with pytest.raises(DimensionError):
+            encode_backward(enc, cache, np.ones_like(out), np.empty(param_count(enc) + 1))
 
 
 class TestCheckpoint:

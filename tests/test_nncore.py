@@ -312,10 +312,43 @@ class TestAdam:
         params = np.array([1.0, -2.0, 0.0])
         state = AdamState.create(3, weight_decay=0.0)
         for _ in range(3):
-            params_next = adam_step(params, np.zeros(3), state)
-            np.testing.assert_array_equal(params_next, params)
-            params = params_next
+            params = adam_step(params, np.zeros(3), state)
+            np.testing.assert_array_equal(params, [1.0, -2.0, 0.0])
         assert state.step_count == 3
+
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
+    def test_in_place_step_matches_out_of_place_formula(self, weight_decay):
+        def reference(params, grads, state):
+            state.step_count += 1
+            t = state.step_count
+            state.first_moment = (
+                state.beta1 * state.first_moment + (1.0 - state.beta1) * grads
+            )
+            state.second_moment = (
+                state.beta2 * state.second_moment + (1.0 - state.beta2) * grads * grads
+            )
+            m_hat = state.first_moment / (1.0 - state.beta1**t)
+            v_hat = state.second_moment / (1.0 - state.beta2**t)
+            new = params - state.lr * m_hat / (np.sqrt(v_hat) + state.eps_opt)
+            if state.weight_decay != 0.0:
+                new = new - state.lr * state.weight_decay * params
+            return new
+
+        rng = np.random.default_rng(5)
+        params = rng.normal(size=257)
+        expected = params.copy()
+        state = AdamState.create(257, lr=3e-3, weight_decay=weight_decay)
+        oracle = AdamState.create(257, lr=3e-3, weight_decay=weight_decay)
+        moments = (state.first_moment, state.second_moment)
+        for _ in range(6):
+            grads = rng.normal(size=257) * rng.uniform(1e-3, 10.0)
+            out = adam_step(params, grads, state)
+            expected = reference(expected, grads, oracle)
+            assert out is params
+            assert params.tobytes() == expected.tobytes()
+            assert state.first_moment.tobytes() == oracle.first_moment.tobytes()
+            assert state.second_moment.tobytes() == oracle.second_moment.tobytes()
+        assert state.first_moment is moments[0] and state.second_moment is moments[1]
 
     def test_first_step_closed_form(self):
         # m_hat = v_hat = 1 on the first step, so the update is -lr / (1 + eps)
