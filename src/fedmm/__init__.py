@@ -20,7 +20,6 @@ from .data import (
     save_shard,
 )
 from .engine import (
-    AggregationPlan,
     ClientState,
     ClientUpdate,
     ExperimentLog,
@@ -53,7 +52,6 @@ from .models import (
     cross_encode,
     encode,
     flatten_params,
-    fuse,
     fuse_full,
     head_forward,
     load_model,

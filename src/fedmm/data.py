@@ -258,15 +258,6 @@ def clients_per_modality(k_clients: int, n_modalities: int) -> list[int]:
     return [base + (1 if m < k_clients % n_modalities else 0) for m in range(n_modalities)]
 
 
-def client_modalities(k_clients: int, n_modalities: int) -> list[int]:
-    """Modality id per client, clients grouped contiguously by modality."""
-    counts = clients_per_modality(k_clients, n_modalities)
-    out: list[int] = []
-    for m, c in enumerate(counts):
-        out.extend([m] * c)
-    return out
-
-
 def build_scenario(
     dataset: SyntheticDataset, scenario: ScenarioSpec, k_clients: int
 ) -> list[Shard]:
@@ -348,16 +339,23 @@ def _shard_dtype(dim: int, n_label_cols: int) -> np.dtype:
 
 
 def save_shard(shard: Shard, path, n_labels: int | None = None) -> None:
-    """Write the binary shard format (see :func:`load_shard`)."""
+    """Write the binary shard format (see :func:`load_shard`).
+
+    ``n_labels`` is the header's label count; it defaults to the label
+    columns stored. A multi-label shard stores one column per label, so an
+    ``n_labels`` that differs from its column count raises ValidationError.
+    """
     if shard.task_kind == "multi-label":
         n_label_cols = shard.labels.shape[1]
         lab = shard.labels
+        if n_labels is not None and n_labels != n_label_cols:
+            raise ValidationError(
+                f"multi-label shard has {n_label_cols} label columns, n_labels={n_labels}"
+            )
     else:
         n_label_cols = 1
         lab = shard.labels[:, None].astype(np.float64)
-    declared_labels = n_labels if n_labels is not None else (
-        shard.labels.shape[1] if shard.task_kind == "multi-label" else n_label_cols
-    )
+    declared_labels = n_labels if n_labels is not None else n_label_cols
     header = SHARD_MAGIC + struct.pack(
         "<HHBIII",
         SHARD_VERSION,
@@ -426,22 +424,16 @@ def load_shard(path) -> Shard:
     )
 
 
-def shards_equal(a: Shard, b: Shard) -> bool:
-    return (
-        a.modality_id == b.modality_id
-        and a.task_kind == b.task_kind
-        and a.geo_keys.tobytes() == b.geo_keys.tobytes()
-        and a.features.tobytes() == b.features.tobytes()
-        and a.labels.tobytes() == b.labels.tobytes()
-    )
-
-
 def write_manifest(
     path,
     shard_paths: dict[str, list[str]],
     scenario_kind: str,
     spec: DatasetSpec,
 ) -> None:
+    """Write the JSON index of a ``gen-data`` export: the dataset spec, the
+    scenario kind and the shard file names per split. The manifest is for
+    external tools; no fedmm command reads it back, and :func:`load_shard`
+    is the public reader of the shard files it lists."""
     payload = {
         "format": "fedmm-manifest",
         "version": 1,
@@ -461,13 +453,3 @@ def write_manifest(
         "shards": shard_paths,
     }
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
-def read_manifest(path) -> dict:
-    try:
-        payload = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"manifest is not valid JSON: {exc}") from None
-    if payload.get("format") != "fedmm-manifest":
-        raise FormatError("not a dataset manifest")
-    return payload

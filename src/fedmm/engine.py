@@ -56,7 +56,6 @@ from .models import (
     copy_part,
     encode,
     flatten_params,
-    fuse,
     head_forward,
     init_dense,
     param_count,
@@ -164,14 +163,6 @@ class ClientUpdate:
     n_samples: int
     mean_ce: float
     mean_ntx: float
-
-
-@dataclass
-class AggregationPlan:
-    """Data-proportional weights: global per client and normalized per group."""
-
-    alpha: dict[int, float]
-    group_weights: dict[int, dict[int, float]]
 
 
 @dataclass
@@ -298,18 +289,6 @@ def client_update(
     )
 
 
-def build_aggregation_plan(updates: list[ClientUpdate]) -> AggregationPlan:
-    total = sum(u.n_samples for u in updates)
-    alpha = {u.client_id: u.n_samples / total for u in updates}
-    group_weights: dict[int, dict[int, float]] = {}
-    for u in updates:
-        group_weights.setdefault(u.modality_id, {})[u.client_id] = u.n_samples
-    for m, weights in group_weights.items():
-        group_total = sum(weights.values())
-        group_weights[m] = {cid: n / group_total for cid, n in weights.items()}
-    return AggregationPlan(alpha=alpha, group_weights=group_weights)
-
-
 def aggregate(updates: list[ClientUpdate], model: GlobalModelSet) -> GlobalModelSet:
     """Weighted-average client parameters into a new global model.
 
@@ -330,17 +309,19 @@ def aggregate(updates: list[ClientUpdate], model: GlobalModelSet) -> GlobalModel
                     f"round {model.round + 1}: client {u.client_id} uploaded "
                     f"non-finite {kind} parameters"
                 )
-    plan = build_aggregation_plan(updates)
     new_encoders = []
     for m, enc in enumerate(model.encoders):
         group = [u for u in updates if u.modality_id == m]
         if not group:
             raise DataError(f"no client update for modality {m} this round")
-        weights = plan.group_weights[m]
-        members = [(u.client_id, u.encoder_flat, weights[u.client_id]) for u in group]
+        group_total = sum(u.n_samples for u in group)
+        members = [
+            (u.client_id, u.encoder_flat, u.n_samples / group_total) for u in group
+        ]
         flat = _average("encoder", enc.params, members)
         new_encoders.append(unflatten_params(flat, enc))
-    members = [(u.client_id, u.head_flat, plan.alpha[u.client_id]) for u in updates]
+    total = sum(u.n_samples for u in updates)
+    members = [(u.client_id, u.head_flat, u.n_samples / total) for u in updates]
     head_flat = _average("head", model.head.params, members)
     new_head = unflatten_params(head_flat, model.head)
     return GlobalModelSet(encoders=new_encoders, head=new_head, round=model.round + 1)
@@ -502,13 +483,17 @@ def run_experiment(cfg: ExperimentConfig, parallel: bool = False) -> ExperimentL
 def evaluate_late_fusion(
     submodels: list[GlobalModelSet], test_shards: list[Shard], mode: str
 ) -> MetricsReport:
-    """Average per-modality predicted probabilities over available modalities."""
+    """Average per-modality predicted probabilities over available modalities.
+
+    Each submodel holds one modality, whose one-slot fused layout is its
+    features unchanged, so the features go straight to that submodel's head.
+    """
     only = parse_mode(mode, len(submodels))
     wanted = [only] if only is not None else list(range(len(submodels)))
     prob_sum = None
     for m in wanted:
         feats = encode(submodels[m].encoders[0], test_shards[m].features, "eval")
-        probs = head_forward(submodels[m].head, fuse(feats, 0, 1))
+        probs = head_forward(submodels[m].head, feats)
         prob_sum = probs if prob_sum is None else prob_sum + probs
     fused = prob_sum / len(wanted)
     labels = test_shards[wanted[0]].labels

@@ -21,7 +21,7 @@ from .models import (
     cross_encode,
     encode_backward,
     encode_train,
-    fuse,
+    fuse_full,
     head_forward,
 )
 from .nncore import Array, dense_backward
@@ -167,15 +167,15 @@ def local_objective(
     n_mod = global_set.n_modalities
     n_enc = encoder.params.size
     grad = np.empty(n_enc + head.params.size)
+    d = encoder.feature_dim
     f_local, cache = encode_train(encoder, x)
-    fused = fuse(f_local, slot, n_mod)
+    fused = fuse_full([f_local if m == slot else None for m in range(n_mod)], n_mod, d)
     task_loss = bce_multilabel if head.task_kind == "multi-label" else ce_singlelabel
     ce, grad_logits = task_loss(head_forward(head, fused), y)
     grad_fused, grad_head_w, grad_head_b = dense_backward(head.layer, fused, grad_logits)
     n_head_w = grad_head_w.size
     grad[n_enc : n_enc + n_head_w] = grad_head_w.reshape(-1)
     grad[n_enc + n_head_w :] = grad_head_b
-    d = encoder.feature_dim
     grad_f_local = grad_fused[:, slot * d : (slot + 1) * d]
 
     ntx = 0.0

@@ -32,9 +32,19 @@ class MetricsReport:
     n_samples: int
 
 
-def _check_binary_pair(preds: Array, labels: Array):
+def _confusion_counts(preds: Array, labels: Array) -> tuple[Array, Array, Array]:
+    """Per-label integer true positive, false positive and false negative
+    counts of predictions and labels thresholded at 0.5."""
     if preds.shape != labels.shape or preds.ndim != 2:
         raise DimensionError(f"preds {preds.shape} vs labels {labels.shape}")
+    p = preds > 0.5
+    l = labels > 0.5
+    return np.sum(p & l, axis=0), np.sum(p & ~l, axis=0), np.sum(~p & l, axis=0)
+
+
+def _f1(tp: int, fp: int, fn: int) -> float:
+    denom = 2 * tp + fp + fn
+    return 2.0 * tp / denom if denom else 0.0
 
 
 def micro_f1(preds: Array, labels: Array) -> float:
@@ -42,14 +52,8 @@ def micro_f1(preds: Array, labels: Array) -> float:
 
     Defined as 0 when there are no positives anywhere and none predicted.
     """
-    _check_binary_pair(preds, labels)
-    p = preds > 0.5
-    l = labels > 0.5
-    tp = int(np.sum(p & l))
-    fp = int(np.sum(p & ~l))
-    fn = int(np.sum(~p & l))
-    denom = 2 * tp + fp + fn
-    return 2.0 * tp / denom if denom else 0.0
+    tp, fp, fn = _confusion_counts(preds, labels)
+    return _f1(int(tp.sum()), int(fp.sum()), int(fn.sum()))
 
 
 def macro_f1(preds: Array, labels: Array) -> float:
@@ -57,25 +61,12 @@ def macro_f1(preds: Array, labels: Array) -> float:
 
     A label with no positives and no predictions contributes F1 = 0.
     """
-    _check_binary_pair(preds, labels)
-    p = preds > 0.5
-    l = labels > 0.5
-    scores = []
-    for j in range(p.shape[1]):
-        tp = int(np.sum(p[:, j] & l[:, j]))
-        fp = int(np.sum(p[:, j] & ~l[:, j]))
-        fn = int(np.sum(~p[:, j] & l[:, j]))
-        denom = 2 * tp + fp + fn
-        scores.append(2.0 * tp / denom if denom else 0.0)
-    return float(np.mean(scores))
+    counts = zip(*(c.tolist() for c in _confusion_counts(preds, labels)))
+    return float(np.mean([_f1(tp, fp, fn) for tp, fp, fn in counts]))
 
 
 def _per_label_pr(preds: Array, labels: Array) -> tuple[Array, Array]:
-    p = preds > 0.5
-    l = labels > 0.5
-    tp = np.sum(p & l, axis=0).astype(float)
-    fp = np.sum(p & ~l, axis=0).astype(float)
-    fn = np.sum(~p & l, axis=0).astype(float)
+    tp, fp, fn = (c.astype(float) for c in _confusion_counts(preds, labels))
     with np.errstate(invalid="ignore", divide="ignore"):
         precision = np.where(tp + fp > 0, tp / (tp + fp), 0.0)
         recall = np.where(tp + fn > 0, tp / (tp + fn), 0.0)

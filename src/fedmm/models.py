@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .data import TASK_KINDS
 from .errors import DimensionError, FormatError, ValidationError
 from .nncore import (
     Array,
@@ -36,8 +37,6 @@ from .nncore import (
     is_symmetric,
     whiten_batch,
 )
-
-TASK_KINDS = ("multi-label", "single-label")
 
 CHECKPOINT_MAGIC = b"MFMM"
 CHECKPOINT_VERSION = 1
@@ -279,16 +278,6 @@ def encode_backward(
         for piece in reversed([grad_w, grad_b] + pieces):
             out[end - piece.size : end] = piece.reshape(-1)
             end -= piece.size
-    return out
-
-
-def fuse(features: Array, slot: int, n_modalities: int) -> Array:
-    """Place ``features`` in its modality slot, zero-filling the others."""
-    if not 0 <= slot < n_modalities:
-        raise ValidationError(f"slot {slot} out of range for {n_modalities} modalities")
-    b, d = features.shape
-    out = np.zeros((b, n_modalities * d))
-    out[:, slot * d : (slot + 1) * d] = features
     return out
 
 

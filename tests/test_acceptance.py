@@ -13,6 +13,7 @@ import time
 
 import numpy as np
 import pytest
+from shardcheck import shards_equal
 
 from fedmm.config import ExperimentConfig
 from fedmm.data import (
@@ -22,7 +23,6 @@ from fedmm.data import (
     gen_synthetic,
     load_shard,
     save_shard,
-    shards_equal,
 )
 from fedmm.engine import (
     ClientUpdate,

@@ -3,7 +3,7 @@
 import json
 
 from fedmm.cli import main, summarize_log
-from fedmm.data import load_shard, read_manifest
+from fedmm.data import load_shard
 from fedmm.engine import CSV_COLUMNS
 
 LOG_HEADER = ",".join(CSV_COLUMNS) + "\n"
@@ -144,7 +144,7 @@ class TestGenData:
         spec_path.write_text(json.dumps(spec))
         out = tmp_path / "data"
         assert main(["gen-data", "--spec", str(spec_path), "--out", str(out)]) == 0
-        manifest = read_manifest(out / "manifest.json")
+        manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["scenario_kind"] == "iid"
         assert len(manifest["shards"]["train"]) == 2
         assert len(manifest["shards"]["clients"]) == 4

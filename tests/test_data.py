@@ -1,9 +1,12 @@
 """Tests for synthetic data generation, scenarios, shard files, batching."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from shardcheck import shards_equal
 
 from fedmm.data import (
     DatasetSpec,
@@ -11,12 +14,10 @@ from fedmm.data import (
     Shard,
     batches,
     build_scenario,
-    client_modalities,
+    clients_per_modality,
     gen_synthetic,
     load_shard,
-    read_manifest,
     save_shard,
-    shards_equal,
     write_manifest,
 )
 from fedmm.errors import ConfigError, DataError, FormatError, ValidationError
@@ -94,7 +95,7 @@ class TestScenarios:
             assert sum(sizes) == 80
 
     def test_odd_client_count_splits_nearly_evenly(self):
-        assert client_modalities(7, 2) == [0, 0, 0, 0, 1, 1, 1]
+        assert clients_per_modality(7, 2) == [4, 3]
 
     def test_group_skew_purity_one_group_per_client(self):
         ds = gen_synthetic(small_spec(n_groups=2))
@@ -241,6 +242,13 @@ class TestShardFiles:
             load_shard(path)
         assert info.value.offset is not None
 
+    def test_multilabel_label_count_must_match_columns(self, tmp_path):
+        ds = gen_synthetic(small_spec(n_labels=3))
+        path = tmp_path / "m0.shard"
+        with pytest.raises(ValidationError):
+            save_shard(ds.train[0], path, n_labels=5)
+        assert not path.exists()
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.shard"
         path.write_bytes(b"JUNKJUNKJUNK")
@@ -257,9 +265,7 @@ def test_manifest_roundtrip(tmp_path):
         scenario_kind="iid",
         spec=spec,
     )
-    manifest = read_manifest(path)
+    manifest = json.loads(path.read_text())
+    assert manifest["format"] == "fedmm-manifest"
     assert manifest["scenario_kind"] == "iid"
     assert manifest["dataset"]["modality_dims"] == [5, 8]
-    (tmp_path / "bad.json").write_text("{}")
-    with pytest.raises(FormatError):
-        read_manifest(tmp_path / "bad.json")

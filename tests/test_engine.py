@@ -17,7 +17,6 @@ from fedmm.engine import (
     ClientUpdate,
     aggregate,
     baseline_fedavg_latefusion,
-    build_aggregation_plan,
     client_update,
     evaluate_late_fusion,
     experiment_csv,
@@ -321,13 +320,22 @@ class TestAggregate:
         assert "round 7" in message
         assert f"client {updates[-1].client_id} " in message
 
-    def test_plan_weights_sum_to_one(self):
+    def test_weights_sum_to_one_per_group_and_head(self):
+        # every client uploads the same x, so the mean is x only if the
+        # group weights and the head weights each sum to one
         cfg = tiny_cfg()
         _, model, _, _ = _setup(cfg)
-        plan = build_aggregation_plan(_fake_updates(model, 7))
-        assert abs(sum(plan.alpha.values()) - 1.0) < 1e-12
-        for weights in plan.group_weights.values():
-            assert abs(sum(weights.values()) - 1.0) < 1e-12
+        rng = np.random.default_rng(7)
+        x_enc = [enc.params + rng.normal(size=enc.params.size) for enc in model.encoders]
+        x_head = model.head.params + rng.normal(size=model.head.params.size)
+        updates = [
+            ClientUpdate(cid, m, x_enc[m].copy(), x_head.copy(), n, 0.0, 0.0)
+            for cid, (m, n) in enumerate([(0, 3), (1, 11), (0, 17), (1, 2), (0, 40)])
+        ]
+        merged = aggregate(updates, model)
+        for m, enc in enumerate(merged.encoders):
+            np.testing.assert_allclose(flatten_params(enc), x_enc[m], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(flatten_params(merged.head), x_head, rtol=0, atol=1e-12)
 
 
 class TestRunRound:

@@ -21,7 +21,6 @@ from fedmm.models import (
     cross_encode,
     encode_train,
     flatten_params,
-    fuse,
     param_count,
     unflatten_params,
 )
@@ -215,7 +214,7 @@ class TestLocalObjective:
         run_b = clone_model(model)
         enc, head = run_b.encoders[0], run_b.head
         f_local, cache = encode_train(enc, x)
-        fused = fuse(f_local, 0, 2)
+        fused = np.concatenate([f_local, np.zeros_like(f_local)], axis=1)
         logits = dense_forward(head.layer, fused)
         ce, grad_logits = bce_multilabel(activation_forward(logits, "sigmoid"), y)
 

@@ -18,7 +18,6 @@ from fedmm.models import (
     encode_backward,
     encode_train,
     flatten_params,
-    fuse,
     fuse_full,
     head_forward,
     load_model,
@@ -89,30 +88,33 @@ class TestEncode:
 class TestFusion:
     def test_slot_zero(self):
         np.testing.assert_array_equal(
-            fuse(np.array([[1.0, 2.0]]), 0, 2), [[1.0, 2.0, 0.0, 0.0]]
+            fuse_full([np.array([[1.0, 2.0]]), None], 2, 2), [[1.0, 2.0, 0.0, 0.0]]
         )
 
     def test_slot_one(self):
         np.testing.assert_array_equal(
-            fuse(np.array([[1.0, 2.0]]), 1, 2), [[0.0, 0.0, 1.0, 2.0]]
+            fuse_full([None, np.array([[1.0, 2.0]])], 2, 2), [[0.0, 0.0, 1.0, 2.0]]
         )
 
     def test_single_modality_is_identity(self):
         f = np.array([[3.0, -1.0], [0.5, 2.0]])
-        np.testing.assert_array_equal(fuse(f, 0, 1), f)
+        np.testing.assert_array_equal(fuse_full([f], 1, 2), f)
 
     def test_slot_out_of_range(self):
-        with pytest.raises(ValidationError):
-            fuse(np.zeros((1, 2)), 2, 2)
+        # a third block would land in slot 2 of a two-slot layout
+        with pytest.raises(DimensionError):
+            fuse_full([None, None, np.zeros((1, 2))], 2, 2)
 
     def test_full_fusion_is_plain_concatenation(self):
         a = np.array([[1.0, 2.0]])
         b = np.array([[3.0, 4.0]])
         np.testing.assert_array_equal(fuse_full([a, b], 2, 2), [[1.0, 2.0, 3.0, 4.0]])
 
-    def test_full_fusion_single_present_matches_fuse(self):
+    def test_full_fusion_single_present_zero_fills_the_rest(self):
         f = np.array([[1.0, 2.0], [5.0, 6.0]])
-        np.testing.assert_array_equal(fuse_full([None, f], 2, 2), fuse(f, 1, 2))
+        np.testing.assert_array_equal(
+            fuse_full([None, f], 2, 2), [[0.0, 0.0, 1.0, 2.0], [0.0, 0.0, 5.0, 6.0]]
+        )
 
     def test_all_absent_rejected(self):
         with pytest.raises(ValidationError):
@@ -123,12 +125,18 @@ class TestFusion:
             fuse_full([np.zeros((2, 2)), np.zeros((3, 2))], 2, 2)
 
     def test_training_and_inference_fusion_agree_per_modality(self):
+        # training fuses one present block; inference fuses the same block
+        # among the others, and slot m's columns hold it either way
         rng = np.random.default_rng(8)
+        blocks = [rng.normal(size=(4, 5)) for _ in range(3)]
+        both = fuse_full(blocks, 3, 5)
         for m in range(3):
-            f = rng.normal(size=(4, 5))
-            blocks = [None, None, None]
-            blocks[m] = f
-            np.testing.assert_array_equal(fuse_full(blocks, 3, 5), fuse(f, m, 3))
+            one = [None, None, None]
+            one[m] = blocks[m]
+            expected = np.zeros((4, 15))
+            expected[:, 5 * m : 5 * (m + 1)] = blocks[m]
+            np.testing.assert_array_equal(fuse_full(one, 3, 5), expected)
+            np.testing.assert_array_equal(both[:, 5 * m : 5 * (m + 1)], blocks[m])
 
 
 class TestHeadForward:
