@@ -64,9 +64,9 @@ def _build_parser() -> argparse.ArgumentParser:
                 "--parallel",
                 action="store_true",
                 help=(
-                    "run clients on a thread pool of one worker per usable CPU "
+                    "run clients in forked worker processes, one per usable CPU "
                     "(at most one per client), with numpy's BLAS capped to one "
-                    "thread while it runs; same results as serial"
+                    "thread while they run; same results as serial"
                 ),
             )
         if name == "ablate":

@@ -338,12 +338,33 @@ def _shard_dtype(dim: int, n_label_cols: int) -> np.dtype:
     )
 
 
+def _bad_label(
+    label_cols: Array, task_kind: str, n_labels: int
+) -> tuple[int, int, str] | None:
+    """(sample, column, message) of the first label a header of ``n_labels``
+    labels cannot describe, or None: a multi-label entry other than 0 or 1,
+    or a single-label value that is not an integral class id below
+    ``n_labels``."""
+    if task_kind == "multi-label":
+        bad = (label_cols != 0.0) & (label_cols != 1.0)
+        kind = "a multi-label value outside {0, 1}"
+    else:
+        bad = (label_cols != np.floor(label_cols)) | (label_cols < 0) | (label_cols >= n_labels)
+        kind = f"not a class id in [0, {n_labels})"
+    if not bad.any():
+        return None
+    row, col = (int(i) for i in np.argwhere(bad)[0])
+    return row, col, f"label of sample {row} is {float(label_cols[row, col])!r}, {kind}"
+
+
 def save_shard(shard: Shard, path, n_labels: int | None = None) -> None:
     """Write the binary shard format (see :func:`load_shard`).
 
     ``n_labels`` is the header's label count; it defaults to the label
     columns stored. A multi-label shard stores one column per label, so an
-    ``n_labels`` that differs from its column count raises ValidationError.
+    ``n_labels`` that differs from its column count raises ValidationError,
+    as does a label :func:`load_shard` would reject, so no file is written
+    that cannot be read back.
     """
     if shard.task_kind == "multi-label":
         n_label_cols = shard.labels.shape[1]
@@ -356,6 +377,9 @@ def save_shard(shard: Shard, path, n_labels: int | None = None) -> None:
         n_label_cols = 1
         lab = shard.labels[:, None].astype(np.float64)
     declared_labels = n_labels if n_labels is not None else n_label_cols
+    bad = _bad_label(lab, shard.task_kind, declared_labels)
+    if bad is not None:
+        raise ValidationError(bad[2])
     header = SHARD_MAGIC + struct.pack(
         "<HHBIII",
         SHARD_VERSION,
@@ -380,6 +404,9 @@ def load_shard(path) -> Shard:
     Layout: magic ``MFSH``, u16 version, u16 modality id, u8 task kind,
     u32 sample count, u32 feature dim, u32 label count, then per sample a
     u64 geo key, the features, and the labels as little-endian float64.
+    Labels the header cannot describe raise FormatError at their byte: a
+    multi-label entry other than 0 or 1, or a single-label value that is not
+    an integral class id in ``[0, label count)``.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -411,6 +438,13 @@ def load_shard(path) -> Shard:
     raw_labels = records["lab"].reshape(count, n_label_cols)
     if count and not (np.all(np.isfinite(feats)) and np.all(np.isfinite(raw_labels))):
         raise FormatError("shard payload contains non-finite values", offset=header_size)
+    bad = _bad_label(raw_labels, task_kind, n_labels)
+    if bad is not None:
+        row, col, message = bad
+        raise FormatError(
+            message,
+            offset=header_size + row * dtype.itemsize + dtype.fields["lab"][1] + 8 * col,
+        )
     if task_kind == "multi-label":
         labels = raw_labels.copy()
     else:

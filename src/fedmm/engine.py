@@ -3,13 +3,20 @@
 Each round (:func:`run_round`): broadcast the global parameters, run every
 client's local update, aggregate per-modality encoders and the shared head,
 then optionally evaluate. Local updates run serially, or with
-``parallel=True`` on a thread pool of one worker per usable CPU (never more
-than there are clients; inline when that is one). While the pool runs, the
-BLAS numpy loaded is capped to one thread, so workers times BLAS threads
-stay within the usable cores. Results are identical either way because
-each client owns its state and RNG stream and the global snapshot is
-read-only. A failed local update re-raises its exception with
-``round r: client k:`` prepended to the message.
+``parallel=True`` in one worker per usable CPU (never more than there are
+clients; inline when that is one or when the platform has no ``os.fork``).
+Workers are processes: each round forks one child per group of clients
+but one, and this process updates the last group itself. A child pickles
+back each client's upload and every piece of client state the update
+changed (parameters, Adam moments and step count, whitening running
+statistics, RNG state), which the parent writes into its own clients, so
+they stay authoritative between rounds. While the workers run, the BLAS
+numpy loaded is capped to one thread, so workers times BLAS threads stay
+within the usable cores. Results are identical either way because each
+client owns its state and RNG stream and the global snapshot is read-only.
+A failed local update re-raises its exception, in the parent too, with
+``round r: client k:`` prepended to the message; a worker that dies
+without reporting raises ChildProcessError naming the round.
 
 Aggregation accumulates client deltas around the broadcast reference in
 ascending client-id order, which makes "all clients returned the broadcast
@@ -35,10 +42,11 @@ import dataclasses
 import functools
 import json
 import os
+import pickle
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import BinaryIO
 
 import numpy as np
 
@@ -63,7 +71,7 @@ from .models import (
     save_model,
     unflatten_params,
 )
-from .nncore import AdamState, adam_step
+from .nncore import AdamState, WhiteningState, adam_step
 
 _MODEL_STREAM = 1
 _CLIENT_STREAM = 2
@@ -405,6 +413,141 @@ def _update(
         raise
 
 
+def _local_steps(client: ClientState, cfg: ExperimentConfig) -> int:
+    """Adam steps one local update takes (:func:`fedmm.data.batches` drops a
+    one-row trailing batch)."""
+    full, tail = divmod(client.shard.n, cfg.batch_size)
+    return cfg.local_epochs * (full + (tail >= 2))
+
+
+def _balanced_groups(
+    clients: list[ClientState], n_groups: int, cfg: ExperimentConfig
+) -> list[list[ClientState]]:
+    """Deal the clients into ``n_groups`` groups of near-equal local steps.
+
+    Longest update first, each to the group with the fewest steps so far
+    (then the fewest clients, then the lowest index), so the split depends
+    only on the shard sizes and the config. The lightest group comes last.
+    """
+    groups: list[list[ClientState]] = [[] for _ in range(n_groups)]
+    steps = [0] * n_groups
+    work = sorted(((_local_steps(c, cfg), c) for c in clients), key=lambda w: -w[0])
+    for client_steps, client in work:
+        g = min(range(n_groups), key=lambda i: (steps[i], len(groups[i]), i))
+        groups[g].append(client)
+        steps[g] += client_steps
+    order = sorted(range(n_groups), key=lambda i: (-steps[i], i))
+    return [groups[i] for i in order]
+
+
+def _whitening_states(client: ClientState) -> list[WhiteningState]:
+    return [s.whitening for s in client.encoder.stages() if s.whitening is not None]
+
+
+def _local_state(client: ClientState) -> tuple:
+    """Everything :func:`client_update` changes on ``client``, as plain data."""
+    return (
+        client.params,
+        client.adam.first_moment,
+        client.adam.second_moment,
+        client.adam.step_count,
+        [(w.running_mean, w.running_cov, w.stats_ready) for w in _whitening_states(client)],
+        client.rng.bit_generator.state,
+    )
+
+
+def _restore_local_state(client: ClientState, state: tuple) -> None:
+    """Write a :func:`_local_state` taken elsewhere into ``client``'s own
+    arrays; the parameter buffer is written through, never rebound."""
+    params, first, second, step_count, whitening, rng_state = state
+    client.params[...] = params
+    client.adam.first_moment[...] = first
+    client.adam.second_moment[...] = second
+    client.adam.step_count = step_count
+    for w, (mean, cov, ready) in zip(_whitening_states(client), whitening):
+        w.running_mean, w.running_cov, w.stats_ready = mean, cov, ready
+    client.rng.bit_generator.state = rng_state
+
+
+def _fork_worker(
+    group: list[ClientState],
+    model: GlobalModelSet,
+    cfg: ExperimentConfig,
+    loss_cfg: LossConfig,
+) -> tuple[int, BinaryIO]:
+    """Fork a child that updates ``group`` and pickles, per client, the
+    :class:`ClientUpdate` and :func:`_local_state` (or the first failure)
+    into a pipe, after an 8-byte length. Returns the child's pid and the
+    pipe's read end.
+
+    Fork rather than spawn: the child needs this process's clients, shards
+    and model as they are, which a spawned worker would have to be sent
+    every round. fedmm starts no threads of its own, and OpenBLAS's are
+    idle under the one-thread cap the caller holds.
+    """
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid:
+        os.close(write_fd)
+        return pid, os.fdopen(read_fd, "rb")
+    status = 1
+    try:
+        os.close(read_fd)
+        try:
+            outcome = [(_update(c, model, cfg, loss_cfg), _local_state(c)) for c in group]
+        except Exception as exc:  # reported to the parent, which re-raises it
+            outcome = exc
+        payload = pickle.dumps(outcome, protocol=pickle.HIGHEST_PROTOCOL)
+        with os.fdopen(write_fd, "wb") as out:
+            out.write(len(payload).to_bytes(8, "little"))
+            out.write(payload)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _forked_updates(
+    groups: list[list[ClientState]],
+    model: GlobalModelSet,
+    cfg: ExperimentConfig,
+    loss_cfg: LossConfig,
+) -> dict[int, ClientUpdate]:
+    """Updates of every group by client id: one forked child per group but
+    the last, which this process runs itself. Each child's clients take
+    back the state it reports, so the caller's clients end the round as a
+    serial round would leave them. Every child is reaped, also on failure;
+    a complete report is used before its child is reaped, which overlaps the
+    child's exit with the parent's work."""
+    children: list[tuple[list[ClientState], int, BinaryIO]] = []
+    reaped: set[int] = set()
+    try:
+        for group in groups[:-1]:
+            children.append((group, *_fork_worker(group, model, cfg, loss_cfg)))
+        updates = {c.client_id: _update(c, model, cfg, loss_cfg) for c in groups[-1]}
+        for group, pid, reader in children:
+            data = reader.read()
+            if len(data) < 8 or len(data) != 8 + int.from_bytes(data[:8], "little"):
+                _, status = os.waitpid(pid, 0)
+                reaped.add(pid)
+                raise ChildProcessError(
+                    f"round {model.round + 1}: the worker updating clients "
+                    f"{[c.client_id for c in group]} exited with status "
+                    f"{os.waitstatus_to_exitcode(status)} without reporting"
+                )
+            outcome = pickle.loads(memoryview(data)[8:])  # written by our own child
+            if isinstance(outcome, Exception):
+                raise outcome
+            for client, (update, state) in zip(group, outcome):
+                _restore_local_state(client, state)
+                updates[client.client_id] = update
+        return updates
+    finally:
+        for _, pid, reader in children:
+            reader.close()  # a child still writing gets a broken pipe and exits
+            if pid not in reaped:
+                os.waitpid(pid, 0)
+
+
 def _run_updates(
     clients: list[ClientState],
     model: GlobalModelSet,
@@ -415,13 +558,17 @@ def _run_updates(
     """Every client's local update, in client order.
 
     With ``parallel``, one worker per usable CPU runs them, but no more
-    workers than clients; with one worker they run inline.
+    workers than clients; with one worker, or where the platform has no
+    ``os.fork``, they run inline. Workers are forked processes, each
+    updating a group of clients balanced by local steps (this process runs
+    one group), with numpy's BLAS capped to one thread.
     """
-    workers = min(_usable_cpus(), len(clients)) if parallel else 1
+    workers = min(_usable_cpus(), len(clients)) if parallel and hasattr(os, "fork") else 1
     if workers <= 1:
         return [_update(c, model, cfg, loss_cfg) for c in clients]
-    with _single_threaded_blas(), ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda c: _update(c, model, cfg, loss_cfg), clients))
+    with _single_threaded_blas():
+        updates = _forked_updates(_balanced_groups(clients, workers, cfg), model, cfg, loss_cfg)
+    return [updates[c.client_id] for c in clients]
 
 
 def run_round(

@@ -52,8 +52,7 @@ def micro_f1(preds: Array, labels: Array) -> float:
 
     Defined as 0 when there are no positives anywhere and none predicted.
     """
-    tp, fp, fn = _confusion_counts(preds, labels)
-    return _f1(int(tp.sum()), int(fp.sum()), int(fn.sum()))
+    return _micro_f1(*_confusion_counts(preds, labels))
 
 
 def macro_f1(preds: Array, labels: Array) -> float:
@@ -61,12 +60,20 @@ def macro_f1(preds: Array, labels: Array) -> float:
 
     A label with no positives and no predictions contributes F1 = 0.
     """
-    counts = zip(*(c.tolist() for c in _confusion_counts(preds, labels)))
-    return float(np.mean([_f1(tp, fp, fn) for tp, fp, fn in counts]))
+    return _macro_f1(*_confusion_counts(preds, labels))
 
 
-def _per_label_pr(preds: Array, labels: Array) -> tuple[Array, Array]:
-    tp, fp, fn = (c.astype(float) for c in _confusion_counts(preds, labels))
+def _micro_f1(tp: Array, fp: Array, fn: Array) -> float:
+    return _f1(int(tp.sum()), int(fp.sum()), int(fn.sum()))
+
+
+def _macro_f1(tp: Array, fp: Array, fn: Array) -> float:
+    counts = zip(tp.tolist(), fp.tolist(), fn.tolist())
+    return float(np.mean([_f1(t, p, n) for t, p, n in counts]))
+
+
+def _per_label_pr(tp: Array, fp: Array, fn: Array) -> tuple[Array, Array]:
+    tp, fp, fn = (c.astype(float) for c in (tp, fp, fn))
     with np.errstate(invalid="ignore", divide="ignore"):
         precision = np.where(tp + fp > 0, tp / (tp + fp), 0.0)
         recall = np.where(tp + fn > 0, tp / (tp + fn), 0.0)
@@ -93,10 +100,11 @@ def report_from_predictions(
         preds = _onehot(pred_idx, n_labels)
         truth = _onehot(np.asarray(labels), n_labels)
         accuracy = float((pred_idx == np.asarray(labels)).mean())
-    precision, recall = _per_label_pr(preds, truth)
+    counts = _confusion_counts(preds, truth)
+    precision, recall = _per_label_pr(*counts)
     return MetricsReport(
-        micro_f1=micro_f1(preds, truth),
-        macro_f1=macro_f1(preds, truth),
+        micro_f1=_micro_f1(*counts),
+        macro_f1=_macro_f1(*counts),
         accuracy=accuracy,
         per_label_precision=precision,
         per_label_recall=recall,

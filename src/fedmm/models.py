@@ -274,7 +274,8 @@ def encode_backward(
         if stage.whitening is not None:
             g, grad_gamma, grad_beta = batch_whitening_backward(stage.whitening, g)
             pieces = [grad_gamma, grad_beta]
-        g, grad_w, grad_b = dense_backward(stage.dense, cache.inputs[i], g)
+        # nothing consumes the gradient wrt the encoder's own input
+        g, grad_w, grad_b = dense_backward(stage.dense, cache.inputs[i], g, input_grad=i > 0)
         for piece in reversed([grad_w, grad_b] + pieces):
             out[end - piece.size : end] = piece.reshape(-1)
             end -= piece.size

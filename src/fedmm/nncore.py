@@ -2,8 +2,10 @@
 hand-coded gradients, Adam, and a central finite-difference gradient checker.
 
 Everything works on C-contiguous float64 numpy arrays. Layers cache what
-their backward pass needs on the instance that ran the forward pass, so
-concurrent use is safe as long as each thread owns its instances.
+their backward pass needs on the instance that ran the forward pass, so an
+instance serves one forward/backward pair at a time; parallel client
+updates run in forked worker processes, each with its own copy of every
+instance (see :mod:`fedmm.engine`).
 
 The whitening backward deliberately treats the batch statistics (mean and
 whitening matrix) as constants: gradients flow through the affine transform
@@ -84,10 +86,12 @@ def dense_forward(layer: DenseLayer, x: Array) -> Array:
     return x @ layer.weight + layer.bias
 
 
-def dense_backward(layer: DenseLayer, x: Array, grad_out: Array):
+def dense_backward(layer: DenseLayer, x: Array, grad_out: Array, input_grad: bool = True):
     """Gradients of an upstream scalar wrt (input, weight, bias).
 
-    ``x`` must be the array passed to the matching forward call.
+    ``x`` must be the array passed to the matching forward call. With
+    ``input_grad=False`` the input gradient, a (B x out) @ (out x in)
+    product, is skipped and returned as None.
     """
     if x.ndim != 2 or x.shape[1] != layer.in_dim:
         raise DimensionError(
@@ -98,7 +102,7 @@ def dense_backward(layer: DenseLayer, x: Array, grad_out: Array):
             f"grad_out {grad_out.shape} does not match output "
             f"({x.shape[0]}, {layer.out_dim})"
         )
-    grad_x = grad_out @ layer.weight.T
+    grad_x = grad_out @ layer.weight.T if input_grad else None
     grad_w = x.T @ grad_out
     grad_b = grad_out.sum(axis=0)
     return grad_x, grad_w, grad_b
@@ -110,13 +114,11 @@ def dense_backward(layer: DenseLayer, x: Array, grad_out: Array):
 
 
 def _sigmoid(x: Array) -> Array:
-    # two-branch form avoids overflow in exp for large |x|
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # exp(-|x|) never overflows; each side of the where is the branch the
+    # two-branch form (1 / (1 + exp(-x)) for x >= 0, exp(x) / (1 + exp(x))
+    # otherwise) computes, with the same operands, so the bits are equal
+    ex = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + ex), ex / (1.0 + ex))
 
 
 def _softmax_rows(x: Array) -> Array:

@@ -249,6 +249,49 @@ class TestShardFiles:
             save_shard(ds.train[0], path, n_labels=5)
         assert not path.exists()
 
+    @pytest.mark.parametrize(
+        "task_kind,value",
+        [
+            ("single-label", 3.0),  # the header declares 3 labels: ids 0..2
+            ("single-label", -1.0),
+            ("single-label", 1.5),
+            ("multi-label", 0.3),
+            ("multi-label", 7.0),
+        ],
+    )
+    def test_label_the_header_cannot_describe_is_rejected_at_load(
+        self, tmp_path, task_kind, value
+    ):
+        shard = gen_synthetic(small_spec(task_kind=task_kind, n_labels=3)).train[0]
+        path = tmp_path / "m0.shard"
+        save_shard(shard, path, n_labels=3)
+        # overwrite the last label entry of sample 5 in place
+        record = 8 * (1 + shard.dim + (3 if task_kind == "multi-label" else 1))
+        data = bytearray(path.read_bytes())
+        offset = len(data) - (shard.n - 6) * record - 8
+        data[offset : offset + 8] = np.float64(value).tobytes()
+        path.write_bytes(bytes(data))
+        with pytest.raises(FormatError, match=f"sample 5 is {value!r}") as info:
+            load_shard(path)
+        assert info.value.offset == offset
+
+    @pytest.mark.parametrize(
+        "task_kind,labels",
+        [("single-label", [0, 4, -1]), ("multi-label", [[1.0, 0.3], [0.0, 1.0], [0.0, 0.0]])],
+    )
+    def test_label_the_header_cannot_describe_is_not_saved(self, tmp_path, task_kind, labels):
+        shard = Shard(
+            modality_id=0,
+            task_kind=task_kind,
+            geo_keys=np.arange(3),
+            features=np.zeros((3, 2)),
+            labels=labels,
+        )
+        path = tmp_path / "bad.shard"
+        with pytest.raises(ValidationError):
+            save_shard(shard, path, n_labels=2)
+        assert not path.exists()
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.shard"
         path.write_bytes(b"JUNKJUNKJUNK")

@@ -5,7 +5,6 @@ import dataclasses
 import hashlib
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -87,6 +86,19 @@ def single_label(cfg):
 def final_params(log):
     models = [log.model] if log.model is not None else log.baseline_models
     return [flatten_params(m).tobytes() for m in models]
+
+
+def client_state(client):
+    """Bytes of everything a local update changes on ``client``."""
+    whitening = [s.whitening for s in client.encoder.stages() if s.whitening is not None]
+    return (
+        client.params.tobytes(),
+        client.adam.first_moment.tobytes(),
+        client.adam.second_moment.tobytes(),
+        client.adam.step_count,
+        [(w.running_mean.tobytes(), w.running_cov.tobytes(), w.stats_ready) for w in whitening],
+        client.rng.bit_generator.state,
+    )
 
 
 def assert_parallel_matches_serial(entry_point):
@@ -386,19 +398,75 @@ class TestClientPool:
     @pytest.mark.parametrize("cpus", [1, 2, 3, 8])
     def test_width_is_usable_cpus_capped_by_clients(self, monkeypatch, cpus):
         widths = []
+        forks = []
+        original_forked = engine._forked_updates
+        original_fork = os.fork
 
-        class RecordingPool(ThreadPoolExecutor):
-            def __init__(self, max_workers):
-                widths.append(max_workers)
-                super().__init__(max_workers=max_workers)
+        def recording_forked(groups, *args):
+            widths.append(len(groups))
+            return original_forked(groups, *args)
+
+        def recording_fork():
+            pid = original_fork()
+            if pid:
+                forks.append(pid)
+            return pid
 
         usable_cpus(monkeypatch, cpus)
-        monkeypatch.setattr(engine, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr(engine, "_forked_updates", recording_forked)
+        monkeypatch.setattr(os, "fork", recording_fork)
         cfg = tiny_cfg()
         _, model, clients, loss_cfg = _setup(cfg)
         run_round(model, clients, cfg, loss_cfg, parallel=True)
         assert len(clients) == 4
         assert widths == ([] if cpus == 1 else [min(cpus, 4)])
+        # this process runs one group itself and forks one child per other
+        assert len(forks) == max(min(cpus, 4) - 1, 0)
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_client_state_matches_serial_bitwise(self, monkeypatch, cpus):
+        # everything a local update changes must come back from the workers:
+        # parameters, Adam moments and step count, whitening running
+        # statistics and the RNG stream, checked after a second round that
+        # builds on the first
+        cfg = tiny_cfg(use_fw=True, use_mim=True, k_clients=5)
+        usable_cpus(monkeypatch, cpus)
+        runs = []
+        for parallel in (False, True):
+            _, model, clients, loss_cfg = _setup(cfg)
+            for _ in range(2):
+                model, _ = run_round(model, clients, cfg, loss_cfg, parallel=parallel)
+            runs.append((flatten_params(model).tobytes(), [client_state(c) for c in clients]))
+        assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("where", ["child", "parent"])
+    def test_failed_worker_is_reaped(self, monkeypatch, where):
+        # a child that dies without reporting must raise (not hang) and name
+        # the round; a failure in this process's own group still reaps
+        # every child
+        parent = os.getpid()
+        original = engine.client_update
+
+        def dying_update(client, *args):
+            if where == "child" and os.getpid() != parent:
+                os._exit(3)
+            if where == "parent" and os.getpid() == parent:
+                raise NumericError("boom")
+            return original(client, *args)
+
+        usable_cpus(monkeypatch, 2)
+        cfg = tiny_cfg()
+        _, model, clients, loss_cfg = _setup(cfg)
+        model, _ = run_round(model, clients, cfg, loss_cfg, parallel=True)
+        monkeypatch.setattr(engine, "client_update", dying_update)
+        if where == "child":
+            with pytest.raises(ChildProcessError, match=r"^round 2: .* status 3 "):
+                run_round(model, clients, cfg, loss_cfg, parallel=True)
+        else:
+            with pytest.raises(NumericError, match=r"^round 2: client \d+: boom$"):
+                run_round(model, clients, cfg, loss_cfg, parallel=True)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     def test_one_usable_cpu_runs_inline(self, monkeypatch):
         serial = run_experiment(tiny_cfg())
@@ -424,6 +492,9 @@ class TestClientPool:
         original = engine.client_update
 
         def checking_update(client, *args):
+            # a forked worker inherits the cap; its failure reaches this process
+            if state["threads"] != 1:
+                raise AssertionError(f"client {client.client_id} ran uncapped")
             seen.append(state["threads"])
             if fail and client.client_id == 1:
                 raise NumericError("boom")
@@ -437,7 +508,7 @@ class TestClientPool:
                 run_round(model, clients, cfg, loss_cfg, parallel=True)
         else:
             run_round(model, clients, cfg, loss_cfg, parallel=True)
-        assert seen and set(seen) == {1}  # a failure cancels clients not yet started
+        assert seen and set(seen) == {1}  # the calls this process ran itself
         assert history == [1, 2] and state["threads"] == 2
 
     def test_serial_path_leaves_blas_alone(self, monkeypatch):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fedmm import metrics
 from fedmm.data import DatasetSpec, gen_synthetic
 from fedmm.errors import DimensionError, ValidationError
 from fedmm.metrics import (
@@ -100,6 +101,26 @@ class TestReportFromPredictions:
         assert once.micro_f1 == twice.micro_f1
         assert once.macro_f1 == twice.macro_f1
         assert once.accuracy == twice.accuracy
+
+    @pytest.mark.parametrize("kind", ["multi-label", "single-label"])
+    def test_counts_once_and_agrees_with_public_f1(self, monkeypatch, kind):
+        rng = np.random.default_rng(4)
+        probs = rng.uniform(size=(12, 4))
+        if kind == "multi-label":
+            labels = (rng.uniform(size=(12, 4)) > 0.5).astype(float)
+            preds, truth = (probs >= 0.5).astype(float), labels
+        else:
+            labels = rng.integers(0, 4, size=12)
+            preds, truth = np.eye(4)[probs.argmax(axis=1)], np.eye(4)[labels]
+        calls = []
+        counts = metrics._confusion_counts
+        monkeypatch.setattr(
+            metrics, "_confusion_counts", lambda *a: calls.append(a) or counts(*a)
+        )
+        report = report_from_predictions(probs, labels, kind)
+        assert len(calls) == 1
+        assert report.micro_f1 == micro_f1(preds, truth)
+        assert report.macro_f1 == macro_f1(preds, truth)
 
 
 def _fixture_model_and_data(use_whitening=True):

@@ -74,6 +74,15 @@ class TestDense:
         np.testing.assert_array_equal(gb, [1.0])
         np.testing.assert_array_equal(gx, [[1.0, 1.0]])
 
+    def test_backward_without_input_gradient(self):
+        rng = np.random.default_rng(8)
+        layer = DenseLayer(weight=rng.normal(size=(3, 4)), bias=np.zeros(4))
+        x, probe = rng.normal(size=(5, 3)), rng.normal(size=(5, 4))
+        _, gw, gb = dense_backward(layer, x, probe)
+        gx, gw_only, gb_only = dense_backward(layer, x, probe, input_grad=False)
+        assert gx is None
+        assert gw_only.tobytes() == gw.tobytes() and gb_only.tobytes() == gb.tobytes()
+
     def test_backward_matches_finite_differences(self):
         rng = np.random.default_rng(7)
         x = rng.normal(size=(5, 3))
@@ -98,6 +107,28 @@ class TestActivations:
 
     def test_sigmoid_symmetry_point(self):
         np.testing.assert_allclose(activation_forward(np.array([0.0]), "sigmoid"), [0.5])
+
+    def test_sigmoid_extremes_stay_finite_in_unit_interval(self):
+        x = np.array([800.0, -800.0, 0.0, -0.0])
+        with np.errstate(over="raise", invalid="raise"):
+            out = activation_forward(x, "sigmoid")
+        assert np.all(np.isfinite(out))
+        assert np.all((out >= 0.0) & (out <= 1.0))
+        np.testing.assert_array_equal(out, [1.0, 0.0, 0.5, 0.5])
+
+    @pytest.mark.parametrize("shape", [(64, 8), (63, 8), (400, 8)])
+    def test_sigmoid_matches_two_branch_reference_bitwise(self, shape):
+        def reference(x):
+            out = np.empty_like(x)
+            pos = x >= 0
+            out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+            ex = np.exp(x[~pos])
+            out[~pos] = ex / (1.0 + ex)
+            return out
+
+        x = np.random.default_rng(5).normal(size=shape) * 20.0
+        x.flat[:4] = [800.0, -800.0, 0.0, -0.0]
+        assert activation_forward(x, "sigmoid").tobytes() == reference(x).tobytes()
 
     def test_softmax_uniform(self):
         out = activation_forward(np.array([[0.0, 0.0]]), "softmax-rows")
