@@ -19,7 +19,7 @@ import json
 import sys
 from pathlib import Path
 
-from .config import load_config
+from .config import _build_section, _wrong_json_type, load_config
 from .data import (
     SCENARIO_KINDS,
     DatasetSpec,
@@ -35,7 +35,7 @@ from .engine import (
     run_ablation,
     run_experiment,
 )
-from .errors import ConfigError, FedmmError, ValidationError
+from .errors import ConfigError, FedmmError
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -96,20 +96,15 @@ def _load_gen_spec(path: str, seed_override: int | None):
         raise ConfigError(f"unknown spec key(s): {', '.join(sorted(unknown))}")
     if "dataset" not in payload:
         raise ConfigError("spec must contain a 'dataset' section")
-    allowed = {f.name for f in dataclasses.fields(DatasetSpec)}
-    bad = set(payload["dataset"]) - allowed
-    if bad:
-        raise ConfigError(f"unknown dataset key(s): {', '.join(sorted(bad))}")
-    try:
-        dataset = DatasetSpec(**payload["dataset"])
-        scenario = (
-            ScenarioSpec(**payload["scenario"]) if "scenario" in payload else None
-        )
-    except (ValidationError, TypeError) as exc:
-        raise ConfigError(f"invalid spec: {exc}") from None
+    dataset = _build_section(DatasetSpec, payload["dataset"], "dataset")
+    scenario = None
+    if "scenario" in payload:
+        scenario = _build_section(ScenarioSpec, payload["scenario"], "scenario")
     k_clients = payload.get("k_clients")
     if scenario is not None and k_clients is None:
         raise ConfigError("spec with a scenario section also needs k_clients")
+    if _wrong_json_type("int | None", k_clients):
+        raise ConfigError(f"spec key 'k_clients' is {json.dumps(k_clients)}, expected int")
     if seed_override is not None:
         dataset = dataclasses.replace(dataset, seed=seed_override)
     if dataset.seed is None:
@@ -149,21 +144,11 @@ def _apply_overrides(cfg, args):
     return cfg
 
 
-def _cmd_run(args) -> int:
+def _cmd_train(args) -> int:
+    """``run`` or ``baseline``: train as configured, print the final scores."""
+    entry = run_experiment if args.command == "run" else baseline_fedavg_latefusion
     cfg = _apply_overrides(load_config(args.config), args)
-    log = run_experiment(cfg, parallel=args.parallel)
-    for mode in cfg.inference_modes:
-        report = log.final_eval(mode)
-        print(f"final {mode}: micro_f1={report.micro_f1:.4f} "
-              f"macro_f1={report.macro_f1:.4f} accuracy={report.accuracy:.4f}")
-    if cfg.output_dir:
-        print(f"outputs in {cfg.output_dir}")
-    return 0
-
-
-def _cmd_baseline(args) -> int:
-    cfg = _apply_overrides(load_config(args.config), args)
-    log = baseline_fedavg_latefusion(cfg, parallel=args.parallel)
+    log = entry(cfg, parallel=args.parallel)
     for mode in cfg.inference_modes:
         report = log.final_eval(mode)
         print(f"final {mode}: micro_f1={report.micro_f1:.4f} "
@@ -255,8 +240,8 @@ def _cmd_report(args) -> int:
 
 _COMMANDS = {
     "gen-data": _cmd_gen_data,
-    "run": _cmd_run,
-    "baseline": _cmd_baseline,
+    "run": _cmd_train,
+    "baseline": _cmd_train,
     "ablate": _cmd_ablate,
     "report": _cmd_report,
 }

@@ -1,7 +1,8 @@
 """Experiment configuration: JSON schema, parsing, and validation.
 
 Config files use exactly the field names below; unknown keys are rejected
-so typos fail fast instead of silently falling back to defaults. The
+so typos fail fast instead of silently falling back to defaults, and so is
+a value of the wrong JSON type, which would otherwise fail deep in a run. The
 experiment seed drives model initialization and the per-client streams;
 the dataset seed defaults to it when left unset.
 """
@@ -96,13 +97,48 @@ class ExperimentConfig:
                 )
 
 
-def _build_section(cls, payload: dict, section: str):
+# JSON types a field takes, by its annotation: an integer where a float is
+# expected, never a boolean for a number or a number for a boolean
+_JSON_TYPES = {
+    "int": int,
+    "float": (int, float),
+    "str": str,
+    "bool": bool,
+    "int | None": (int, type(None)),
+    "str | None": (str, type(None)),
+}
+_JSON_LISTS = {"tuple[int, ...]": "int", "tuple[str, ...]": "str"}
+
+
+def _wrong_json_type(annotation: str, value) -> bool:
+    """Whether a JSON ``value`` cannot fill a field annotated ``annotation``."""
+    if annotation in _JSON_LISTS:
+        return not isinstance(value, (list, tuple)) or any(
+            _wrong_json_type(_JSON_LISTS[annotation], v) for v in value
+        )
+    kinds = _JSON_TYPES.get(annotation)
+    if kinds is None:  # a nested section, built on its own
+        return False
+    return isinstance(value, bool) != (kinds is bool) or not isinstance(value, kinds)
+
+
+def _build_section(cls, payload, section: str):
+    """``cls`` from one JSON object; an unknown key or a value of the wrong
+    JSON type raises ConfigError naming the section and the key."""
+    if not isinstance(payload, dict):
+        raise ConfigError(f"{section} section must be a JSON object")
     allowed = {f.name for f in dataclasses.fields(cls)}
     unknown = set(payload) - allowed
     if unknown:
         raise ConfigError(
             f"unknown {section} key(s): {', '.join(sorted(unknown))}"
         )
+    for f in dataclasses.fields(cls):
+        if f.name in payload and _wrong_json_type(f.type, payload[f.name]):
+            raise ConfigError(
+                f"{section} key {f.name!r} is {json.dumps(payload[f.name])}, "
+                f"expected {f.type}"
+            )
     try:
         return cls(**payload)
     except (ValidationError, TypeError) as exc:
@@ -113,20 +149,10 @@ def config_from_dict(payload: dict) -> ExperimentConfig:
     if not isinstance(payload, dict):
         raise ConfigError("config root must be a JSON object")
     payload = dict(payload)
-    allowed = {f.name for f in dataclasses.fields(ExperimentConfig)}
-    unknown = set(payload) - allowed
-    if unknown:
-        raise ConfigError(f"unknown config key(s): {', '.join(sorted(unknown))}")
-    if "dataset" in payload:
-        payload["dataset"] = _build_section(DatasetSpec, payload["dataset"], "dataset")
-    if "scenario" in payload:
-        payload["scenario"] = _build_section(
-            ScenarioSpec, payload["scenario"], "scenario"
-        )
-    try:
-        cfg = ExperimentConfig(**payload)
-    except (ValidationError, TypeError) as exc:
-        raise ConfigError(f"invalid config: {exc}") from None
+    for key, cls in (("dataset", DatasetSpec), ("scenario", ScenarioSpec)):
+        if key in payload:
+            payload[key] = _build_section(cls, payload[key], key)
+    cfg = _build_section(ExperimentConfig, payload, "config")
     cfg.validate()
     return cfg
 

@@ -360,11 +360,12 @@ def _bad_label(
 def save_shard(shard: Shard, path, n_labels: int | None = None) -> None:
     """Write the binary shard format (see :func:`load_shard`).
 
-    ``n_labels`` is the header's label count; it defaults to the label
-    columns stored. A multi-label shard stores one column per label, so an
-    ``n_labels`` that differs from its column count raises ValidationError,
-    as does a label :func:`load_shard` would reject, so no file is written
-    that cannot be read back.
+    ``n_labels`` is the header's label count. It defaults to the label
+    columns stored for a multi-label shard and to the largest class id plus
+    one for a single-label shard (1 when it is empty). A multi-label shard
+    stores one column per label, so an ``n_labels`` that differs from its
+    column count raises ValidationError, as does a label :func:`load_shard`
+    would reject, so no file is written that cannot be read back.
     """
     if shard.task_kind == "multi-label":
         n_label_cols = shard.labels.shape[1]
@@ -373,13 +374,17 @@ def save_shard(shard: Shard, path, n_labels: int | None = None) -> None:
             raise ValidationError(
                 f"multi-label shard has {n_label_cols} label columns, n_labels={n_labels}"
             )
+        default_labels = n_label_cols
     else:
         n_label_cols = 1
         lab = shard.labels[:, None].astype(np.float64)
-    declared_labels = n_labels if n_labels is not None else n_label_cols
+        default_labels = int(shard.labels.max()) + 1 if shard.n else 1
+    declared_labels = n_labels if n_labels is not None else default_labels
     bad = _bad_label(lab, shard.task_kind, declared_labels)
     if bad is not None:
         raise ValidationError(bad[2])
+    if not 0 <= declared_labels < 2**32:
+        raise ValidationError(f"label count {declared_labels} does not fit the u32 header")
     header = SHARD_MAGIC + struct.pack(
         "<HHBIII",
         SHARD_VERSION,

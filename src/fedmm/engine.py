@@ -5,10 +5,11 @@ client's local update, aggregate per-modality encoders and the shared head,
 then optionally evaluate. Local updates run serially, or with
 ``parallel=True`` in one worker per usable CPU (never more than there are
 clients; inline when that is one or when the platform has no ``os.fork``).
-Workers are processes: each round forks one child per group of clients
-but one, and this process updates the last group itself. A child pickles
-back each client's upload and every piece of client state the update
-changed (parameters, Adam moments and step count, whitening running
+Workers are processes: each round deals the clients by stride, worker g
+taking ``clients[g::workers]``, forks one child per group but the last,
+and updates the last group itself. A child pickles back each client's
+upload, which carries its parameters, and every other piece of client
+state the update changed (Adam moments and step count, whitening running
 statistics, RNG state), which the parent writes into its own clients, so
 they stay authoritative between rounds. While the workers run, the BLAS
 numpy loaded is capped to one thread, so workers times BLAS threads stay
@@ -413,41 +414,14 @@ def _update(
         raise
 
 
-def _local_steps(client: ClientState, cfg: ExperimentConfig) -> int:
-    """Adam steps one local update takes (:func:`fedmm.data.batches` drops a
-    one-row trailing batch)."""
-    full, tail = divmod(client.shard.n, cfg.batch_size)
-    return cfg.local_epochs * (full + (tail >= 2))
-
-
-def _balanced_groups(
-    clients: list[ClientState], n_groups: int, cfg: ExperimentConfig
-) -> list[list[ClientState]]:
-    """Deal the clients into ``n_groups`` groups of near-equal local steps.
-
-    Longest update first, each to the group with the fewest steps so far
-    (then the fewest clients, then the lowest index), so the split depends
-    only on the shard sizes and the config. The lightest group comes last.
-    """
-    groups: list[list[ClientState]] = [[] for _ in range(n_groups)]
-    steps = [0] * n_groups
-    work = sorted(((_local_steps(c, cfg), c) for c in clients), key=lambda w: -w[0])
-    for client_steps, client in work:
-        g = min(range(n_groups), key=lambda i: (steps[i], len(groups[i]), i))
-        groups[g].append(client)
-        steps[g] += client_steps
-    order = sorted(range(n_groups), key=lambda i: (-steps[i], i))
-    return [groups[i] for i in order]
-
-
 def _whitening_states(client: ClientState) -> list[WhiteningState]:
     return [s.whitening for s in client.encoder.stages() if s.whitening is not None]
 
 
 def _local_state(client: ClientState) -> tuple:
-    """Everything :func:`client_update` changes on ``client``, as plain data."""
+    """Everything :func:`client_update` changes on ``client`` besides its
+    parameters (which its :class:`ClientUpdate` carries), as plain data."""
     return (
-        client.params,
         client.adam.first_moment,
         client.adam.second_moment,
         client.adam.step_count,
@@ -456,11 +430,13 @@ def _local_state(client: ClientState) -> tuple:
     )
 
 
-def _restore_local_state(client: ClientState, state: tuple) -> None:
-    """Write a :func:`_local_state` taken elsewhere into ``client``'s own
-    arrays; the parameter buffer is written through, never rebound."""
-    params, first, second, step_count, whitening, rng_state = state
-    client.params[...] = params
+def _restore_local_state(client: ClientState, update: ClientUpdate, state: tuple) -> None:
+    """Write an update and a :func:`_local_state` taken elsewhere into
+    ``client``'s own arrays; the parameter buffers are written through,
+    never rebound."""
+    first, second, step_count, whitening, rng_state = state
+    client.encoder.params[...] = update.encoder_flat
+    client.head.params[...] = update.head_flat
     client.adam.first_moment[...] = first
     client.adam.second_moment[...] = second
     client.adam.step_count = step_count
@@ -538,7 +514,7 @@ def _forked_updates(
             if isinstance(outcome, Exception):
                 raise outcome
             for client, (update, state) in zip(group, outcome):
-                _restore_local_state(client, state)
+                _restore_local_state(client, update, state)
                 updates[client.client_id] = update
         return updates
     finally:
@@ -559,15 +535,16 @@ def _run_updates(
 
     With ``parallel``, one worker per usable CPU runs them, but no more
     workers than clients; with one worker, or where the platform has no
-    ``os.fork``, they run inline. Workers are forked processes, each
-    updating a group of clients balanced by local steps (this process runs
-    one group), with numpy's BLAS capped to one thread.
+    ``os.fork``, they run inline. Workers are forked processes; worker g
+    updates ``clients[g::workers]`` (this process runs the last, smallest
+    group), with numpy's BLAS capped to one thread.
     """
     workers = min(_usable_cpus(), len(clients)) if parallel and hasattr(os, "fork") else 1
     if workers <= 1:
         return [_update(c, model, cfg, loss_cfg) for c in clients]
     with _single_threaded_blas():
-        updates = _forked_updates(_balanced_groups(clients, workers, cfg), model, cfg, loss_cfg)
+        groups = [clients[g::workers] for g in range(workers)]
+        updates = _forked_updates(groups, model, cfg, loss_cfg)
     return [updates[c.client_id] for c in clients]
 
 

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from fedmm.cli import main, summarize_log
 from fedmm.data import load_shard
 from fedmm.engine import CSV_COLUMNS
@@ -56,6 +58,16 @@ class TestExitCodes:
     def test_invalid_config_value(self, tmp_path, capsys):
         path = write_config(tmp_path, batch_size=1)
         assert main(["run", "--config", str(path)]) == 2
+
+    @pytest.mark.parametrize(
+        "override,named",
+        [({"dataset": 5}, "dataset"), ({"k_clients": "4"}, "k_clients")],
+        ids=["section-not-object", "string-for-int"],
+    )
+    def test_wrong_json_type_is_a_config_error(self, tmp_path, capsys, override, named):
+        path = write_config(tmp_path, **override)
+        assert main(["run", "--config", str(path)]) == 2
+        assert named in capsys.readouterr().err
 
 
 class TestRun:
@@ -169,6 +181,20 @@ class TestGenData:
             )
             == 0
         )
+
+    @pytest.mark.parametrize(
+        "spec,named",
+        [
+            ({"dataset": 5}, "dataset"),
+            ({"dataset": {"seed": 1}, "scenario": {"kind": "iid"}, "k_clients": "4"}, "k_clients"),
+        ],
+        ids=["section-not-object", "string-for-int"],
+    )
+    def test_gen_data_wrong_json_type_is_a_config_error(self, tmp_path, capsys, spec, named):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec))
+        assert main(["gen-data", "--spec", str(spec_path), "--out", str(tmp_path / "d")]) == 2
+        assert named in capsys.readouterr().err
 
     def test_gen_data_rejects_unknown_keys(self, tmp_path, capsys):
         spec_path = tmp_path / "spec.json"

@@ -219,6 +219,36 @@ class TestShardFiles:
         save_shard(ds.train[1], path, n_labels=3)
         assert shards_equal(load_shard(path), ds.train[1])
 
+    @pytest.mark.parametrize("labels,declared", [([0, 2, 1], 3), ([], 1)])
+    def test_single_label_count_defaults_to_largest_id_plus_one(
+        self, tmp_path, labels, declared
+    ):
+        shard = Shard(
+            modality_id=0,
+            task_kind="single-label",
+            geo_keys=np.arange(len(labels)),
+            features=np.zeros((len(labels), 2)),
+            labels=labels,
+        )
+        path = tmp_path / "single.shard"
+        save_shard(shard, path)
+        assert shards_equal(load_shard(path), shard)
+        # the header's label count is its last u32
+        assert int.from_bytes(path.read_bytes()[17:21], "little") == declared
+
+    def test_label_count_beyond_the_header_is_not_saved(self, tmp_path):
+        shard = Shard(
+            modality_id=0,
+            task_kind="single-label",
+            geo_keys=np.arange(1),
+            features=np.zeros((1, 2)),
+            labels=[2**32],  # the default count, 2**32 + 1, needs more than a u32
+        )
+        path = tmp_path / "big.shard"
+        with pytest.raises(ValidationError, match="u32"):
+            save_shard(shard, path)
+        assert not path.exists()
+
     def test_empty_shard_roundtrip(self, tmp_path):
         empty = Shard(
             modality_id=0,

@@ -423,13 +423,21 @@ class TestClientPool:
         # this process runs one group itself and forks one child per other
         assert len(forks) == max(min(cpus, 4) - 1, 0)
 
-    @pytest.mark.parametrize("cpus", [2, 3])
-    def test_client_state_matches_serial_bitwise(self, monkeypatch, cpus):
+    @pytest.mark.parametrize(
+        "cpus,kind",
+        [
+            pytest.param(2, "iid", id="2"),
+            pytest.param(3, "iid", id="3"),
+            # modality-0 clients take 2 local steps, modality-1 clients 4
+            pytest.param(2, "missing-A", id="2-missing-A"),
+        ],
+    )
+    def test_client_state_matches_serial_bitwise(self, monkeypatch, cpus, kind):
         # everything a local update changes must come back from the workers:
         # parameters, Adam moments and step count, whitening running
         # statistics and the RNG stream, checked after a second round that
         # builds on the first
-        cfg = tiny_cfg(use_fw=True, use_mim=True, k_clients=5)
+        cfg = tiny_cfg(use_fw=True, use_mim=True, k_clients=5, scenario=ScenarioSpec(kind=kind))
         usable_cpus(monkeypatch, cpus)
         runs = []
         for parallel in (False, True):
@@ -438,6 +446,23 @@ class TestClientPool:
                 model, _ = run_round(model, clients, cfg, loss_cfg, parallel=parallel)
             runs.append((flatten_params(model).tobytes(), [client_state(c) for c in clients]))
         assert runs[0] == runs[1]
+
+    def test_local_state_leaves_the_parameters_to_the_update(self):
+        # a worker's parameters travel once, inside its ClientUpdate
+        cfg = tiny_cfg(use_fw=True)
+        _, model, clients, loss_cfg = _setup(cfg)
+        client_update(clients[0], model, cfg, loss_cfg)
+
+        def arrays(value):
+            if isinstance(value, np.ndarray):
+                yield value
+            elif isinstance(value, (tuple, list)):
+                for item in value:
+                    yield from arrays(item)
+
+        state = list(arrays(engine._local_state(clients[0])))
+        assert state  # the Adam moments and whitening statistics
+        assert not any(np.shares_memory(a, clients[0].params) for a in state)
 
     @pytest.mark.parametrize("where", ["child", "parent"])
     def test_failed_worker_is_reaped(self, monkeypatch, where):
