@@ -19,7 +19,7 @@ import json
 import sys
 from pathlib import Path
 
-from .config import _build_section, _wrong_json_type, load_config
+from .config import _build_section, _check_client_count, _wrong_json_type, load_config
 from .data import (
     SCENARIO_KINDS,
     DatasetSpec,
@@ -64,9 +64,11 @@ def _build_parser() -> argparse.ArgumentParser:
                 "--parallel",
                 action="store_true",
                 help=(
-                    "run clients in forked worker processes, one per usable CPU "
-                    "(at most one per client), with numpy's BLAS capped to one "
-                    "thread while they run; same results as serial"
+                    "run clients in worker processes forked once per run, one "
+                    "per usable CPU (at most one per client), that keep their "
+                    "clients' state in memory shared with this process, with "
+                    "numpy's BLAS capped to one thread from the first round "
+                    "to the last; same results as serial"
                 ),
             )
         if name == "ablate":
@@ -105,6 +107,8 @@ def _load_gen_spec(path: str, seed_override: int | None):
         raise ConfigError("spec with a scenario section also needs k_clients")
     if _wrong_json_type("int | None", k_clients):
         raise ConfigError(f"spec key 'k_clients' is {json.dumps(k_clients)}, expected int")
+    if scenario is not None:
+        _check_client_count(k_clients, dataset.n_modalities)
     if seed_override is not None:
         dataset = dataclasses.replace(dataset, seed=seed_override)
     if dataset.seed is None:

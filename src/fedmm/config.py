@@ -55,8 +55,7 @@ class ExperimentConfig:
 
     def validate(self) -> None:
         p = self.dataset.n_modalities
-        if self.k_clients < p:
-            raise ConfigError(f"k_clients={self.k_clients} below modality count {p}")
+        _check_client_count(self.k_clients, p)
         if self.rounds < 0 or self.local_epochs < 0:
             raise ConfigError("rounds and local_epochs must be non-negative")
         if self.batch_size < 2:
@@ -95,6 +94,12 @@ class ExperimentConfig:
                     f"scenario {self.scenario.kind!r} needs n_groups >= "
                     f"{max(counts)}, have {self.dataset.n_groups}"
                 )
+
+
+def _check_client_count(k_clients: int, n_modalities: int) -> None:
+    """Every modality needs at least one client."""
+    if k_clients < n_modalities:
+        raise ConfigError(f"k_clients={k_clients} below modality count {n_modalities}")
 
 
 # JSON types a field takes, by its annotation: an integer where a float is

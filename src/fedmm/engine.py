@@ -5,19 +5,23 @@ client's local update, aggregate per-modality encoders and the shared head,
 then optionally evaluate. Local updates run serially, or with
 ``parallel=True`` in one worker per usable CPU (never more than there are
 clients; inline when that is one or when the platform has no ``os.fork``).
-Workers are processes: each round deals the clients by stride, worker g
-taking ``clients[g::workers]``, forks one child per group but the last,
-and updates the last group itself. A child pickles back each client's
-upload, which carries its parameters, and every other piece of client
-state the update changed (Adam moments and step count, whitening running
-statistics, RNG state), which the parent writes into its own clients, so
-they stay authoritative between rounds. While the workers run, the BLAS
+Workers are processes that :func:`run_experiment` and the baseline fork
+once, at the first round, and keep until the last (:class:`_ClientPool`;
+a direct ``run_round(..., parallel=True)`` call forks them for that round
+alone): worker g keeps ``clients[g::workers]``, and this process updates
+the last group itself. The arrays a local update writes (parameters, Adam
+moments, whitening running statistics) live in memory the workers share
+with this process, so this process's clients stay authoritative between
+rounds. A round sends each worker the global parameters and takes back
+only scalars per client (losses, sample count, Adam step count, whether
+the whitening statistics are ready, RNG state). From the first fork until
+every worker is reaped, evaluation between rounds included, the BLAS
 numpy loaded is capped to one thread, so workers times BLAS threads stay
-within the usable cores. Results are identical either way because each
-client owns its state and RNG stream and the global snapshot is read-only.
-A failed local update re-raises its exception, in the parent too, with
-``round r: client k:`` prepended to the message; a worker that dies
-without reporting raises ChildProcessError naming the round.
+within the usable cores. Results are identical either way because each client owns
+its state and RNG stream and the global snapshot is read-only. A failed
+local update re-raises its exception, in the parent too, with ``round r:
+client k:`` prepended to the message; a worker that dies without
+reporting raises ChildProcessError naming the round.
 
 Aggregation accumulates client deltas around the broadcast reference in
 ascending client-id order, which makes "all clients returned the broadcast
@@ -42,12 +46,13 @@ import ctypes
 import dataclasses
 import functools
 import json
+import mmap
 import os
 import pickle
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import BinaryIO
+from typing import BinaryIO, NoReturn
 
 import numpy as np
 
@@ -61,6 +66,7 @@ from .models import (
     GlobalModelSet,
     TaskHead,
     assign_params,
+    bind_params,
     build_encoder,
     copy_part,
     encode,
@@ -150,7 +156,9 @@ class ClientState:
 
     ``params`` is the client's own vector laid out as [encoder | head];
     ``encoder.params`` and ``head.params`` are its two slices (``make_client``
-    binds them), and ``client_update`` writes into it in place.
+    binds them), and ``client_update`` writes into it in place. A worker
+    pool moves it, the Adam moments and the whitening running statistics
+    into shared memory (:func:`_share`).
     """
 
     client_id: int
@@ -418,110 +426,248 @@ def _whitening_states(client: ClientState) -> list[WhiteningState]:
     return [s.whitening for s in client.encoder.stages() if s.whitening is not None]
 
 
-def _local_state(client: ClientState) -> tuple:
-    """Everything :func:`client_update` changes on ``client`` besides its
-    parameters (which its :class:`ClientUpdate` carries), as plain data."""
+def _share(client: ClientState) -> None:
+    """Move the arrays :func:`client_update` writes into one anonymous
+    shared mapping: the parameter vector, the Adam moments and the
+    whitening running statistics. A worker forked afterwards writes them
+    for this process too. Values are copied and every reference the client
+    holds is rebound, so the client reads as before."""
+    owners = [(client.adam, "first_moment"), (client.adam, "second_moment")]
+    for w in _whitening_states(client):
+        owners += [(w, "running_mean"), (w, "running_cov")]
+    arrays = [client.params] + [getattr(owner, name) for owner, name in owners]
+    size = sum(a.size for a in arrays)
+    arena = np.frombuffer(mmap.mmap(-1, 8 * size), dtype=np.float64)
+    views = []
+    cursor = 0
+    for a in arrays:
+        view = arena[cursor : cursor + a.size].reshape(a.shape)
+        view[...] = a
+        views.append(view)
+        cursor += a.size
+    params, *rest = views
+    for (owner, name), view in zip(owners, rest):
+        setattr(owner, name, view)
+    n_enc = client.encoder.params.size
+    bind_params(client.encoder, params[:n_enc])
+    bind_params(client.head, params[n_enc:])
+    client.params = params
+
+
+def _report(client: ClientState, update: ClientUpdate) -> tuple:
+    """What a worker sends back for one updated client: the scalars of the
+    update and of the client's state. The arrays it wrote are shared."""
     return (
-        client.adam.first_moment,
-        client.adam.second_moment,
+        update.n_samples,
+        update.mean_ce,
+        update.mean_ntx,
         client.adam.step_count,
-        [(w.running_mean, w.running_cov, w.stats_ready) for w in _whitening_states(client)],
+        [w.stats_ready for w in _whitening_states(client)],
         client.rng.bit_generator.state,
     )
 
 
-def _restore_local_state(client: ClientState, update: ClientUpdate, state: tuple) -> None:
-    """Write an update and a :func:`_local_state` taken elsewhere into
-    ``client``'s own arrays; the parameter buffers are written through,
-    never rebound."""
-    first, second, step_count, whitening, rng_state = state
-    client.encoder.params[...] = update.encoder_flat
-    client.head.params[...] = update.head_flat
-    client.adam.first_moment[...] = first
-    client.adam.second_moment[...] = second
+def _take_report(client: ClientState, report: tuple) -> ClientUpdate:
+    """Write a worker's :func:`_report` into ``client`` and build the
+    client's upload from its shared parameter vector."""
+    n_samples, mean_ce, mean_ntx, step_count, ready, rng_state = report
     client.adam.step_count = step_count
-    for w, (mean, cov, ready) in zip(_whitening_states(client), whitening):
-        w.running_mean, w.running_cov, w.stats_ready = mean, cov, ready
+    for w, stats_ready in zip(_whitening_states(client), ready):
+        w.stats_ready = stats_ready
     client.rng.bit_generator.state = rng_state
+    return ClientUpdate(
+        client_id=client.client_id,
+        modality_id=client.encoder.modality_id,
+        encoder_flat=flatten_params(client.encoder),
+        head_flat=flatten_params(client.head),
+        n_samples=n_samples,
+        mean_ce=mean_ce,
+        mean_ntx=mean_ntx,
+    )
 
 
-def _fork_worker(
-    group: list[ClientState],
-    model: GlobalModelSet,
-    cfg: ExperimentConfig,
-    loss_cfg: LossConfig,
-) -> tuple[int, BinaryIO]:
-    """Fork a child that updates ``group`` and pickles, per client, the
-    :class:`ClientUpdate` and :func:`_local_state` (or the first failure)
-    into a pipe, after an 8-byte length. Returns the child's pid and the
-    pipe's read end.
+def _send(out: BinaryIO, value) -> None:
+    """Write ``value`` pickled, after its 8-byte length, and flush."""
+    payload = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
+    out.write(len(payload).to_bytes(8, "little"))
+    out.write(payload)
+    out.flush()
 
-    Fork rather than spawn: the child needs this process's clients, shards
-    and model as they are, which a spawned worker would have to be sent
-    every round. fedmm starts no threads of its own, and OpenBLAS's are
-    idle under the one-thread cap the caller holds.
+
+def _receive(src: BinaryIO):
+    """The next value :func:`_send` wrote; EOFError when the writer closed
+    before a whole one."""
+    head = src.read(8)
+    if len(head) < 8:
+        raise EOFError
+    size = int.from_bytes(head, "little")
+    payload = src.read(size)
+    if len(payload) < size:
+        raise EOFError
+    return pickle.loads(payload)  # written by this program's own processes
+
+
+@dataclass
+class _Worker:
+    pid: int | None  # None once reaped
+    requests: BinaryIO  # write end of the pipe the worker reads rounds from
+    reports: BinaryIO  # read end of the pipe the worker answers on
+
+
+class _ClientPool:
+    """Forked workers that keep their clients from the first round to close.
+
+    ``federations`` are (global model, clients) pairs that train side by
+    side: one for a framework run, one per modality for the late-fusion
+    baseline. A federation of n clients is dealt by stride into
+    ``k = min(workers, n)`` groups, group g being ``clients[g::k]``; worker
+    g updates group g every round and this process the last group. Every
+    client's written arrays live in shared memory (:func:`_share`), so a
+    round sends a worker only the global parameters and gets back only
+    scalars (:func:`_report`).
+
+    Fork rather than spawn: a worker needs this process's clients, shards
+    and models as they are, which a spawned worker would have to be sent.
+    fedmm starts no threads of its own; the caller caps numpy's BLAS to
+    one thread before the pool forks and until it closes.
     """
-    read_fd, write_fd = os.pipe()
-    pid = os.fork()
-    if pid:
-        os.close(write_fd)
-        return pid, os.fdopen(read_fd, "rb")
-    status = 1
-    try:
-        os.close(read_fd)
+
+    def __init__(self, federations, workers: int, cfg: ExperimentConfig, loss_cfg: LossConfig):
+        self._cfg, self._loss_cfg = cfg, loss_cfg
+        self._federations = {}  # first client id -> (model, groups)
+        for model, clients in federations:
+            k = min(workers, len(clients))
+            self._federations[clients[0].client_id] = (
+                model,
+                [clients[g::k] for g in range(k)],
+            )
+            for client in clients:
+                _share(client)
+        self._workers: list[_Worker] = []
         try:
-            outcome = [(_update(c, model, cfg, loss_cfg), _local_state(c)) for c in group]
-        except Exception as exc:  # reported to the parent, which re-raises it
-            outcome = exc
-        payload = pickle.dumps(outcome, protocol=pickle.HIGHEST_PROTOCOL)
-        with os.fdopen(write_fd, "wb") as out:
-            out.write(len(payload).to_bytes(8, "little"))
-            out.write(payload)
-        status = 0
-    finally:
-        os._exit(status)
+            for g in range(workers - 1):
+                self._fork(g)
+        except BaseException:
+            self.close()
+            raise
 
+    def _fork(self, g: int) -> None:
+        request_r, request_w = os.pipe()
+        report_r, report_w = os.pipe()
+        pid = os.fork()
+        if pid:
+            os.close(request_r)
+            os.close(report_w)
+            self._workers.append(
+                _Worker(pid, os.fdopen(request_w, "wb"), os.fdopen(report_r, "rb"))
+            )
+            return
+        status = 1
+        try:
+            os.close(request_w)
+            os.close(report_r)
+            # hold no other worker's pipe ends, so that this process closing
+            # them reaches that worker (EOF, broken pipe) whatever it sends
+            for other in self._workers:
+                other.requests.close()
+                other.reports.close()
+            with os.fdopen(request_r, "rb") as requests, os.fdopen(report_w, "wb") as reports:
+                self._serve(g, requests, reports)
+            status = 0
+        finally:
+            os._exit(status)
 
-def _forked_updates(
-    groups: list[list[ClientState]],
-    model: GlobalModelSet,
-    cfg: ExperimentConfig,
-    loss_cfg: LossConfig,
-) -> dict[int, ClientUpdate]:
-    """Updates of every group by client id: one forked child per group but
-    the last, which this process runs itself. Each child's clients take
-    back the state it reports, so the caller's clients end the round as a
-    serial round would leave them. Every child is reaped, also on failure;
-    a complete report is used before its child is reaped, which overlaps the
-    child's exit with the parent's work."""
-    children: list[tuple[list[ClientState], int, BinaryIO]] = []
-    reaped: set[int] = set()
-    try:
-        for group in groups[:-1]:
-            children.append((group, *_fork_worker(group, model, cfg, loss_cfg)))
-        updates = {c.client_id: _update(c, model, cfg, loss_cfg) for c in groups[-1]}
-        for group, pid, reader in children:
-            data = reader.read()
-            if len(data) < 8 or len(data) != 8 + int.from_bytes(data[:8], "little"):
-                _, status = os.waitpid(pid, 0)
-                reaped.add(pid)
-                raise ChildProcessError(
-                    f"round {model.round + 1}: the worker updating clients "
-                    f"{[c.client_id for c in group]} exited with status "
-                    f"{os.waitstatus_to_exitcode(status)} without reporting"
-                )
-            outcome = pickle.loads(memoryview(data)[8:])  # written by our own child
+    def _serve(self, g: int, requests: BinaryIO, reports: BinaryIO) -> None:
+        """Worker g: per request, write the global parameters into this
+        process's copy of the federation's model, update group g and send
+        one report per client, or the first failure; return at EOF."""
+        while True:
+            try:
+                key, round_done, buffers = _receive(requests)
+            except EOFError:
+                return
+            model, groups = self._federations[key]
+            model.round = round_done
+            for part, buffer in zip(model.encoders + [model.head], buffers):
+                part.params[...] = buffer
+            try:
+                outcome = [
+                    _report(c, _update(c, model, self._cfg, self._loss_cfg)) for c in groups[g]
+                ]
+            except Exception as exc:  # sent to the parent, which re-raises it
+                outcome = exc
+            _send(reports, outcome)
+
+    def updates(self, model: GlobalModelSet, clients: list[ClientState]) -> list[ClientUpdate]:
+        """Every client's update this round, in client order; ``clients``
+        must be one of the pool's federations and ``model`` its global
+        model. A worker that dies raises ChildProcessError naming the
+        round and its clients."""
+        key = clients[0].client_id
+        *worker_groups, own = self._federations[key][1]
+        workers = self._workers[: len(worker_groups)]
+        buffers = [part.params for part in model.encoders + [model.head]]
+        for worker, group in zip(workers, worker_groups):
+            try:
+                _send(worker.requests, (key, model.round, buffers))
+            except BrokenPipeError:
+                self._died(worker, model, group)
+        updates = {c.client_id: _update(c, model, self._cfg, self._loss_cfg) for c in own}
+        for worker, group in zip(workers, worker_groups):
+            try:
+                outcome = _receive(worker.reports)
+            except EOFError:
+                self._died(worker, model, group)
             if isinstance(outcome, Exception):
                 raise outcome
-            for client, (update, state) in zip(group, outcome):
-                _restore_local_state(client, update, state)
-                updates[client.client_id] = update
-        return updates
-    finally:
-        for _, pid, reader in children:
-            reader.close()  # a child still writing gets a broken pipe and exits
-            if pid not in reaped:
-                os.waitpid(pid, 0)
+            for client, report in zip(group, outcome):
+                updates[client.client_id] = _take_report(client, report)
+        return [updates[c.client_id] for c in clients]
+
+    def _died(self, worker: _Worker, model: GlobalModelSet, group: list[ClientState]) -> NoReturn:
+        _, status = os.waitpid(worker.pid, 0)
+        worker.pid = None
+        raise ChildProcessError(
+            f"round {model.round + 1}: the worker updating clients "
+            f"{[c.client_id for c in group]} exited with status "
+            f"{os.waitstatus_to_exitcode(status)} without reporting"
+        )
+
+    def close(self) -> None:
+        """End every worker and reap it. A worker waiting for a round sees
+        EOF; one still sending gets a broken pipe; either exits."""
+        for worker in self._workers:
+            worker.reports.close()
+            with contextlib.suppress(BrokenPipeError):  # the rest of a failed send
+                worker.requests.close()
+        for worker in self._workers:
+            if worker.pid is not None:
+                os.waitpid(worker.pid, 0)
+                worker.pid = None
+
+
+@contextlib.contextmanager
+def _client_pool(federations, cfg: ExperimentConfig, loss_cfg: LossConfig, parallel: bool):
+    """An open :class:`_ClientPool` over ``federations``, or None.
+
+    With ``parallel`` the pool has one worker per usable CPU, but no more
+    than the largest federation has clients; with one worker, or where the
+    platform has no ``os.fork``, there is no pool (None) and clients run
+    inline. numpy's BLAS is capped to one thread from before the first
+    fork until every worker is reaped, evaluation between rounds included.
+    """
+    workers = 1
+    if parallel and hasattr(os, "fork"):
+        workers = min(_usable_cpus(), max(len(clients) for _, clients in federations))
+    if workers <= 1:
+        yield None
+        return
+    with _single_threaded_blas():
+        pool = _ClientPool(federations, workers, cfg, loss_cfg)
+        try:
+            yield pool
+        finally:
+            pool.close()
 
 
 def _run_updates(
@@ -530,22 +676,20 @@ def _run_updates(
     cfg: ExperimentConfig,
     loss_cfg: LossConfig,
     parallel: bool,
+    pool: _ClientPool | None = None,
 ) -> list[ClientUpdate]:
     """Every client's local update, in client order.
 
-    With ``parallel``, one worker per usable CPU runs them, but no more
-    workers than clients; with one worker, or where the platform has no
-    ``os.fork``, they run inline. Workers are forked processes; worker g
-    updates ``clients[g::workers]`` (this process runs the last, smallest
-    group), with numpy's BLAS capped to one thread.
+    Through ``pool`` when one is open; otherwise with ``parallel`` through
+    a pool opened for this call alone (see :func:`_client_pool`), and
+    inline when that has one worker or ``parallel`` is off.
     """
-    workers = min(_usable_cpus(), len(clients)) if parallel and hasattr(os, "fork") else 1
-    if workers <= 1:
-        return [_update(c, model, cfg, loss_cfg) for c in clients]
-    with _single_threaded_blas():
-        groups = [clients[g::workers] for g in range(workers)]
-        updates = _forked_updates(groups, model, cfg, loss_cfg)
-    return [updates[c.client_id] for c in clients]
+    if pool is not None:
+        return pool.updates(model, clients)
+    with _client_pool([(model, clients)], cfg, loss_cfg, parallel) as pool:
+        if pool is None:
+            return [_update(c, model, cfg, loss_cfg) for c in clients]
+        return pool.updates(model, clients)
 
 
 def run_round(
@@ -554,9 +698,12 @@ def run_round(
     cfg: ExperimentConfig,
     loss_cfg: LossConfig,
     parallel: bool = False,
+    pool: _ClientPool | None = None,
 ) -> tuple[GlobalModelSet, RoundLog]:
+    """One round: local updates (through ``pool`` when the caller holds
+    one open, see :func:`_run_updates`), aggregation and the round log."""
     started = time.perf_counter()
-    updates = _run_updates(clients, model, cfg, loss_cfg, parallel)
+    updates = _run_updates(clients, model, cfg, loss_cfg, parallel, pool)
     new_model = aggregate(updates, model)
     payload = sum(u.encoder_flat.size + u.head_flat.size for u in updates)
     log = RoundLog(
@@ -586,13 +733,14 @@ def run_experiment(cfg: ExperimentConfig, parallel: bool = False) -> ExperimentL
     ]
     initial = {mode: evaluate(model, dataset.test, mode) for mode in cfg.inference_modes}
     rounds: list[RoundLog] = []
-    for r in range(1, cfg.rounds + 1):
-        model, rlog = run_round(model, clients, cfg, loss_cfg, parallel)
-        if r % cfg.eval_every == 0 or r == cfg.rounds:
-            rlog.evals = {
-                mode: evaluate(model, dataset.test, mode) for mode in cfg.inference_modes
-            }
-        rounds.append(rlog)
+    with _client_pool([(model, clients)], cfg, loss_cfg, parallel and cfg.rounds > 0) as pool:
+        for r in range(1, cfg.rounds + 1):
+            model, rlog = run_round(model, clients, cfg, loss_cfg, parallel, pool)
+            if r % cfg.eval_every == 0 or r == cfg.rounds:
+                rlog.evals = {
+                    mode: evaluate(model, dataset.test, mode) for mode in cfg.inference_modes
+                }
+            rounds.append(rlog)
     log = ExperimentLog(config=cfg, initial_evals=initial, rounds=rounds, model=model)
     if cfg.output_dir:
         write_outputs(log, cfg.output_dir)
@@ -654,26 +802,28 @@ def baseline_fedavg_latefusion(
         for mode in cfg.inference_modes
     }
     rounds: list[RoundLog] = []
-    for r in range(1, cfg.rounds + 1):
-        logs = []
-        for m in range(p):
-            submodels[m], mlog = run_round(
-                submodels[m], clients_by_modality[m], cfg, loss_cfg, parallel
+    federations = list(zip(submodels, clients_by_modality))
+    with _client_pool(federations, cfg, loss_cfg, parallel and cfg.rounds > 0) as pool:
+        for r in range(1, cfg.rounds + 1):
+            logs = []
+            for m in range(p):
+                submodels[m], mlog = run_round(
+                    submodels[m], clients_by_modality[m], cfg, loss_cfg, parallel, pool
+                )
+                logs.append(mlog)
+            rlog = RoundLog(
+                round_index=r,
+                client_ce={k: v for mlog in logs for k, v in mlog.client_ce.items()},
+                client_ntx={k: v for mlog in logs for k, v in mlog.client_ntx.items()},
+                seconds=sum(mlog.seconds for mlog in logs),
+                bytes_exchanged=sum(mlog.bytes_exchanged for mlog in logs),
             )
-            logs.append(mlog)
-        rlog = RoundLog(
-            round_index=r,
-            client_ce={k: v for mlog in logs for k, v in mlog.client_ce.items()},
-            client_ntx={k: v for mlog in logs for k, v in mlog.client_ntx.items()},
-            seconds=sum(mlog.seconds for mlog in logs),
-            bytes_exchanged=sum(mlog.bytes_exchanged for mlog in logs),
-        )
-        if r % cfg.eval_every == 0 or r == cfg.rounds:
-            rlog.evals = {
-                mode: evaluate_late_fusion(submodels, dataset.test, mode)
-                for mode in cfg.inference_modes
-            }
-        rounds.append(rlog)
+            if r % cfg.eval_every == 0 or r == cfg.rounds:
+                rlog.evals = {
+                    mode: evaluate_late_fusion(submodels, dataset.test, mode)
+                    for mode in cfg.inference_modes
+                }
+            rounds.append(rlog)
     log = ExperimentLog(
         config=cfg, initial_evals=initial, rounds=rounds, baseline_models=submodels
     )

@@ -5,7 +5,9 @@ Everything works on C-contiguous float64 numpy arrays. Layers cache what
 their backward pass needs on the instance that ran the forward pass, so an
 instance serves one forward/backward pair at a time; parallel client
 updates run in forked worker processes, each with its own copy of every
-instance (see :mod:`fedmm.engine`).
+instance (see :mod:`fedmm.engine`). Arrays that a step writes (Adam's
+moments, the whitening running statistics) are written in place, so they
+may live in memory a worker shares with its parent.
 
 The whitening backward deliberately treats the batch statistics (mean and
 whitening matrix) as constants: gradients flow through the affine transform
@@ -285,8 +287,10 @@ def batch_whitening_forward(x: Array, state: WhiteningState, mode: str) -> Array
             )
         out, mu, cov, w, xhat = _batch_whiten_core(x, state.gamma, state.beta, state.eps)
         m = state.momentum
-        state.running_mean = (1.0 - m) * state.running_mean + m * mu
-        state.running_cov = (1.0 - m) * state.running_cov + m * cov
+        # written into the arrays the state holds, which may live in memory
+        # a worker process shares with its parent (see fedmm.engine)
+        state.running_mean[...] = (1.0 - m) * state.running_mean + m * mu
+        state.running_cov[...] = (1.0 - m) * state.running_cov + m * cov
         state.stats_ready = True
         state.cache_mean = mu
         state.cache_w = w

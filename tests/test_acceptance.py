@@ -459,7 +459,7 @@ def test_criterion_05_determinism(tmp_path):
         )
     assert outputs["a"] == outputs["b"], "repeat run diverged"
     assert outputs["a"] == outputs["c"], "client-parallel run diverged"
-    print("[acceptance 5] PASS - serial repeat and thread-parallel runs byte-identical")
+    print("[acceptance 5] PASS - serial repeat and process-parallel runs byte-identical")
 
 
 # ---------------------------------------------------------------------------

@@ -196,6 +196,17 @@ class TestGenData:
         assert main(["gen-data", "--spec", str(spec_path), "--out", str(tmp_path / "d")]) == 2
         assert named in capsys.readouterr().err
 
+    @pytest.mark.parametrize("k_clients", [1, 0])
+    def test_gen_data_too_few_clients_is_a_config_error(self, tmp_path, capsys, k_clients):
+        # checked before anything is written, as `run` checks its config
+        spec = {"dataset": {"seed": 1}, "scenario": {"kind": "iid"}, "k_clients": k_clients}
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec))
+        out = tmp_path / "d"
+        assert main(["gen-data", "--spec", str(spec_path), "--out", str(out)]) == 2
+        assert "k_clients" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
     def test_gen_data_rejects_unknown_keys(self, tmp_path, capsys):
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps({"dataset": {"n_sites": 60, "sites": 3}}))

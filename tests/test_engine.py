@@ -394,34 +394,50 @@ def fake_blas(monkeypatch, threads=2):
     return state, history
 
 
+def recording_forks(monkeypatch):
+    """The pids of the children ``os.fork`` makes from here on."""
+    forks = []
+    original = os.fork
+
+    def recording_fork():
+        pid = original()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    return forks
+
+
 class TestClientPool:
     @pytest.mark.parametrize("cpus", [1, 2, 3, 8])
     def test_width_is_usable_cpus_capped_by_clients(self, monkeypatch, cpus):
-        widths = []
-        forks = []
-        original_forked = engine._forked_updates
-        original_fork = os.fork
-
-        def recording_forked(groups, *args):
-            widths.append(len(groups))
-            return original_forked(groups, *args)
-
-        def recording_fork():
-            pid = original_fork()
-            if pid:
-                forks.append(pid)
-            return pid
-
         usable_cpus(monkeypatch, cpus)
-        monkeypatch.setattr(engine, "_forked_updates", recording_forked)
-        monkeypatch.setattr(os, "fork", recording_fork)
+        forks = recording_forks(monkeypatch)
         cfg = tiny_cfg()
         _, model, clients, loss_cfg = _setup(cfg)
         run_round(model, clients, cfg, loss_cfg, parallel=True)
         assert len(clients) == 4
-        assert widths == ([] if cpus == 1 else [min(cpus, 4)])
-        # this process runs one group itself and forks one child per other
+        # min(cpus, 4) workers: this process runs one group itself and
+        # forks one child per other; one worker forks none
         assert len(forks) == max(min(cpus, 4) - 1, 0)
+
+    @pytest.mark.parametrize(
+        "entry,rounds,children",
+        [
+            (run_experiment, 3, 1),
+            (baseline_fedavg_latefusion, 3, 1),
+            (run_experiment, 0, 0),
+            (baseline_fedavg_latefusion, 0, 0),
+        ],
+        ids=["run-3", "baseline-3", "run-0", "baseline-0"],
+    )
+    def test_one_pool_per_run(self, monkeypatch, entry, rounds, children):
+        # workers are forked at the first round and kept to the last
+        usable_cpus(monkeypatch, 2)
+        forks = recording_forks(monkeypatch)
+        entry(tiny_cfg(rounds=rounds), parallel=True)
+        assert len(forks) == children
 
     @pytest.mark.parametrize(
         "cpus,kind",
@@ -447,22 +463,49 @@ class TestClientPool:
             runs.append((flatten_params(model).tobytes(), [client_state(c) for c in clients]))
         assert runs[0] == runs[1]
 
-    def test_local_state_leaves_the_parameters_to_the_update(self):
-        # a worker's parameters travel once, inside its ClientUpdate
-        cfg = tiny_cfg(use_fw=True)
-        _, model, clients, loss_cfg = _setup(cfg)
-        client_update(clients[0], model, cfg, loss_cfg)
+    @pytest.mark.parametrize("kind", ["iid", "missing-A"])
+    def test_client_state_matches_serial_through_one_pool(self, monkeypatch, kind):
+        # three rounds through one open pool: each worker keeps its clients,
+        # and their state comes back to this process after every round
+        cfg = tiny_cfg(use_fw=True, use_mim=True, k_clients=5, scenario=ScenarioSpec(kind=kind))
+        usable_cpus(monkeypatch, 2)
+        runs = []
+        for parallel in (False, True):
+            _, model, clients, loss_cfg = _setup(cfg)
+            with engine._client_pool([(model, clients)], cfg, loss_cfg, parallel) as pool:
+                assert (pool is not None) == parallel
+                states = []
+                for _ in range(3):
+                    model, _ = run_round(model, clients, cfg, loss_cfg, parallel, pool)
+                    states.append([client_state(c) for c in clients])
+            runs.append((flatten_params(model).tobytes(), states))
+        assert runs[0] == runs[1]
 
+    def test_worker_report_carries_no_arrays(self, monkeypatch):
+        # a worker's clients write their arrays into shared memory, so its
+        # per-round report holds scalars only
         def arrays(value):
             if isinstance(value, np.ndarray):
                 yield value
             elif isinstance(value, (tuple, list)):
                 for item in value:
                     yield from arrays(item)
+            elif isinstance(value, dict):
+                for item in value.values():
+                    yield from arrays(item)
 
-        state = list(arrays(engine._local_state(clients[0])))
-        assert state  # the Adam moments and whitening statistics
-        assert not any(np.shares_memory(a, clients[0].params) for a in state)
+        reports = []
+        original = engine._take_report
+
+        def recording_take(client, report):
+            reports.append(report)
+            return original(client, report)
+
+        usable_cpus(monkeypatch, 2)
+        monkeypatch.setattr(engine, "_take_report", recording_take)
+        run_experiment(tiny_cfg(use_fw=True, rounds=2), parallel=True)
+        assert len(reports) == 2 * 2  # the child's clients 0 and 2, two rounds
+        assert [a for report in reports for a in arrays(report)] == []
 
     @pytest.mark.parametrize("where", ["child", "parent"])
     def test_failed_worker_is_reaped(self, monkeypatch, where):
@@ -490,6 +533,22 @@ class TestClientPool:
         else:
             with pytest.raises(NumericError, match=r"^round 2: client \d+: boom$"):
                 run_round(model, clients, cfg, loss_cfg, parallel=True)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_worker_dying_mid_run_is_reaped(self, monkeypatch):
+        parent = os.getpid()
+        original = engine.client_update
+
+        def dying_update(client, model, *args):
+            if os.getpid() != parent and model.round == 1:
+                os._exit(3)
+            return original(client, model, *args)
+
+        usable_cpus(monkeypatch, 2)
+        monkeypatch.setattr(engine, "client_update", dying_update)
+        with pytest.raises(ChildProcessError, match=r"^round 2: .* status 3 "):
+            run_experiment(tiny_cfg(rounds=3), parallel=True)
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
@@ -534,6 +593,37 @@ class TestClientPool:
         else:
             run_round(model, clients, cfg, loss_cfg, parallel=True)
         assert seen and set(seen) == {1}  # the calls this process ran itself
+        assert history == [1, 2] and state["threads"] == 2
+
+    @pytest.mark.parametrize("fail", [False, True])
+    def test_blas_stays_capped_between_rounds(self, monkeypatch, fail):
+        # the cap holds from the pool's first fork to its close, so the
+        # evaluations between rounds run under it too; the set-up
+        # evaluation runs before the pool opens
+        usable_cpus(monkeypatch, 2)
+        state, history = fake_blas(monkeypatch, threads=2)
+        seen = []
+        original_update, original_evaluate = engine.client_update, engine.evaluate
+
+        def failing_update(client, model, *args):
+            if fail and client.client_id == 1 and model.round == 1:
+                raise NumericError("boom")
+            return original_update(client, model, *args)
+
+        def recording_evaluate(*args):
+            seen.append(state["threads"])
+            return original_evaluate(*args)
+
+        monkeypatch.setattr(engine, "client_update", failing_update)
+        monkeypatch.setattr(engine, "evaluate", recording_evaluate)
+        cfg = tiny_cfg(rounds=3, inference_modes=("both",))
+        if fail:
+            with pytest.raises(NumericError, match=r"^round 2: client 1: boom$"):
+                run_experiment(cfg, parallel=True)
+            assert seen == [2, 1]
+        else:
+            run_experiment(cfg, parallel=True)
+            assert seen == [2, 1, 1, 1]
         assert history == [1, 2] and state["threads"] == 2
 
     def test_serial_path_leaves_blas_alone(self, monkeypatch):
