@@ -60,7 +60,7 @@ from .config import ExperimentConfig, config_to_dict
 from .data import Shard, batches, build_scenario, gen_synthetic
 from .errors import DataError, DimensionError, NumericError, ValidationError
 from .losses import LossConfig, local_objective
-from .metrics import MetricsReport, evaluate, parse_mode, report_from_predictions
+from .metrics import MetricsReport, evaluate, mode_modalities, report_from_predictions
 from .models import (
     Encoder,
     GlobalModelSet,
@@ -187,9 +187,12 @@ class RoundLog:
     round_index: int
     client_ce: dict[int, float]
     client_ntx: dict[int, float]
-    seconds: float
+    seconds: float  # local training plus aggregation
     bytes_exchanged: int
     evals: dict[str, MetricsReport] = field(default_factory=dict)
+    train_s: float = 0.0  # every client's local update, waiting for workers included
+    aggregate_s: float = 0.0
+    eval_s: float = 0.0  # scheduled evaluation after the round, outside ``seconds``
 
     @property
     def mean_ce(self) -> float:
@@ -704,7 +707,9 @@ def run_round(
     one open, see :func:`_run_updates`), aggregation and the round log."""
     started = time.perf_counter()
     updates = _run_updates(clients, model, cfg, loss_cfg, parallel, pool)
+    trained = time.perf_counter()
     new_model = aggregate(updates, model)
+    aggregated = time.perf_counter()
     payload = sum(u.encoder_flat.size + u.head_flat.size for u in updates)
     log = RoundLog(
         round_index=new_model.round,
@@ -712,6 +717,8 @@ def run_round(
         client_ntx={u.client_id: u.mean_ntx for u in updates},
         seconds=time.perf_counter() - started,
         bytes_exchanged=2 * 8 * payload,  # broadcast + upload of float64 payloads
+        train_s=trained - started,
+        aggregate_s=aggregated - trained,
     )
     return new_model, log
 
@@ -731,15 +738,15 @@ def run_experiment(cfg: ExperimentConfig, parallel: bool = False) -> ExperimentL
         make_client(i, shard, model.encoders[shard.modality_id], model.head, cfg)
         for i, shard in enumerate(shards)
     ]
-    initial = {mode: evaluate(model, dataset.test, mode) for mode in cfg.inference_modes}
+    initial = evaluate(model, dataset.test, cfg.inference_modes)
     rounds: list[RoundLog] = []
     with _client_pool([(model, clients)], cfg, loss_cfg, parallel and cfg.rounds > 0) as pool:
         for r in range(1, cfg.rounds + 1):
             model, rlog = run_round(model, clients, cfg, loss_cfg, parallel, pool)
             if r % cfg.eval_every == 0 or r == cfg.rounds:
-                rlog.evals = {
-                    mode: evaluate(model, dataset.test, mode) for mode in cfg.inference_modes
-                }
+                started = time.perf_counter()
+                rlog.evals = evaluate(model, dataset.test, cfg.inference_modes)
+                rlog.eval_s = time.perf_counter() - started
             rounds.append(rlog)
     log = ExperimentLog(config=cfg, initial_evals=initial, rounds=rounds, model=model)
     if cfg.output_dir:
@@ -753,23 +760,31 @@ def run_experiment(cfg: ExperimentConfig, parallel: bool = False) -> ExperimentL
 
 
 def evaluate_late_fusion(
-    submodels: list[GlobalModelSet], test_shards: list[Shard], mode: str
-) -> MetricsReport:
+    submodels: list[GlobalModelSet], test_shards: list[Shard], modes
+) -> dict[str, MetricsReport]:
     """Average per-modality predicted probabilities over available modalities.
 
     Each submodel holds one modality, whose one-slot fused layout is its
     features unchanged, so the features go straight to that submodel's head.
+    As in :func:`~fedmm.metrics.evaluate`, every mode is validated first,
+    each needed modality is encoded once for all modes, and the result is
+    a report per mode.
     """
-    only = parse_mode(mode, len(submodels))
-    wanted = [only] if only is not None else list(range(len(submodels)))
-    prob_sum = None
-    for m in wanted:
-        feats = encode(submodels[m].encoders[0], test_shards[m].features, "eval")
-        probs = head_forward(submodels[m].head, feats)
-        prob_sum = probs if prob_sum is None else prob_sum + probs
-    fused = prob_sum / len(wanted)
-    labels = test_shards[wanted[0]].labels
-    return report_from_predictions(fused, labels, submodels[0].head.task_kind)
+    wanted = mode_modalities(modes, len(submodels))
+    probs = {}
+    for m in sorted(set().union(*wanted.values())):
+        features = encode(submodels[m].encoders[0], test_shards[m].features, "eval")
+        probs[m] = head_forward(submodels[m].head, features)
+    reports = {}
+    for mode, present in wanted.items():
+        prob_sum = probs[present[0]]
+        for m in present[1:]:
+            prob_sum = prob_sum + probs[m]
+        labels = test_shards[present[0]].labels
+        reports[mode] = report_from_predictions(
+            prob_sum / len(present), labels, submodels[0].head.task_kind
+        )
+    return reports
 
 
 def baseline_fedavg_latefusion(
@@ -797,10 +812,7 @@ def baseline_fedavg_latefusion(
         clients_by_modality[m].append(
             make_client(i, shard, submodels[m].encoders[0], submodels[m].head, cfg)
         )
-    initial = {
-        mode: evaluate_late_fusion(submodels, dataset.test, mode)
-        for mode in cfg.inference_modes
-    }
+    initial = evaluate_late_fusion(submodels, dataset.test, cfg.inference_modes)
     rounds: list[RoundLog] = []
     federations = list(zip(submodels, clients_by_modality))
     with _client_pool(federations, cfg, loss_cfg, parallel and cfg.rounds > 0) as pool:
@@ -817,12 +829,13 @@ def baseline_fedavg_latefusion(
                 client_ntx={k: v for mlog in logs for k, v in mlog.client_ntx.items()},
                 seconds=sum(mlog.seconds for mlog in logs),
                 bytes_exchanged=sum(mlog.bytes_exchanged for mlog in logs),
+                train_s=sum(mlog.train_s for mlog in logs),
+                aggregate_s=sum(mlog.aggregate_s for mlog in logs),
             )
             if r % cfg.eval_every == 0 or r == cfg.rounds:
-                rlog.evals = {
-                    mode: evaluate_late_fusion(submodels, dataset.test, mode)
-                    for mode in cfg.inference_modes
-                }
+                started = time.perf_counter()
+                rlog.evals = evaluate_late_fusion(submodels, dataset.test, cfg.inference_modes)
+                rlog.eval_s = time.perf_counter() - started
             rounds.append(rlog)
     log = ExperimentLog(
         config=cfg, initial_evals=initial, rounds=rounds, baseline_models=submodels
@@ -928,10 +941,17 @@ def experiment_csv(log: ExperimentLog) -> str:
 
 
 def timings_csv(log: ExperimentLog) -> str:
-    """Wall-clock sidecar; kept out of the main log to keep it reproducible."""
-    lines = ["round,seconds"]
+    """Wall-clock sidecar; kept out of the main log to keep it reproducible.
+
+    One row per round: ``seconds`` (local training plus aggregation), then
+    its ``train_s`` and ``aggregate_s`` parts, then ``eval_s``, the
+    evaluation after the round (0 in a round that is not evaluated)."""
+    lines = ["round,seconds,train_s,aggregate_s,eval_s"]
     for rlog in log.rounds:
-        lines.append(f"{rlog.round_index},{rlog.seconds:.6f}")
+        lines.append(
+            f"{rlog.round_index},{rlog.seconds:.6f},{rlog.train_s:.6f},"
+            f"{rlog.aggregate_s:.6f},{rlog.eval_s:.6f}"
+        )
     return "\n".join(lines) + "\n"
 
 

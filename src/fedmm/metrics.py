@@ -127,21 +127,41 @@ def parse_mode(mode: str, n_modalities: int) -> int | None:
     return m
 
 
-def evaluate(model: GlobalModelSet, test_shards: list[Shard], mode: str) -> MetricsReport:
-    """Score the model on aligned per-modality test shards.
+def mode_modalities(modes, n_modalities: int) -> dict[str, list[int]]:
+    """The modalities each inference mode reads, every mode validated
+    first: all of them for ``both``, modality m alone for ``only-m``. A
+    bare mode string is rejected, since none of its characters is a mode."""
+    wanted = {}
+    for mode in modes:
+        only = parse_mode(mode, n_modalities)
+        wanted[mode] = [only] if only is not None else list(range(n_modalities))
+    return wanted
+
+
+def evaluate(
+    model: GlobalModelSet, test_shards: list[Shard], modes
+) -> dict[str, MetricsReport]:
+    """Score the model on aligned per-modality test shards, once per mode.
 
     Mode ``both`` fuses every modality's features; ``only-m`` places
-    modality m's features in their slot and zero-fills the rest. The model
-    is not mutated: whitening statistics are identical before and after.
+    modality m's features in their slot and zero-fills the rest. Every mode
+    is validated before anything is encoded, and each modality a mode needs
+    is encoded once for all of them. Returns a report per mode, in the
+    order given. The model is not mutated: whitening statistics are
+    identical before and after.
     """
     if not test_shards or any(s.n == 0 for s in test_shards):
         raise ValidationError("test set must be non-empty")
-    only = parse_mode(mode, model.n_modalities)
-    wanted = [only] if only is not None else list(range(model.n_modalities))
-    blocks: list[Array | None] = [None] * model.n_modalities
-    for m in wanted:
-        blocks[m] = encode(model.encoders[m], test_shards[m].features, "eval")
-    fused = fuse_full(blocks, model.n_modalities, model.feature_dim)
-    probs = head_forward(model.head, fused)
-    labels = test_shards[wanted[0]].labels
-    return report_from_predictions(probs, labels, model.head.task_kind)
+    p = model.n_modalities
+    wanted = mode_modalities(modes, p)
+    features = {
+        m: encode(model.encoders[m], test_shards[m].features, "eval")
+        for m in sorted(set().union(*wanted.values()))
+    }
+    reports = {}
+    for mode, present in wanted.items():
+        blocks = [features[m] if m in present else None for m in range(p)]
+        probs = head_forward(model.head, fuse_full(blocks, p, model.feature_dim))
+        labels = test_shards[present[0]].labels
+        reports[mode] = report_from_predictions(probs, labels, model.head.task_kind)
+    return reports

@@ -106,7 +106,7 @@ def dense_backward(layer: DenseLayer, x: Array, grad_out: Array, input_grad: boo
         )
     grad_x = grad_out @ layer.weight.T if input_grad else None
     grad_w = x.T @ grad_out
-    grad_b = grad_out.sum(axis=0)
+    grad_b = np.add.reduce(grad_out, axis=0)
     return grad_x, grad_w, grad_b
 
 
@@ -120,7 +120,8 @@ def _sigmoid(x: Array) -> Array:
     # two-branch form (1 / (1 + exp(-x)) for x >= 0, exp(x) / (1 + exp(x))
     # otherwise) computes, with the same operands, so the bits are equal
     ex = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + ex), ex / (1.0 + ex))
+    denom = 1.0 + ex
+    return np.where(x >= 0, 1.0 / denom, ex / denom)
 
 
 def _softmax_rows(x: Array) -> Array:
@@ -197,7 +198,7 @@ def whitening_matrix(cov: Array, eps: float) -> Array:
 
 def _batch_whiten_core(x: Array, gamma: Array, beta: Array, eps: float):
     """Whiten ``x`` with its own batch statistics (covariance divisor B)."""
-    mu = x.mean(axis=0)
+    mu = np.add.reduce(x, axis=0) / x.shape[0]  # x.mean(axis=0), bit for bit
     centered = x - mu
     cov = centered.T @ centered / x.shape[0]
     w = whitening_matrix(cov, eps)
@@ -287,10 +288,13 @@ def batch_whitening_forward(x: Array, state: WhiteningState, mode: str) -> Array
             )
         out, mu, cov, w, xhat = _batch_whiten_core(x, state.gamma, state.beta, state.eps)
         m = state.momentum
-        # written into the arrays the state holds, which may live in memory
-        # a worker process shares with its parent (see fedmm.engine)
-        state.running_mean[...] = (1.0 - m) * state.running_mean + m * mu
-        state.running_cov[...] = (1.0 - m) * state.running_cov + m * cov
+        # (1 - m) * running + m * batch, written into the arrays the state
+        # holds, which may live in memory a worker process shares with its
+        # parent (see fedmm.engine); cov is this call's own scratch
+        state.running_mean *= 1.0 - m
+        state.running_mean += m * mu
+        state.running_cov *= 1.0 - m
+        state.running_cov += np.multiply(cov, m, out=cov)
         state.stats_ready = True
         state.cache_mean = mu
         state.cache_w = w
@@ -314,8 +318,8 @@ def batch_whitening_backward(state: WhiteningState, grad_out: Array):
             f"{state.cache_xhat.shape}"
         )
     grad_x = (grad_out * state.gamma) @ state.cache_w
-    grad_gamma = (grad_out * state.cache_xhat).sum(axis=0)
-    grad_beta = grad_out.sum(axis=0)
+    grad_gamma = np.add.reduce(grad_out * state.cache_xhat, axis=0)
+    grad_beta = np.add.reduce(grad_out, axis=0)
     return grad_x, grad_gamma, grad_beta
 
 

@@ -108,6 +108,30 @@ def assert_parallel_matches_serial(entry_point):
     assert final_params(serial) == final_params(parallel)
 
 
+def assert_phase_timings(path, rounds):
+    """One ``timings.csv`` row per round whose training and aggregation
+    parts fit in its ``seconds``, and every round evaluated (eval_every=1)."""
+    lines = path.read_text().splitlines()
+    assert lines[0] == "round,seconds,train_s,aggregate_s,eval_s"
+    rows = [[float(v) for v in line.split(",")] for line in lines[1:]]
+    assert [int(row[0]) for row in rows] == list(range(1, rounds + 1))
+    for _, seconds, train_s, aggregate_s, eval_s in rows:
+        assert min(seconds, train_s, aggregate_s) >= 0.0 and eval_s > 0.0
+        assert train_s + aggregate_s <= seconds + 1e-3
+
+
+def assert_reports_identical(a, b):
+    """Every field of two MetricsReports equal, arrays bit for bit."""
+    assert (a.micro_f1, a.macro_f1, a.accuracy, a.n_samples) == (
+        b.micro_f1,
+        b.macro_f1,
+        b.accuracy,
+        b.n_samples,
+    )
+    assert a.per_label_precision.tobytes() == b.per_label_precision.tobytes()
+    assert a.per_label_recall.tobytes() == b.per_label_recall.tobytes()
+
+
 def _setup(cfg):
     dataset = gen_synthetic(cfg.resolved_dataset())
     shards = build_scenario(dataset, cfg.scenario, cfg.k_clients)
@@ -722,6 +746,7 @@ class TestRunExperiment:
         log = run_experiment(tiny_cfg(rounds=1, output_dir=str(out)))
         assert (out / "log.csv").read_text() == experiment_csv(log)
         assert (out / "timings.csv").read_text() == timings_csv(log)
+        assert_phase_timings(out / "timings.csv", rounds=1)
         assert (out / "model.ckpt").exists()
         assert (out / "config.json").exists()
 
@@ -732,6 +757,34 @@ class TestRunExperiment:
             flatten_params(dense_log.model).tobytes()
             == flatten_params(sparse_log.model).tobytes()
         )
+
+
+ALL_MODES = ("both", "only-0", "only-1")
+
+
+@pytest.mark.parametrize("kind", ["iid", "missing-A"])
+class TestEvaluateEveryMode:
+    """One call for every mode equals one call per mode, field for field."""
+
+    def test_framework(self, kind):
+        cfg = tiny_cfg(rounds=1, scenario=ScenarioSpec(kind=kind), use_fw=True)
+        model = run_experiment(cfg).model
+        test = gen_synthetic(cfg.resolved_dataset()).test
+        together = engine.evaluate(model, test, ALL_MODES)
+        assert list(together) == list(ALL_MODES)
+        for mode in ALL_MODES:
+            alone = engine.evaluate(model, test, (mode,))[mode]
+            assert_reports_identical(together[mode], alone)
+
+    def test_late_fusion(self, kind):
+        cfg = tiny_cfg(rounds=1, scenario=ScenarioSpec(kind=kind), use_fw=True)
+        submodels = baseline_fedavg_latefusion(cfg).baseline_models
+        test = gen_synthetic(cfg.resolved_dataset()).test
+        together = evaluate_late_fusion(submodels, test, ALL_MODES)
+        assert list(together) == list(ALL_MODES)
+        for mode in ALL_MODES:
+            alone = evaluate_late_fusion(submodels, test, (mode,))[mode]
+            assert_reports_identical(together[mode], alone)
 
 
 class TestBaseline:
@@ -775,8 +828,8 @@ class TestBaseline:
 
         sub = _baseline_submodel(cfg, spec, 0)
         twin_shards = [dataset.test[0], dataset.test[0]]
-        fused = evaluate_late_fusion([sub, sub], twin_shards, "both")
-        solo = evaluate_late_fusion([sub, sub], twin_shards, "only-0")
+        fused = evaluate_late_fusion([sub, sub], twin_shards, ("both",))["both"]
+        solo = evaluate_late_fusion([sub, sub], twin_shards, ("only-0",))["only-0"]
         assert fused.micro_f1 == solo.micro_f1
         assert fused.accuracy == solo.accuracy
 
@@ -784,7 +837,7 @@ class TestBaseline:
         cfg = tiny_cfg(rounds=1)
         log = baseline_fedavg_latefusion(cfg)
         dataset = gen_synthetic(cfg.resolved_dataset())
-        only1 = evaluate_late_fusion(log.baseline_models, dataset.test, "only-1")
+        only1 = evaluate_late_fusion(log.baseline_models, dataset.test, ("only-1",))["only-1"]
         report = log.rounds[-1].evals["only-1"]
         assert report.micro_f1 == only1.micro_f1
 
@@ -803,6 +856,26 @@ class TestBaseline:
 
     def test_parallel_matches_serial(self):
         assert_parallel_matches_serial(baseline_fedavg_latefusion)
+
+    def test_phase_timings_written(self, tmp_path):
+        baseline_fedavg_latefusion(tiny_cfg(rounds=2, output_dir=str(tmp_path)))
+        assert_phase_timings(tmp_path / "timings.csv", rounds=2)
+
+    def test_one_encode_per_modality_per_evaluation(self, monkeypatch):
+        encoded = []
+        original = engine.encode
+
+        def counting_encode(encoder, x, mode):
+            encoded.append(x.shape)
+            return original(encoder, x, mode)
+
+        monkeypatch.setattr(engine, "encode", counting_encode)
+        cfg = tiny_cfg(rounds=1)
+        baseline_fedavg_latefusion(cfg)
+        assert len(encoded) == 2 * 2  # the set-up and the round-1 evaluations
+        with pytest.raises(ValidationError):
+            evaluate_late_fusion([None, None], [None, None], ("both", "only-2"))
+        assert len(encoded) == 4
 
     def test_baseline_deterministic(self):
         a = baseline_fedavg_latefusion(tiny_cfg(rounds=1))

@@ -174,6 +174,35 @@ class TestNtxent:
 
         assert grad_check(f, rng.normal(size=12), h=1e-6) < 1e-5
 
+    @pytest.mark.parametrize("variant", ["negatives-only", "standard"])
+    @pytest.mark.parametrize("dead", ["local", "global"])
+    def test_zero_norm_row(self, variant, dead):
+        # a zero row has no direction: its cosines are 0, and a dead local
+        # row gets no gradient; the loss and the live rows' gradient still
+        # match the loop reference (the gradient by central differences)
+        rng = np.random.default_rng(6)
+        fl = rng.normal(size=(5, 4))
+        fg = rng.normal(size=(5, 4))
+        (fl if dead == "local" else fg)[2] = 0.0
+        cfg = LossConfig(tau=0.5, ntxent_variant=variant)
+        loss, grad = ntxent(fl, fg, cfg)
+        assert np.isfinite(loss) and np.all(np.isfinite(grad))
+        assert abs(loss - _ntxent_reference(fl, fg, 0.5, variant)) < 1e-10
+        live = [0, 1, 3, 4] if dead == "local" else list(range(5))
+        if dead == "local":
+            assert np.all(grad[2] == 0.0)
+        h = 1e-6
+        for z in live:
+            for j in range(4):
+                plus, minus = fl.copy(), fl.copy()
+                plus[z, j] += h
+                minus[z, j] -= h
+                numeric = (
+                    _ntxent_reference(plus, fg, 0.5, variant)
+                    - _ntxent_reference(minus, fg, 0.5, variant)
+                ) / (2.0 * h)
+                assert abs(numeric - grad[z, j]) < 1e-6 * max(1.0, abs(numeric))
+
     def test_small_batch_rejected(self):
         with pytest.raises(BatchSizeError):
             ntxent(np.ones((1, 3)), np.ones((1, 3)), LossConfig())

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedmm import metrics
+from fedmm import metrics, nncore
 from fedmm.data import DatasetSpec, gen_synthetic
 from fedmm.errors import DimensionError, ValidationError
 from fedmm.metrics import (
@@ -148,7 +148,7 @@ def _fixture_model_and_data(use_whitening=True):
 class TestEvaluate:
     def test_only_mode_matches_zeroed_other_features(self):
         model, ds = _fixture_model_and_data()
-        only = evaluate(model, ds.test, "only-1")
+        only = evaluate(model, ds.test, ("only-1",))["only-1"]
         feats = encode(model.encoders[1], ds.test[1].features, "eval")
         fused = np.concatenate([np.zeros_like(feats), feats], axis=1)
         probs = head_forward(model.head, fused)
@@ -158,8 +158,8 @@ class TestEvaluate:
 
     def test_deterministic_across_calls(self):
         model, ds = _fixture_model_and_data()
-        a = evaluate(model, ds.test, "both")
-        b = evaluate(model, ds.test, "both")
+        a = evaluate(model, ds.test, ("both",))["both"]
+        b = evaluate(model, ds.test, ("both",))["both"]
         assert (a.micro_f1, a.macro_f1, a.accuracy) == (b.micro_f1, b.macro_f1, b.accuracy)
         np.testing.assert_array_equal(a.per_label_precision, b.per_label_precision)
         np.testing.assert_array_equal(a.per_label_recall, b.per_label_recall)
@@ -175,7 +175,7 @@ class TestEvaluate:
                 (st.running_mean.tobytes(), st.running_cov.tobytes(), st.stats_ready)
             )
         for mode in ("both", "only-0", "only-1"):
-            evaluate(model, ds.test, mode)
+            evaluate(model, ds.test, (mode,))
         for enc, before in zip(model.encoders, snapshots):
             st = enc.adapter.whitening
             after = (st.running_mean.tobytes(), st.running_cov.tobytes(), st.stats_ready)
@@ -184,9 +184,44 @@ class TestEvaluate:
     def test_unknown_mode_rejected(self):
         model, ds = _fixture_model_and_data(use_whitening=False)
         with pytest.raises(ValidationError):
-            evaluate(model, ds.test, "only-2")
+            evaluate(model, ds.test, ("only-2",))
         with pytest.raises(ValidationError):
-            evaluate(model, ds.test, "fused")
+            evaluate(model, ds.test, ("fused",))
+
+    def test_encodes_each_modality_once(self, monkeypatch):
+        model, ds = _fixture_model_and_data(use_whitening=True)
+        calls = {"encode": 0, "whitening_matrix": 0}
+
+        def counted(module, name):
+            original = getattr(module, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(metrics, "encode")
+        counted(nncore, "whitening_matrix")
+        reports = evaluate(model, ds.test, ("both", "only-0", "only-1"))
+        assert list(reports) == ["both", "only-0", "only-1"]
+        assert calls == {"encode": 2, "whitening_matrix": 2}
+
+    @pytest.mark.parametrize(
+        "modes", [("both", "only-0", "only-2"), ("fused", "both"), ("only-1", "both ")]
+    )
+    def test_bad_mode_rejected_before_any_encode(self, monkeypatch, modes):
+        model, ds = _fixture_model_and_data(use_whitening=True)
+        encoded = []
+        monkeypatch.setattr(metrics, "encode", lambda *args: encoded.append(args))
+        with pytest.raises(ValidationError):
+            evaluate(model, ds.test, modes)
+        assert encoded == []
+
+    def test_single_mode_string_rejected(self):
+        model, ds = _fixture_model_and_data(use_whitening=False)
+        with pytest.raises(ValidationError):
+            evaluate(model, ds.test, "both")
 
     def test_parse_mode(self):
         assert parse_mode("both", 2) is None
