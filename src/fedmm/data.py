@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -478,17 +478,7 @@ def write_manifest(
         "version": 1,
         "scenario_kind": scenario_kind,
         "seed": spec.seed,
-        "dataset": {
-            "n_sites": spec.n_sites,
-            "latent_dim": spec.latent_dim,
-            "modality_dims": list(spec.modality_dims),
-            "n_labels": spec.n_labels,
-            "task_kind": spec.task_kind,
-            "n_groups": spec.n_groups,
-            "noise_sigma": spec.noise_sigma,
-            "group_shift": spec.group_shift,
-            "seed": spec.seed,
-        },
+        "dataset": asdict(spec),
         "shards": shard_paths,
     }
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")

@@ -1,27 +1,28 @@
 """Synchronous round-based federated training.
 
 Each round (:func:`run_round`): broadcast the global parameters, run every
-client's local update, aggregate per-modality encoders and the shared head,
-then optionally evaluate. Local updates run serially, or with
-``parallel=True`` in one worker per usable CPU (never more than there are
-clients; inline when that is one or when the platform has no ``os.fork``).
-Workers are processes that :func:`run_experiment` and the baseline fork
-once, at the first round, and keep until the last (:class:`_ClientPool`;
-a direct ``run_round(..., parallel=True)`` call forks them for that round
-alone): worker g keeps ``clients[g::workers]``, and this process updates
-the last group itself. The arrays a local update writes (parameters, Adam
-moments, whitening running statistics) live in memory the workers share
-with this process, so this process's clients stay authoritative between
-rounds. A round sends each worker the global parameters and takes back
-only scalars per client (losses, sample count, Adam step count, whether
-the whitening statistics are ready, RNG state). From the first fork until
-every worker is reaped, evaluation between rounds included, the BLAS
-numpy loaded is capped to one thread, so workers times BLAS threads stay
-within the usable cores. Results are identical either way because each client owns
-its state and RNG stream and the global snapshot is read-only. A failed
-local update re-raises its exception, in the parent too, with ``round r:
-client k:`` prepended to the message; a worker that dies without
-reporting raises ChildProcessError naming the round.
+client's local update, aggregate per-modality encoders and the shared head.
+One loop (:func:`_federate`) drives the rounds and the evaluation schedule
+for the framework, one federation, and for the late-fusion baseline, one
+single-modality federation per modality side by side, merging their round
+logs. With ``parallel`` it opens one worker per usable CPU (never more than
+a federation has clients; inline when that is one or when the platform has
+no ``os.fork``): processes forked once, at the first round, and kept until
+the last (:class:`_ClientPool`). Worker g keeps ``clients[g::workers]``,
+and this process updates the last group itself. The arrays a local update
+writes (parameters, Adam moments, whitening running statistics) live in
+memory the workers share with this process, so this process's clients stay
+authoritative between rounds. A round sends each worker the global
+parameters and takes back only scalars per client (losses, Adam step
+count, whether the whitening statistics are ready, RNG state). From the
+first fork until every worker is reaped, evaluation between rounds
+included, the BLAS numpy loaded is capped to one thread, so workers times
+BLAS threads stay within the usable cores. Results are identical either
+way because each client owns its state and RNG stream and the global
+snapshot is read-only. A failed local update re-raises its exception, in
+the parent too, with ``round r: client k:`` prepended to the message; a
+worker that dies without reporting raises ChildProcessError naming the
+round.
 
 Aggregation accumulates client deltas around the broadcast reference in
 ascending client-id order, which makes "all clients returned the broadcast
@@ -34,9 +35,6 @@ is the whole local update and the broadcast is two slice copies.
 
 Whitening running statistics never leave a client: the first broadcast
 initializes them and later broadcasts overwrite parameters only.
-
-The late-fusion baseline is P single-modality federations: it calls
-:func:`run_round` once per modality and merges the round logs.
 """
 
 from __future__ import annotations
@@ -298,14 +296,24 @@ def client_update(
     for stage in client.encoder.stages():
         if stage.whitening is not None:
             stage.whitening.drop_cache()
+    return _upload(
+        client,
+        ce_total / n_batches if n_batches else 0.0,
+        ntx_total / n_batches if n_batches else 0.0,
+    )
+
+
+def _upload(client: ClientState, mean_ce: float, mean_ntx: float) -> ClientUpdate:
+    """What ``client`` sends the server: its parameters, flattened, and its
+    sample count and mean losses."""
     return ClientUpdate(
         client_id=client.client_id,
-        modality_id=slot,
+        modality_id=client.encoder.modality_id,
         encoder_flat=flatten_params(client.encoder),
         head_flat=flatten_params(client.head),
         n_samples=client.shard.n,
-        mean_ce=ce_total / n_batches if n_batches else 0.0,
-        mean_ntx=ntx_total / n_batches if n_batches else 0.0,
+        mean_ce=mean_ce,
+        mean_ntx=mean_ntx,
     )
 
 
@@ -461,7 +469,6 @@ def _report(client: ClientState, update: ClientUpdate) -> tuple:
     """What a worker sends back for one updated client: the scalars of the
     update and of the client's state. The arrays it wrote are shared."""
     return (
-        update.n_samples,
         update.mean_ce,
         update.mean_ntx,
         client.adam.step_count,
@@ -473,20 +480,12 @@ def _report(client: ClientState, update: ClientUpdate) -> tuple:
 def _take_report(client: ClientState, report: tuple) -> ClientUpdate:
     """Write a worker's :func:`_report` into ``client`` and build the
     client's upload from its shared parameter vector."""
-    n_samples, mean_ce, mean_ntx, step_count, ready, rng_state = report
+    mean_ce, mean_ntx, step_count, ready, rng_state = report
     client.adam.step_count = step_count
     for w, stats_ready in zip(_whitening_states(client), ready):
         w.stats_ready = stats_ready
     client.rng.bit_generator.state = rng_state
-    return ClientUpdate(
-        client_id=client.client_id,
-        modality_id=client.encoder.modality_id,
-        encoder_flat=flatten_params(client.encoder),
-        head_flat=flatten_params(client.head),
-        n_samples=n_samples,
-        mean_ce=mean_ce,
-        mean_ntx=mean_ntx,
-    )
+    return _upload(client, mean_ce, mean_ntx)
 
 
 def _send(out: BinaryIO, value) -> None:
@@ -678,21 +677,13 @@ def _run_updates(
     model: GlobalModelSet,
     cfg: ExperimentConfig,
     loss_cfg: LossConfig,
-    parallel: bool,
     pool: _ClientPool | None = None,
 ) -> list[ClientUpdate]:
-    """Every client's local update, in client order.
-
-    Through ``pool`` when one is open; otherwise with ``parallel`` through
-    a pool opened for this call alone (see :func:`_client_pool`), and
-    inline when that has one worker or ``parallel`` is off.
-    """
-    if pool is not None:
-        return pool.updates(model, clients)
-    with _client_pool([(model, clients)], cfg, loss_cfg, parallel) as pool:
-        if pool is None:
-            return [_update(c, model, cfg, loss_cfg) for c in clients]
-        return pool.updates(model, clients)
+    """Every client's local update, in client order: through ``pool`` when
+    one is open, inline otherwise."""
+    if pool is None:
+        return [_update(c, model, cfg, loss_cfg) for c in clients]
+    return pool.updates(model, clients)
 
 
 def run_round(
@@ -700,13 +691,12 @@ def run_round(
     clients: list[ClientState],
     cfg: ExperimentConfig,
     loss_cfg: LossConfig,
-    parallel: bool = False,
     pool: _ClientPool | None = None,
 ) -> tuple[GlobalModelSet, RoundLog]:
     """One round: local updates (through ``pool`` when the caller holds
-    one open, see :func:`_run_updates`), aggregation and the round log."""
+    one open, inline otherwise), aggregation and the round log."""
     started = time.perf_counter()
-    updates = _run_updates(clients, model, cfg, loss_cfg, parallel, pool)
+    updates = _run_updates(clients, model, cfg, loss_cfg, pool)
     trained = time.perf_counter()
     new_model = aggregate(updates, model)
     aggregated = time.perf_counter()
@@ -721,6 +711,46 @@ def run_round(
         aggregate_s=aggregated - trained,
     )
     return new_model, log
+
+
+def _federate(
+    cfg: ExperimentConfig, federations, loss_cfg: LossConfig, score, parallel: bool
+) -> tuple[dict[str, MetricsReport], list[RoundLog], list[GlobalModelSet]]:
+    """Train (global model, clients) ``federations`` side by side for
+    ``cfg.rounds`` rounds; the one round loop of every run.
+
+    Each round calls :func:`run_round` once per federation, in order, and
+    merges their logs: client losses united, seconds and bytes summed.
+    ``score(models)`` reports on the current global models at set-up and
+    after every ``eval_every``-th and the last round. With ``parallel``
+    one :func:`_client_pool` over every federation serves all the rounds;
+    the set-up evaluation runs before it opens. Returns the set-up reports,
+    the round logs and the final global models.
+    """
+    models = [model for model, _ in federations]
+    initial = score(models)
+    rounds: list[RoundLog] = []
+    with _client_pool(federations, cfg, loss_cfg, parallel and cfg.rounds > 0) as pool:
+        for r in range(1, cfg.rounds + 1):
+            logs = []
+            for i, (_, clients) in enumerate(federations):
+                models[i], mlog = run_round(models[i], clients, cfg, loss_cfg, pool)
+                logs.append(mlog)
+            rlog = RoundLog(
+                round_index=r,
+                client_ce={k: v for mlog in logs for k, v in mlog.client_ce.items()},
+                client_ntx={k: v for mlog in logs for k, v in mlog.client_ntx.items()},
+                seconds=sum(mlog.seconds for mlog in logs),
+                bytes_exchanged=sum(mlog.bytes_exchanged for mlog in logs),
+                train_s=sum(mlog.train_s for mlog in logs),
+                aggregate_s=sum(mlog.aggregate_s for mlog in logs),
+            )
+            if r % cfg.eval_every == 0 or r == cfg.rounds:
+                started = time.perf_counter()
+                rlog.evals = score(models)
+                rlog.eval_s = time.perf_counter() - started
+            rounds.append(rlog)
+    return initial, rounds, models
 
 
 def run_experiment(cfg: ExperimentConfig, parallel: bool = False) -> ExperimentLog:
@@ -738,16 +768,13 @@ def run_experiment(cfg: ExperimentConfig, parallel: bool = False) -> ExperimentL
         make_client(i, shard, model.encoders[shard.modality_id], model.head, cfg)
         for i, shard in enumerate(shards)
     ]
-    initial = evaluate(model, dataset.test, cfg.inference_modes)
-    rounds: list[RoundLog] = []
-    with _client_pool([(model, clients)], cfg, loss_cfg, parallel and cfg.rounds > 0) as pool:
-        for r in range(1, cfg.rounds + 1):
-            model, rlog = run_round(model, clients, cfg, loss_cfg, parallel, pool)
-            if r % cfg.eval_every == 0 or r == cfg.rounds:
-                started = time.perf_counter()
-                rlog.evals = evaluate(model, dataset.test, cfg.inference_modes)
-                rlog.eval_s = time.perf_counter() - started
-            rounds.append(rlog)
+    initial, rounds, (model,) = _federate(
+        cfg,
+        [(model, clients)],
+        loss_cfg,
+        lambda models: evaluate(models[0], dataset.test, cfg.inference_modes),
+        parallel,
+    )
     log = ExperimentLog(config=cfg, initial_evals=initial, rounds=rounds, model=model)
     if cfg.output_dir:
         write_outputs(log, cfg.output_dir)
@@ -771,6 +798,8 @@ def evaluate_late_fusion(
     a report per mode.
     """
     wanted = mode_modalities(modes, len(submodels))
+    if not test_shards or any(s.n == 0 for s in test_shards):
+        raise ValidationError("test set must be non-empty")
     probs = {}
     for m in sorted(set().union(*wanted.values())):
         features = encode(submodels[m].encoders[0], test_shards[m].features, "eval")
@@ -794,9 +823,9 @@ def baseline_fedavg_latefusion(
 
     Each modality trains its own encoder and private head (feature dim in,
     labels out) with plain weighted averaging; no whitening, no contrastive
-    term. Each round calls :func:`run_round` once per modality and merges
-    the logs in modality order: client losses united, seconds and bytes
-    summed. Inference averages the per-modality probabilities;
+    term. The P single-modality federations train side by side through
+    :func:`_federate`, one :func:`run_round` each per round in modality
+    order. Inference averages the per-modality probabilities;
     single-modality modes use that modality's model alone.
     """
     cfg.validate()
@@ -812,31 +841,13 @@ def baseline_fedavg_latefusion(
         clients_by_modality[m].append(
             make_client(i, shard, submodels[m].encoders[0], submodels[m].head, cfg)
         )
-    initial = evaluate_late_fusion(submodels, dataset.test, cfg.inference_modes)
-    rounds: list[RoundLog] = []
-    federations = list(zip(submodels, clients_by_modality))
-    with _client_pool(federations, cfg, loss_cfg, parallel and cfg.rounds > 0) as pool:
-        for r in range(1, cfg.rounds + 1):
-            logs = []
-            for m in range(p):
-                submodels[m], mlog = run_round(
-                    submodels[m], clients_by_modality[m], cfg, loss_cfg, parallel, pool
-                )
-                logs.append(mlog)
-            rlog = RoundLog(
-                round_index=r,
-                client_ce={k: v for mlog in logs for k, v in mlog.client_ce.items()},
-                client_ntx={k: v for mlog in logs for k, v in mlog.client_ntx.items()},
-                seconds=sum(mlog.seconds for mlog in logs),
-                bytes_exchanged=sum(mlog.bytes_exchanged for mlog in logs),
-                train_s=sum(mlog.train_s for mlog in logs),
-                aggregate_s=sum(mlog.aggregate_s for mlog in logs),
-            )
-            if r % cfg.eval_every == 0 or r == cfg.rounds:
-                started = time.perf_counter()
-                rlog.evals = evaluate_late_fusion(submodels, dataset.test, cfg.inference_modes)
-                rlog.eval_s = time.perf_counter() - started
-            rounds.append(rlog)
+    initial, rounds, submodels = _federate(
+        cfg,
+        list(zip(submodels, clients_by_modality)),
+        loss_cfg,
+        lambda models: evaluate_late_fusion(models, dataset.test, cfg.inference_modes),
+        parallel,
+    )
     log = ExperimentLog(
         config=cfg, initial_evals=initial, rounds=rounds, baseline_models=submodels
     )

@@ -471,10 +471,6 @@ def unflatten_params(flat: Array, template):
     return part
 
 
-def clone_model(model: GlobalModelSet) -> GlobalModelSet:
-    return unflatten_params(flatten_params(model), model)
-
-
 # ---------------------------------------------------------------------------
 # checkpoints
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ import time
 
 import numpy as np
 import pytest
+from modelclone import clone_model
 from shardcheck import shards_equal
 
 from fedmm.config import ExperimentConfig
@@ -42,7 +43,6 @@ from fedmm.losses import (
 )
 from fedmm.models import (
     build_model,
-    clone_model,
     cross_encode,
     encode_train,
     flatten_params,

@@ -342,3 +342,4 @@ def test_manifest_roundtrip(tmp_path):
     assert manifest["format"] == "fedmm-manifest"
     assert manifest["scenario_kind"] == "iid"
     assert manifest["dataset"]["modality_dims"] == [5, 8]
+    assert DatasetSpec(**manifest["dataset"]) == spec

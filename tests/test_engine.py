@@ -2,6 +2,7 @@
 runs, the late-fusion baseline, and the ablation grid."""
 
 import dataclasses
+import functools
 import hashlib
 import os
 import threading
@@ -30,6 +31,9 @@ from fedmm.engine import (
 from fedmm.errors import DataError, DimensionError, NumericError, ValidationError
 from fedmm.losses import LossConfig
 from fedmm.models import flatten_params, unflatten_params
+
+
+ENTRY_POINTS = (run_experiment, baseline_fedavg_latefusion)
 
 
 def tiny_cfg(**overrides):
@@ -433,6 +437,13 @@ def recording_forks(monkeypatch):
     return forks
 
 
+def pooled_round(model, clients, cfg, loss_cfg, parallel=True):
+    """:func:`run_round` through a worker pool opened for this round alone,
+    or inline when ``parallel`` is off or the pool would have one worker."""
+    with engine._client_pool([(model, clients)], cfg, loss_cfg, parallel) as pool:
+        return run_round(model, clients, cfg, loss_cfg, pool)
+
+
 class TestClientPool:
     @pytest.mark.parametrize("cpus", [1, 2, 3, 8])
     def test_width_is_usable_cpus_capped_by_clients(self, monkeypatch, cpus):
@@ -440,7 +451,7 @@ class TestClientPool:
         forks = recording_forks(monkeypatch)
         cfg = tiny_cfg()
         _, model, clients, loss_cfg = _setup(cfg)
-        run_round(model, clients, cfg, loss_cfg, parallel=True)
+        pooled_round(model, clients, cfg, loss_cfg)
         assert len(clients) == 4
         # min(cpus, 4) workers: this process runs one group itself and
         # forks one child per other; one worker forks none
@@ -483,7 +494,7 @@ class TestClientPool:
         for parallel in (False, True):
             _, model, clients, loss_cfg = _setup(cfg)
             for _ in range(2):
-                model, _ = run_round(model, clients, cfg, loss_cfg, parallel=parallel)
+                model, _ = pooled_round(model, clients, cfg, loss_cfg, parallel)
             runs.append((flatten_params(model).tobytes(), [client_state(c) for c in clients]))
         assert runs[0] == runs[1]
 
@@ -500,7 +511,7 @@ class TestClientPool:
                 assert (pool is not None) == parallel
                 states = []
                 for _ in range(3):
-                    model, _ = run_round(model, clients, cfg, loss_cfg, parallel, pool)
+                    model, _ = run_round(model, clients, cfg, loss_cfg, pool)
                     states.append([client_state(c) for c in clients])
             runs.append((flatten_params(model).tobytes(), states))
         assert runs[0] == runs[1]
@@ -549,14 +560,14 @@ class TestClientPool:
         usable_cpus(monkeypatch, 2)
         cfg = tiny_cfg()
         _, model, clients, loss_cfg = _setup(cfg)
-        model, _ = run_round(model, clients, cfg, loss_cfg, parallel=True)
+        model, _ = pooled_round(model, clients, cfg, loss_cfg)
         monkeypatch.setattr(engine, "client_update", dying_update)
         if where == "child":
             with pytest.raises(ChildProcessError, match=r"^round 2: .* status 3 "):
-                run_round(model, clients, cfg, loss_cfg, parallel=True)
+                pooled_round(model, clients, cfg, loss_cfg)
         else:
             with pytest.raises(NumericError, match=r"^round 2: client \d+: boom$"):
-                run_round(model, clients, cfg, loss_cfg, parallel=True)
+                pooled_round(model, clients, cfg, loss_cfg)
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
@@ -613,9 +624,9 @@ class TestClientPool:
         _, model, clients, loss_cfg = _setup(cfg)
         if fail:
             with pytest.raises(NumericError, match="client 1: boom"):
-                run_round(model, clients, cfg, loss_cfg, parallel=True)
+                pooled_round(model, clients, cfg, loss_cfg)
         else:
-            run_round(model, clients, cfg, loss_cfg, parallel=True)
+            pooled_round(model, clients, cfg, loss_cfg)
         assert seen and set(seen) == {1}  # the calls this process ran itself
         assert history == [1, 2] and state["threads"] == 2
 
@@ -654,9 +665,9 @@ class TestClientPool:
         _, history = fake_blas(monkeypatch)
         cfg = tiny_cfg()
         _, model, clients, loss_cfg = _setup(cfg)
-        run_round(model, clients, cfg, loss_cfg, parallel=False)
+        pooled_round(model, clients, cfg, loss_cfg, parallel=False)
         usable_cpus(monkeypatch, 1)
-        run_round(model, clients, cfg, loss_cfg, parallel=True)
+        pooled_round(model, clients, cfg, loss_cfg)
         assert history == []
 
     def test_real_blas_thread_count_restored(self, monkeypatch):
@@ -670,7 +681,7 @@ class TestClientPool:
         _, model, clients, loss_cfg = _setup(cfg)
         set_threads(2)  # a count other than the cap, whatever the machine's default
         try:
-            run_round(model, clients, cfg, loss_cfg, parallel=True)
+            pooled_round(model, clients, cfg, loss_cfg)
             assert get_threads() == 2
         finally:
             set_threads(original)
@@ -690,10 +701,10 @@ class TestClientPool:
         usable_cpus(monkeypatch, cpus)
         cfg = tiny_cfg(use_fw=True)
         _, model, clients, loss_cfg = _setup(cfg)
-        model, _ = run_round(model, clients, cfg, loss_cfg, parallel)
+        model, _ = pooled_round(model, clients, cfg, loss_cfg, parallel)
         clients[2].shard.features[0] = np.nan
         with pytest.raises(ValidationError, match=r"^round 2: client 2: covariance"):
-            run_round(model, clients, cfg, loss_cfg, parallel)
+            pooled_round(model, clients, cfg, loss_cfg, parallel)
 
 
 class TestRunExperiment:
@@ -736,8 +747,9 @@ class TestRunExperiment:
         b = run_experiment(tiny_cfg(seed=1))
         assert experiment_csv(a) != experiment_csv(b)
 
-    def test_eval_every_skips_intermediate_rounds(self):
-        log = run_experiment(tiny_cfg(rounds=3, eval_every=2))
+    @pytest.mark.parametrize("entry", ENTRY_POINTS, ids=["run", "baseline"])
+    def test_eval_every_skips_intermediate_rounds(self, entry):
+        log = entry(tiny_cfg(rounds=3, eval_every=2))
         evaluated = [r.round_index for r in log.rounds if r.evals]
         assert evaluated == [2, 3]  # schedule plus the final round
 
@@ -750,13 +762,11 @@ class TestRunExperiment:
         assert (out / "model.ckpt").exists()
         assert (out / "config.json").exists()
 
-    def test_evaluation_never_mutates_training_state(self):
-        dense_log = run_experiment(tiny_cfg(rounds=2, eval_every=1))
-        sparse_log = run_experiment(tiny_cfg(rounds=2, eval_every=2))
-        assert (
-            flatten_params(dense_log.model).tobytes()
-            == flatten_params(sparse_log.model).tobytes()
-        )
+    @pytest.mark.parametrize("entry", ENTRY_POINTS, ids=["run", "baseline"])
+    def test_evaluation_never_mutates_training_state(self, entry):
+        dense_log = entry(tiny_cfg(rounds=2, eval_every=1))
+        sparse_log = entry(tiny_cfg(rounds=2, eval_every=2))
+        assert final_params(dense_log) == final_params(sparse_log)
 
 
 ALL_MODES = ("both", "only-0", "only-1")
@@ -785,6 +795,21 @@ class TestEvaluateEveryMode:
         for mode in ALL_MODES:
             alone = evaluate_late_fusion(submodels, test, (mode,))[mode]
             assert_reports_identical(together[mode], alone)
+
+
+@pytest.mark.parametrize("late_fusion", [False, True], ids=["evaluate", "evaluate_late_fusion"])
+def test_empty_test_set_rejected(late_fusion):
+    # zero rows have no accuracy to report: both evaluators refuse them
+    cfg = tiny_cfg()
+    spec = cfg.resolved_dataset()
+    empty = [shard.select([]) for shard in gen_synthetic(spec).test]
+    if late_fusion:
+        submodels = [engine._baseline_submodel(cfg, spec, m) for m in range(spec.n_modalities)]
+        score = functools.partial(evaluate_late_fusion, submodels)
+    else:
+        score = functools.partial(engine.evaluate, init_model(cfg))
+    with pytest.raises(ValidationError, match="^test set must be non-empty$"):
+        score(empty, ALL_MODES)
 
 
 class TestBaseline:

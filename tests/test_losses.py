@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from modelclone import clone_model
 
 from fedmm import nncore
 from fedmm.errors import BatchSizeError, ConfigError, DimensionError, ValidationError
@@ -17,7 +18,6 @@ from fedmm.losses import (
 )
 from fedmm.models import (
     build_model,
-    clone_model,
     cross_encode,
     encode_train,
     flatten_params,

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from modelclone import clone_model
 
 from fedmm.errors import DimensionError, FormatError, NumericError, ValidationError
 from fedmm.models import (
@@ -12,7 +13,6 @@ from fedmm.models import (
     assign_params,
     build_encoder,
     build_model,
-    clone_model,
     cross_encode,
     encode,
     encode_backward,
