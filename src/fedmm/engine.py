@@ -129,7 +129,8 @@ def init_model(cfg: ExperimentConfig) -> GlobalModelSet:
     return GlobalModelSet(encoders=encoders, head=head)
 
 
-def _baseline_submodel(cfg: ExperimentConfig, spec, modality: int) -> GlobalModelSet:
+def _baseline_submodel(cfg: ExperimentConfig, modality: int) -> GlobalModelSet:
+    spec = cfg.resolved_dataset()
     p = spec.n_modalities
     encoder = build_encoder(
         0,
@@ -160,7 +161,6 @@ class ClientState:
     """
 
     client_id: int
-    modality_id: int
     shard: Shard
     encoder: Encoder
     head: TaskHead
@@ -238,7 +238,6 @@ def make_client(
     )
     return ClientState(
         client_id=client_id,
-        modality_id=shard.modality_id,
         shard=shard,
         encoder=encoder,
         head=head,
@@ -252,7 +251,6 @@ def client_update(
     client: ClientState,
     global_model: GlobalModelSet,
     cfg: ExperimentConfig,
-    loss_cfg: LossConfig,
 ) -> ClientUpdate:
     """Copy the broadcast parameters in, run E local epochs, return the result.
 
@@ -261,7 +259,9 @@ def client_update(
     batch and no client array ever aliases ``global_model``. The client
     keeps its own whitening running statistics across rounds; only
     parameters are overwritten by the broadcast. Other-modality encoders
-    of ``global_model`` are read-only throughout.
+    of ``global_model`` are read-only throughout. The loss settings come
+    from ``cfg``: ``tau``, ``ntxent_variant`` and ``lambda_mim``, which
+    counts only when ``use_mim`` is on.
     """
     if client.shard.n == 0:
         raise DataError(f"client {client.client_id} has an empty shard")
@@ -274,6 +274,11 @@ def client_update(
         )
     assign_params(client.encoder, global_model.encoders[slot].params)
     assign_params(client.head, global_model.head.params)
+    loss_cfg = LossConfig(
+        tau=cfg.tau,
+        lambda_mim=cfg.lambda_mim if cfg.use_mim else 0.0,
+        ntxent_variant=cfg.ntxent_variant,
+    )
 
     ce_total = ntx_total = 0.0
     n_batches = 0
@@ -422,12 +427,11 @@ def _update(
     client: ClientState,
     model: GlobalModelSet,
     cfg: ExperimentConfig,
-    loss_cfg: LossConfig,
 ) -> ClientUpdate:
     """:func:`client_update`; a failure keeps its class and gains the round
     and the client at the front of its message."""
     try:
-        return client_update(client, model, cfg, loss_cfg)
+        return client_update(client, model, cfg)
     except Exception as exc:
         exc.args = (f"round {model.round + 1}: client {client.client_id}: {exc}",)
         raise
@@ -534,8 +538,8 @@ class _ClientPool:
     one thread before the pool forks and until it closes.
     """
 
-    def __init__(self, federations, workers: int, cfg: ExperimentConfig, loss_cfg: LossConfig):
-        self._cfg, self._loss_cfg = cfg, loss_cfg
+    def __init__(self, federations, workers: int, cfg: ExperimentConfig):
+        self._cfg = cfg
         self._federations = {}  # first client id -> (model, groups)
         for model, clients in federations:
             k = min(workers, len(clients))
@@ -593,9 +597,7 @@ class _ClientPool:
             for part, buffer in zip(model.encoders + [model.head], buffers):
                 part.params[...] = buffer
             try:
-                outcome = [
-                    _report(c, _update(c, model, self._cfg, self._loss_cfg)) for c in groups[g]
-                ]
+                outcome = [_report(c, _update(c, model, self._cfg)) for c in groups[g]]
             except Exception as exc:  # sent to the parent, which re-raises it
                 outcome = exc
             _send(reports, outcome)
@@ -614,7 +616,7 @@ class _ClientPool:
                 _send(worker.requests, (key, model.round, buffers))
             except BrokenPipeError:
                 self._died(worker, model, group)
-        updates = {c.client_id: _update(c, model, self._cfg, self._loss_cfg) for c in own}
+        updates = {c.client_id: _update(c, model, self._cfg) for c in own}
         for worker, group in zip(workers, worker_groups):
             try:
                 outcome = _receive(worker.reports)
@@ -649,7 +651,7 @@ class _ClientPool:
 
 
 @contextlib.contextmanager
-def _client_pool(federations, cfg: ExperimentConfig, loss_cfg: LossConfig, parallel: bool):
+def _client_pool(federations, cfg: ExperimentConfig, parallel: bool):
     """An open :class:`_ClientPool` over ``federations``, or None.
 
     With ``parallel`` the pool has one worker per usable CPU, but no more
@@ -665,7 +667,7 @@ def _client_pool(federations, cfg: ExperimentConfig, loss_cfg: LossConfig, paral
         yield None
         return
     with _single_threaded_blas():
-        pool = _ClientPool(federations, workers, cfg, loss_cfg)
+        pool = _ClientPool(federations, workers, cfg)
         try:
             yield pool
         finally:
@@ -676,13 +678,12 @@ def _run_updates(
     clients: list[ClientState],
     model: GlobalModelSet,
     cfg: ExperimentConfig,
-    loss_cfg: LossConfig,
     pool: _ClientPool | None = None,
 ) -> list[ClientUpdate]:
     """Every client's local update, in client order: through ``pool`` when
     one is open, inline otherwise."""
     if pool is None:
-        return [_update(c, model, cfg, loss_cfg) for c in clients]
+        return [_update(c, model, cfg) for c in clients]
     return pool.updates(model, clients)
 
 
@@ -690,13 +691,13 @@ def run_round(
     model: GlobalModelSet,
     clients: list[ClientState],
     cfg: ExperimentConfig,
-    loss_cfg: LossConfig,
     pool: _ClientPool | None = None,
 ) -> tuple[GlobalModelSet, RoundLog]:
     """One round: local updates (through ``pool`` when the caller holds
-    one open, inline otherwise), aggregation and the round log."""
+    one open, inline otherwise), aggregation and the round log. Each
+    client's loss settings come from ``cfg`` (:func:`client_update`)."""
     started = time.perf_counter()
-    updates = _run_updates(clients, model, cfg, loss_cfg, pool)
+    updates = _run_updates(clients, model, cfg, pool)
     trained = time.perf_counter()
     new_model = aggregate(updates, model)
     aggregated = time.perf_counter()
@@ -714,7 +715,7 @@ def run_round(
 
 
 def _federate(
-    cfg: ExperimentConfig, federations, loss_cfg: LossConfig, score, parallel: bool
+    cfg: ExperimentConfig, federations, score, parallel: bool
 ) -> tuple[dict[str, MetricsReport], list[RoundLog], list[GlobalModelSet]]:
     """Train (global model, clients) ``federations`` side by side for
     ``cfg.rounds`` rounds; the one round loop of every run.
@@ -730,11 +731,11 @@ def _federate(
     models = [model for model, _ in federations]
     initial = score(models)
     rounds: list[RoundLog] = []
-    with _client_pool(federations, cfg, loss_cfg, parallel and cfg.rounds > 0) as pool:
+    with _client_pool(federations, cfg, parallel and cfg.rounds > 0) as pool:
         for r in range(1, cfg.rounds + 1):
             logs = []
             for i, (_, clients) in enumerate(federations):
-                models[i], mlog = run_round(models[i], clients, cfg, loss_cfg, pool)
+                models[i], mlog = run_round(models[i], clients, cfg, pool)
                 logs.append(mlog)
             rlog = RoundLog(
                 round_index=r,
@@ -759,11 +760,6 @@ def run_experiment(cfg: ExperimentConfig, parallel: bool = False) -> ExperimentL
     dataset = gen_synthetic(cfg.resolved_dataset())
     shards = build_scenario(dataset, cfg.scenario, cfg.k_clients)
     model = init_model(cfg)
-    loss_cfg = LossConfig(
-        tau=cfg.tau,
-        lambda_mim=cfg.lambda_mim if cfg.use_mim else 0.0,
-        ntxent_variant=cfg.ntxent_variant,
-    )
     clients = [
         make_client(i, shard, model.encoders[shard.modality_id], model.head, cfg)
         for i, shard in enumerate(shards)
@@ -771,7 +767,6 @@ def run_experiment(cfg: ExperimentConfig, parallel: bool = False) -> ExperimentL
     initial, rounds, (model,) = _federate(
         cfg,
         [(model, clients)],
-        loss_cfg,
         lambda models: evaluate(models[0], dataset.test, cfg.inference_modes),
         parallel,
     )
@@ -800,6 +795,8 @@ def evaluate_late_fusion(
     wanted = mode_modalities(modes, len(submodels))
     if not test_shards or any(s.n == 0 for s in test_shards):
         raise ValidationError("test set must be non-empty")
+    if len(test_shards) != len(submodels):
+        raise ValidationError(f"{len(test_shards)} test shards for {len(submodels)} modalities")
     probs = {}
     for m in sorted(set().union(*wanted.values())):
         features = encode(submodels[m].encoders[0], test_shards[m].features, "eval")
@@ -822,10 +819,11 @@ def baseline_fedavg_latefusion(
     """Independent per-modality federated averaging, fused only at inference.
 
     Each modality trains its own encoder and private head (feature dim in,
-    labels out) with plain weighted averaging; no whitening, no contrastive
-    term. The P single-modality federations train side by side through
-    :func:`_federate`, one :func:`run_round` each per round in modality
-    order. Inference averages the per-modality probabilities;
+    labels out) with plain weighted averaging; no whitening, and no
+    contrastive term, since a one-modality submodel has no other modality
+    to align with. The P single-modality federations train side by side
+    through :func:`_federate`, one :func:`run_round` each per round in
+    modality order. Inference averages the per-modality probabilities;
     single-modality modes use that modality's model alone.
     """
     cfg.validate()
@@ -833,8 +831,7 @@ def baseline_fedavg_latefusion(
     dataset = gen_synthetic(spec)
     shards = build_scenario(dataset, cfg.scenario, cfg.k_clients)
     p = spec.n_modalities
-    submodels = [_baseline_submodel(cfg, spec, m) for m in range(p)]
-    loss_cfg = LossConfig(tau=cfg.tau, lambda_mim=0.0, ntxent_variant=cfg.ntxent_variant)
+    submodels = [_baseline_submodel(cfg, m) for m in range(p)]
     clients_by_modality: list[list[ClientState]] = [[] for _ in range(p)]
     for i, shard in enumerate(shards):
         m = shard.modality_id
@@ -844,7 +841,6 @@ def baseline_fedavg_latefusion(
     initial, rounds, submodels = _federate(
         cfg,
         list(zip(submodels, clients_by_modality)),
-        loss_cfg,
         lambda models: evaluate_late_fusion(models, dataset.test, cfg.inference_modes),
         parallel,
     )

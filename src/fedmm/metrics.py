@@ -153,6 +153,8 @@ def evaluate(
     if not test_shards or any(s.n == 0 for s in test_shards):
         raise ValidationError("test set must be non-empty")
     p = model.n_modalities
+    if len(test_shards) != p:
+        raise ValidationError(f"{len(test_shards)} test shards for {p} modalities")
     wanted = mode_modalities(modes, p)
     features = {
         m: encode(model.encoders[m], test_shards[m].features, "eval")

@@ -41,6 +41,11 @@ from .nncore import (
 CHECKPOINT_MAGIC = b"MFMM"
 CHECKPOINT_VERSION = 1
 
+# Whitening settings of a built encoder. The eps keeps the amplification of
+# weakly observed covariance directions bounded at desk-scale batch sizes.
+WHITENING_EPS = 0.1
+WHITENING_MOMENTUM = 0.1
+
 
 @dataclass
 class Stage:
@@ -155,22 +160,18 @@ def build_encoder(
     feature_dim: int,
     use_whitening: bool,
     rng: np.random.Generator,
-    eps: float = 0.1,
-    momentum: float = 0.1,
 ) -> Encoder:
     """Standard encoder: whitening, when enabled, sits on the adapter output.
 
     That placement aligns each client's first-layer activations before any
     shared body weights consume them; placing it deeper leaves the early
-    layers exposed to the raw per-client distributions. The eps default
-    keeps the amplification of weakly observed covariance directions
-    bounded at desk-scale batch sizes.
+    layers exposed to the raw per-client distributions. Whitening uses
+    :data:`WHITENING_EPS` and :data:`WHITENING_MOMENTUM`.
     """
-    adapter = Stage(
-        init_dense(rng, input_dim, hidden_dim, 2.0),
-        WhiteningState.create(hidden_dim, eps=eps, momentum=momentum) if use_whitening else None,
-        "relu",
-    )
+    whitening = None
+    if use_whitening:
+        whitening = WhiteningState.create(hidden_dim, WHITENING_EPS, WHITENING_MOMENTUM)
+    adapter = Stage(init_dense(rng, input_dim, hidden_dim, 2.0), whitening, "relu")
     mid = Stage(init_dense(rng, hidden_dim, hidden_dim, 2.0), None, "relu")
     out = Stage(init_dense(rng, hidden_dim, feature_dim, 1.0), None, None)
     return Encoder(modality_id=modality_id, adapter=adapter, body=[mid, out])

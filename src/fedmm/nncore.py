@@ -33,14 +33,10 @@ from .errors import (
 
 Array = np.ndarray
 
-ACTIVATION_KINDS = ("relu", "sigmoid", "softmax-rows")
 
-
-def as_tensor(values, shape=None) -> Array:
+def as_tensor(values) -> Array:
     """Coerce ``values`` to a C-contiguous float64 array, rejecting NaN/Inf."""
     arr = np.ascontiguousarray(values, dtype=np.float64)
-    if shape is not None:
-        arr = arr.reshape(shape)
     if not np.all(np.isfinite(arr)):
         raise NumericError("tensor contains non-finite entries")
     return arr

@@ -10,7 +10,7 @@ import threading
 import numpy as np
 import pytest
 
-from fedmm import engine
+from fedmm import engine, losses
 from fedmm.config import ExperimentConfig
 from fedmm.data import DatasetSpec, ScenarioSpec, build_scenario, gen_synthetic
 from fedmm.engine import (
@@ -29,7 +29,6 @@ from fedmm.engine import (
     timings_csv,
 )
 from fedmm.errors import DataError, DimensionError, NumericError, ValidationError
-from fedmm.losses import LossConfig
 from fedmm.models import flatten_params, unflatten_params
 
 
@@ -136,58 +135,68 @@ def assert_reports_identical(a, b):
     assert a.per_label_recall.tobytes() == b.per_label_recall.tobytes()
 
 
+def counting(monkeypatch, *targets):
+    """Replace each (module, name) function with one that records its calls
+    in the returned list, then calls the original."""
+    calls = []
+    for module, name in targets:
+        original = getattr(module, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 def _setup(cfg):
     dataset = gen_synthetic(cfg.resolved_dataset())
     shards = build_scenario(dataset, cfg.scenario, cfg.k_clients)
     model = init_model(cfg)
-    loss_cfg = LossConfig(
-        tau=cfg.tau,
-        lambda_mim=cfg.lambda_mim if cfg.use_mim else 0.0,
-        ntxent_variant=cfg.ntxent_variant,
-    )
     clients = [
         make_client(i, shard, model.encoders[shard.modality_id], model.head, cfg)
         for i, shard in enumerate(shards)
     ]
-    return dataset, model, clients, loss_cfg
+    return dataset, model, clients
 
 
 class TestClientUpdate:
     def test_zero_epochs_returns_broadcast(self):
         cfg = tiny_cfg(local_epochs=0)
-        _, model, clients, loss_cfg = _setup(cfg)
-        update = client_update(clients[0], model, cfg, loss_cfg)
-        expected = flatten_params(model.encoders[clients[0].modality_id])
+        _, model, clients = _setup(cfg)
+        update = client_update(clients[0], model, cfg)
+        expected = flatten_params(model.encoders[clients[0].shard.modality_id])
         assert update.encoder_flat.tobytes() == expected.tobytes()
         assert update.head_flat.tobytes() == flatten_params(model.head).tobytes()
 
     def test_zero_learning_rate_returns_broadcast(self):
         cfg = tiny_cfg(lr=0.0)
-        _, model, clients, loss_cfg = _setup(cfg)
-        update = client_update(clients[1], model, cfg, loss_cfg)
-        expected = flatten_params(model.encoders[clients[1].modality_id])
+        _, model, clients = _setup(cfg)
+        update = client_update(clients[1], model, cfg)
+        expected = flatten_params(model.encoders[clients[1].shard.modality_id])
         assert update.encoder_flat.tobytes() == expected.tobytes()
 
     def test_bit_identical_across_reruns(self):
         results = []
         for _ in range(2):
             cfg = tiny_cfg()
-            _, model, clients, loss_cfg = _setup(cfg)
-            results.append(client_update(clients[0], model, cfg, loss_cfg))
+            _, model, clients = _setup(cfg)
+            results.append(client_update(clients[0], model, cfg))
         assert results[0].encoder_flat.tobytes() == results[1].encoder_flat.tobytes()
         assert results[0].head_flat.tobytes() == results[1].head_flat.tobytes()
         assert results[0].mean_ce == results[1].mean_ce
 
     def test_whitening_statistics_survive_rebroadcast(self):
         cfg = tiny_cfg(use_fw=True)
-        _, model, clients, loss_cfg = _setup(cfg)
+        _, model, clients = _setup(cfg)
         client = clients[0]
-        client_update(client, model, cfg, loss_cfg)
+        client_update(client, model, cfg)
         st = client.encoder.adapter.whitening
         assert st.stats_ready
         assert st.cache_w is None and st.cache_xhat is None  # released per update
         snapshot = st.running_cov.tobytes()
-        client_update(client, model, cfg, loss_cfg)  # second broadcast
+        client_update(client, model, cfg)  # second broadcast
         st = client.encoder.adapter.whitening
         assert st.stats_ready
         assert st.running_cov.tobytes() != snapshot  # evolved, not reset
@@ -196,18 +205,18 @@ class TestClientUpdate:
         # client arrays are written in place and must never alias the
         # global model, which other clients read during the same round
         cfg = tiny_cfg(use_fw=True)
-        _, model, clients, loss_cfg = _setup(cfg)
+        _, model, clients = _setup(cfg)
         snapshot = flatten_params(model).tobytes()
         for client in clients:
-            client_update(client, model, cfg, loss_cfg)
-            client_update(client, model, cfg, loss_cfg)
+            client_update(client, model, cfg)
+            client_update(client, model, cfg)
         assert flatten_params(model).tobytes() == snapshot
 
     def test_parameters_stay_views_of_client_buffer(self):
         cfg = tiny_cfg(use_fw=True)
-        _, model, clients, loss_cfg = _setup(cfg)
+        _, model, clients = _setup(cfg)
         client = clients[0]
-        update = client_update(client, model, cfg, loss_cfg)
+        update = client_update(client, model, cfg)
         arrays = [client.head.layer.weight, client.head.layer.bias]
         for stage in client.encoder.stages():
             arrays += [stage.dense.weight, stage.dense.bias]
@@ -221,13 +230,29 @@ class TestClientUpdate:
         for flat in (update.encoder_flat, update.head_flat):
             assert not np.may_share_memory(flat, client.params)
 
+    @pytest.mark.parametrize(
+        "use_mim, lambda_mim, aligned",
+        [(False, 1.0, False), (True, 1.0, True), (True, 0.0, False)],
+    )
+    def test_contrastive_term_follows_config(self, monkeypatch, use_mim, lambda_mim, aligned):
+        # the loss settings come from cfg alone: on a two-modality model the
+        # contrastive term runs exactly when use_mim is on with a positive
+        # weight
+        calls = counting(monkeypatch, (losses, "ntxent"))
+        cfg = tiny_cfg(use_mim=use_mim, lambda_mim=lambda_mim)
+        _, model, clients = _setup(cfg)
+        assert model.n_modalities == 2
+        update = client_update(clients[0], model, cfg)
+        assert bool(calls) == aligned
+        assert (update.mean_ntx != 0.0) == aligned
+
     def test_client_sharing_global_arrays_is_rejected(self):
         cfg = tiny_cfg()
-        _, model, clients, loss_cfg = _setup(cfg)
-        global_encoder = model.encoders[clients[0].modality_id]
+        _, model, clients = _setup(cfg)
+        global_encoder = model.encoders[clients[0].shard.modality_id]
         shared = dataclasses.replace(clients[0], encoder=global_encoder)
         with pytest.raises(ValidationError, match="client 0"):
-            client_update(shared, model, cfg, loss_cfg)
+            client_update(shared, model, cfg)
 
 
 def _fake_updates(model, spec):
@@ -255,8 +280,8 @@ def _fake_updates(model, spec):
 class TestAggregate:
     def test_single_client_per_modality_is_identity(self):
         cfg = tiny_cfg(k_clients=2)
-        _, model, clients, loss_cfg = _setup(cfg)
-        updates = [client_update(c, model, cfg, loss_cfg) for c in clients]
+        _, model, clients = _setup(cfg)
+        updates = [client_update(c, model, cfg) for c in clients]
         merged = aggregate(updates, model)
         for m, enc in enumerate(merged.encoders):
             assert flatten_params(enc).tobytes() == updates[m].encoder_flat.tobytes()
@@ -264,7 +289,7 @@ class TestAggregate:
 
     def test_hand_weighted_mean(self):
         cfg = tiny_cfg()
-        _, model, _, _ = _setup(cfg)
+        _, model, _ = _setup(cfg)
         zero = unflatten_params(np.zeros(param_count(model)), model)
         n_enc0 = param_count(model.encoders[0])
         n_enc1 = param_count(model.encoders[1])
@@ -283,7 +308,7 @@ class TestAggregate:
 
     def test_matches_weighted_average_oracle(self):
         cfg = tiny_cfg()
-        _, model, _, _ = _setup(cfg)
+        _, model, _ = _setup(cfg)
         for trial in range(25):
             updates = _fake_updates(model, trial)
             merged = aggregate(updates, model)
@@ -302,7 +327,7 @@ class TestAggregate:
 
     def test_exact_fixed_point(self):
         cfg = tiny_cfg()
-        _, model, _, _ = _setup(cfg)
+        _, model, _ = _setup(cfg)
         updates = []
         for cid in range(4):
             m = 0 if cid < 2 else 1
@@ -322,7 +347,7 @@ class TestAggregate:
 
     def test_permutation_invariance_is_bitwise(self):
         cfg = tiny_cfg()
-        _, model, _, _ = _setup(cfg)
+        _, model, _ = _setup(cfg)
         updates = _fake_updates(model, 99)
         merged_a = aggregate(updates, model)
         merged_b = aggregate(list(reversed(updates)), model)
@@ -330,14 +355,14 @@ class TestAggregate:
 
     def test_modality_without_updates_is_an_error(self):
         cfg = tiny_cfg()
-        _, model, _, _ = _setup(cfg)
+        _, model, _ = _setup(cfg)
         updates = [u for u in _fake_updates(model, 5) if u.modality_id == 0]
         with pytest.raises(DataError, match="modality 1"):
             aggregate(updates, model)
 
     def test_length_mismatch_is_an_error(self):
         cfg = tiny_cfg()
-        _, model, _, _ = _setup(cfg)
+        _, model, _ = _setup(cfg)
         updates = _fake_updates(model, 6)
         updates[0] = dataclasses.replace(
             updates[0], encoder_flat=np.zeros(3), modality_id=0
@@ -348,7 +373,7 @@ class TestAggregate:
     @pytest.mark.parametrize("part", ["encoder_flat", "head_flat"])
     def test_non_finite_upload_names_round_and_client(self, part):
         cfg = tiny_cfg()
-        _, model, _, _ = _setup(cfg)
+        _, model, _ = _setup(cfg)
         model.round = 6
         updates = _fake_updates(model, 8)
         bad = getattr(updates[-1], part).copy()
@@ -364,7 +389,7 @@ class TestAggregate:
         # every client uploads the same x, so the mean is x only if the
         # group weights and the head weights each sum to one
         cfg = tiny_cfg()
-        _, model, _, _ = _setup(cfg)
+        _, model, _ = _setup(cfg)
         rng = np.random.default_rng(7)
         x_enc = [enc.params + rng.normal(size=enc.params.size) for enc in model.encoders]
         x_head = model.head.params + rng.normal(size=model.head.params.size)
@@ -381,25 +406,25 @@ class TestAggregate:
 class TestRunRound:
     def test_zero_learning_rate_leaves_global_unchanged(self):
         cfg = tiny_cfg(lr=0.0)
-        _, model, clients, loss_cfg = _setup(cfg)
-        new_model, _ = run_round(model, clients, cfg, loss_cfg)
+        _, model, clients = _setup(cfg)
+        new_model, _ = run_round(model, clients, cfg)
         assert flatten_params(new_model).tobytes() == flatten_params(model).tobytes()
 
     def test_byte_accounting(self):
         cfg = tiny_cfg()
-        _, model, clients, loss_cfg = _setup(cfg)
-        _, log = run_round(model, clients, cfg, loss_cfg)
+        _, model, clients = _setup(cfg)
+        _, log = run_round(model, clients, cfg)
         per_client = [
-            param_count(model.encoders[c.modality_id]) + param_count(model.head)
+            param_count(model.encoders[c.shard.modality_id]) + param_count(model.head)
             for c in clients
         ]
         assert log.bytes_exchanged == 2 * 8 * sum(per_client)
 
     def test_round_index_increments(self):
         cfg = tiny_cfg()
-        _, model, clients, loss_cfg = _setup(cfg)
-        m1, log1 = run_round(model, clients, cfg, loss_cfg)
-        m2, log2 = run_round(m1, clients, cfg, loss_cfg)
+        _, model, clients = _setup(cfg)
+        m1, log1 = run_round(model, clients, cfg)
+        m2, log2 = run_round(m1, clients, cfg)
         assert (log1.round_index, log2.round_index) == (1, 2)
         assert m2.round == 2
 
@@ -437,11 +462,11 @@ def recording_forks(monkeypatch):
     return forks
 
 
-def pooled_round(model, clients, cfg, loss_cfg, parallel=True):
+def pooled_round(model, clients, cfg, parallel=True):
     """:func:`run_round` through a worker pool opened for this round alone,
     or inline when ``parallel`` is off or the pool would have one worker."""
-    with engine._client_pool([(model, clients)], cfg, loss_cfg, parallel) as pool:
-        return run_round(model, clients, cfg, loss_cfg, pool)
+    with engine._client_pool([(model, clients)], cfg, parallel) as pool:
+        return run_round(model, clients, cfg, pool)
 
 
 class TestClientPool:
@@ -450,8 +475,8 @@ class TestClientPool:
         usable_cpus(monkeypatch, cpus)
         forks = recording_forks(monkeypatch)
         cfg = tiny_cfg()
-        _, model, clients, loss_cfg = _setup(cfg)
-        pooled_round(model, clients, cfg, loss_cfg)
+        _, model, clients = _setup(cfg)
+        pooled_round(model, clients, cfg)
         assert len(clients) == 4
         # min(cpus, 4) workers: this process runs one group itself and
         # forks one child per other; one worker forks none
@@ -492,9 +517,9 @@ class TestClientPool:
         usable_cpus(monkeypatch, cpus)
         runs = []
         for parallel in (False, True):
-            _, model, clients, loss_cfg = _setup(cfg)
+            _, model, clients = _setup(cfg)
             for _ in range(2):
-                model, _ = pooled_round(model, clients, cfg, loss_cfg, parallel)
+                model, _ = pooled_round(model, clients, cfg, parallel)
             runs.append((flatten_params(model).tobytes(), [client_state(c) for c in clients]))
         assert runs[0] == runs[1]
 
@@ -506,12 +531,12 @@ class TestClientPool:
         usable_cpus(monkeypatch, 2)
         runs = []
         for parallel in (False, True):
-            _, model, clients, loss_cfg = _setup(cfg)
-            with engine._client_pool([(model, clients)], cfg, loss_cfg, parallel) as pool:
+            _, model, clients = _setup(cfg)
+            with engine._client_pool([(model, clients)], cfg, parallel) as pool:
                 assert (pool is not None) == parallel
                 states = []
                 for _ in range(3):
-                    model, _ = run_round(model, clients, cfg, loss_cfg, pool)
+                    model, _ = run_round(model, clients, cfg, pool)
                     states.append([client_state(c) for c in clients])
             runs.append((flatten_params(model).tobytes(), states))
         assert runs[0] == runs[1]
@@ -559,15 +584,15 @@ class TestClientPool:
 
         usable_cpus(monkeypatch, 2)
         cfg = tiny_cfg()
-        _, model, clients, loss_cfg = _setup(cfg)
-        model, _ = pooled_round(model, clients, cfg, loss_cfg)
+        _, model, clients = _setup(cfg)
+        model, _ = pooled_round(model, clients, cfg)
         monkeypatch.setattr(engine, "client_update", dying_update)
         if where == "child":
             with pytest.raises(ChildProcessError, match=r"^round 2: .* status 3 "):
-                pooled_round(model, clients, cfg, loss_cfg)
+                pooled_round(model, clients, cfg)
         else:
             with pytest.raises(NumericError, match=r"^round 2: client \d+: boom$"):
-                pooled_round(model, clients, cfg, loss_cfg)
+                pooled_round(model, clients, cfg)
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
@@ -621,12 +646,12 @@ class TestClientPool:
 
         monkeypatch.setattr(engine, "client_update", checking_update)
         cfg = tiny_cfg()
-        _, model, clients, loss_cfg = _setup(cfg)
+        _, model, clients = _setup(cfg)
         if fail:
             with pytest.raises(NumericError, match="client 1: boom"):
-                pooled_round(model, clients, cfg, loss_cfg)
+                pooled_round(model, clients, cfg)
         else:
-            pooled_round(model, clients, cfg, loss_cfg)
+            pooled_round(model, clients, cfg)
         assert seen and set(seen) == {1}  # the calls this process ran itself
         assert history == [1, 2] and state["threads"] == 2
 
@@ -664,10 +689,10 @@ class TestClientPool:
     def test_serial_path_leaves_blas_alone(self, monkeypatch):
         _, history = fake_blas(monkeypatch)
         cfg = tiny_cfg()
-        _, model, clients, loss_cfg = _setup(cfg)
-        pooled_round(model, clients, cfg, loss_cfg, parallel=False)
+        _, model, clients = _setup(cfg)
+        pooled_round(model, clients, cfg, parallel=False)
         usable_cpus(monkeypatch, 1)
-        pooled_round(model, clients, cfg, loss_cfg)
+        pooled_round(model, clients, cfg)
         assert history == []
 
     def test_real_blas_thread_count_restored(self, monkeypatch):
@@ -678,10 +703,10 @@ class TestClientPool:
         original = get_threads()
         usable_cpus(monkeypatch, 2)
         cfg = tiny_cfg()
-        _, model, clients, loss_cfg = _setup(cfg)
+        _, model, clients = _setup(cfg)
         set_threads(2)  # a count other than the cap, whatever the machine's default
         try:
-            pooled_round(model, clients, cfg, loss_cfg)
+            pooled_round(model, clients, cfg)
             assert get_threads() == 2
         finally:
             set_threads(original)
@@ -700,11 +725,11 @@ class TestClientPool:
     def test_failed_update_names_round_and_client(self, monkeypatch, parallel, cpus):
         usable_cpus(monkeypatch, cpus)
         cfg = tiny_cfg(use_fw=True)
-        _, model, clients, loss_cfg = _setup(cfg)
-        model, _ = pooled_round(model, clients, cfg, loss_cfg, parallel)
+        _, model, clients = _setup(cfg)
+        model, _ = pooled_round(model, clients, cfg, parallel)
         clients[2].shard.features[0] = np.nan
         with pytest.raises(ValidationError, match=r"^round 2: client 2: covariance"):
-            pooled_round(model, clients, cfg, loss_cfg, parallel)
+            pooled_round(model, clients, cfg, parallel)
 
 
 class TestRunExperiment:
@@ -804,12 +829,30 @@ def test_empty_test_set_rejected(late_fusion):
     spec = cfg.resolved_dataset()
     empty = [shard.select([]) for shard in gen_synthetic(spec).test]
     if late_fusion:
-        submodels = [engine._baseline_submodel(cfg, spec, m) for m in range(spec.n_modalities)]
+        submodels = [engine._baseline_submodel(cfg, m) for m in range(spec.n_modalities)]
         score = functools.partial(evaluate_late_fusion, submodels)
     else:
         score = functools.partial(engine.evaluate, init_model(cfg))
     with pytest.raises(ValidationError, match="^test set must be non-empty$"):
         score(empty, ALL_MODES)
+
+
+@pytest.mark.parametrize("late_fusion", [False, True], ids=["evaluate", "evaluate_late_fusion"])
+@pytest.mark.parametrize("count", [1, 3], ids=["too-few", "too-many"])
+def test_wrong_test_shard_count_rejected(late_fusion, count):
+    # one test shard per modality: a missing one has no features to score
+    # and an extra one would be ignored
+    cfg = tiny_cfg()
+    spec = cfg.resolved_dataset()
+    test = gen_synthetic(spec).test
+    shards = [test[m % len(test)] for m in range(count)]
+    if late_fusion:
+        submodels = [engine._baseline_submodel(cfg, m) for m in range(spec.n_modalities)]
+        score = functools.partial(evaluate_late_fusion, submodels)
+    else:
+        score = functools.partial(engine.evaluate, init_model(cfg))
+    with pytest.raises(ValidationError, match=f"^{count} test shards for 2 modalities$"):
+        score(shards, ALL_MODES)
 
 
 class TestBaseline:
@@ -851,7 +894,7 @@ class TestBaseline:
         dataset = gen_synthetic(spec)
         from fedmm.engine import _baseline_submodel
 
-        sub = _baseline_submodel(cfg, spec, 0)
+        sub = _baseline_submodel(cfg, 0)
         twin_shards = [dataset.test[0], dataset.test[0]]
         fused = evaluate_late_fusion([sub, sub], twin_shards, ("both",))["both"]
         solo = evaluate_late_fusion([sub, sub], twin_shards, ("only-0",))["only-0"]
@@ -901,6 +944,15 @@ class TestBaseline:
         with pytest.raises(ValidationError):
             evaluate_late_fusion([None, None], [None, None], ("both", "only-2"))
         assert len(encoded) == 4
+
+    def test_contrastive_setting_has_no_effect(self, monkeypatch):
+        # each submodel holds one modality, so with MIM on and a positive
+        # weight there is still no other modality to align with
+        calls = counting(monkeypatch, (losses, "ntxent"), (losses, "cross_encode"))
+        log = baseline_fedavg_latefusion(tiny_cfg(use_mim=True, lambda_mim=1.0))
+        assert calls == []
+        assert len(log.rounds) == 2
+        assert all(rlog.mean_ntx == 0.0 for rlog in log.rounds)
 
     def test_baseline_deterministic(self):
         a = baseline_fedavg_latefusion(tiny_cfg(rounds=1))
