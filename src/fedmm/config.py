@@ -14,7 +14,13 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .data import DatasetSpec, ScenarioSpec, clients_per_modality
+from .data import (
+    DROPPED_MODALITY,
+    DatasetSpec,
+    ScenarioSpec,
+    clients_per_modality,
+    train_size,
+)
 from .errors import ConfigError, ValidationError
 from .losses import NTXENT_VARIANTS
 from .metrics import parse_mode
@@ -82,12 +88,23 @@ class ExperimentConfig:
             except ValidationError as exc:
                 raise ConfigError(str(exc)) from None
         counts = clients_per_modality(self.k_clients, p)
-        smallest_shard = int(self.dataset.n_sites * 0.8) // max(counts)
-        if smallest_shard < 2:
+        n_train = train_size(self.dataset.n_sites)
+        if n_train // max(counts) < 2:
             raise ConfigError(
                 f"n_sites={self.dataset.n_sites} leaves fewer than 2 training "
                 f"samples per client at K={self.k_clients}"
             )
+        dropped = DROPPED_MODALITY.get(self.scenario.kind)
+        if dropped is not None and dropped < p:
+            # the rows build_scenario keeps, split over that modality's clients
+            kept = n_train - int(n_train * self.scenario.missing_fraction)
+            if kept // counts[dropped] < 2:
+                raise ConfigError(
+                    f"scenario {self.scenario.kind!r} with missing_fraction="
+                    f"{self.scenario.missing_fraction} leaves {kept} training "
+                    f"samples of modality {dropped} for {counts[dropped]} clients, "
+                    f"fewer than 2 per client"
+                )
         if self.scenario.kind in ("group-skew", "group-skew-mixed"):
             if self.dataset.n_groups < max(counts):
                 raise ConfigError(

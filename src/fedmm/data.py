@@ -12,6 +12,7 @@ marginals between clients.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -26,6 +27,9 @@ SHARD_VERSION = 1
 
 SCENARIO_KINDS = ("iid", "group-skew", "group-skew-mixed", "missing-A", "missing-B")
 TASK_KINDS = ("multi-label", "single-label")
+
+# the modality whose training rows a missing-modality scenario thins out
+DROPPED_MODALITY = {"missing-A": 0, "missing-B": 1}
 
 _SCENARIO_STREAM = 17
 _PREVALENCE_LOW = 0.2
@@ -170,6 +174,34 @@ def _anisotropic_noise(rng, n, q_label, latent_dim):
     return parallel + _NUISANCE_SCALE * (eps - parallel)
 
 
+def train_size(n_sites: int) -> int:
+    """Sites in the training split: 80% of them, rounded."""
+    return int(round(n_sites * 0.8))
+
+
+def sorted_quantile(column: Array, q: float) -> float:
+    """``np.quantile(column, q)`` of an ascending ``column``, bit for bit.
+
+    numpy's default (linear) method: the virtual index ``(n - 1) * q``
+    interpolates between its two neighbours, from the upper one when the
+    weight is at least 0.5, and an index at or past ``n - 1`` takes the
+    last element. Taking it from a column sorted once spares each call a
+    partition, and ``np.quantile``'s partition indices go through
+    ``np.unique``, which imports all of ``numpy.ma``.
+    """
+    n = column.shape[0]
+    virtual = (n - 1) * q
+    if virtual >= n - 1:
+        return float(column[-1])
+    prev = math.floor(virtual)
+    t = virtual - prev
+    a = float(column[prev])
+    b = float(column[prev + 1])
+    if t >= 0.5:
+        return b - (b - a) * (1 - t)
+    return a + (b - a) * t
+
+
 def gen_synthetic(spec: DatasetSpec) -> SyntheticDataset:
     """Generate paired train/test shards for every modality.
 
@@ -196,19 +228,21 @@ def gen_synthetic(spec: DatasetSpec) -> SyntheticDataset:
         views.append(raw + spec.noise_sigma * rng.standard_normal((n, dim)))
 
     perm = rng.permutation(n)
-    n_train = int(round(n * 0.8))
+    n_train = train_size(n)
     train_sites = np.sort(perm[:n_train])
     test_sites = np.sort(perm[n_train:])
 
     if spec.task_kind == "multi-label":
         scores = latents @ label_proj
+        train_scores = np.sort(scores[train_sites].T, axis=1)  # one row per label
         thresholds = np.empty(spec.n_labels)
         for lbl in range(spec.n_labels):
+            column = train_scores[lbl]
             ok = False
             for _ in range(100):
                 target = rng.uniform(0.25, 0.45)
-                thr = np.quantile(scores[train_sites, lbl], 1.0 - target)
-                prevalence = float((scores[train_sites, lbl] > thr).mean())
+                thr = sorted_quantile(column, 1.0 - target)
+                prevalence = float((column > thr).mean())
                 if _PREVALENCE_LOW <= prevalence <= _PREVALENCE_HIGH:
                     thresholds[lbl] = thr
                     ok = True
@@ -258,6 +292,15 @@ def clients_per_modality(k_clients: int, n_modalities: int) -> list[int]:
     return [base + (1 if m < k_clients % n_modalities else 0) for m in range(n_modalities)]
 
 
+def kept_rows(n: int, removed: Array) -> Array:
+    """Ascending indices of ``range(n)`` not in ``removed``: what
+    ``np.setdiff1d(np.arange(n), removed)`` gives, without the sort-based
+    set routines that import ``numpy.ma``."""
+    keep = np.ones(n, dtype=bool)
+    keep[removed] = False
+    return np.flatnonzero(keep)
+
+
 def build_scenario(
     dataset: SyntheticDataset, scenario: ScenarioSpec, k_clients: int
 ) -> list[Shard]:
@@ -286,14 +329,13 @@ def build_scenario(
                 noise = rng.standard_normal(shard.features.shape)
                 shard.features = shard.features + sigmas[shard_groups, None] * noise
     elif scenario.kind in ("iid", "missing-A", "missing-B"):
-        drop_modality = {"missing-A": 0, "missing-B": 1}.get(scenario.kind)
+        drop_modality = DROPPED_MODALITY.get(scenario.kind)
         for m, n_m in enumerate(counts):
             train = dataset.train[m]
             if drop_modality is not None and m == drop_modality:
                 n_remove = int(train.n * scenario.missing_fraction)
                 removed = rng.choice(train.n, size=n_remove, replace=False)
-                keep = np.setdiff1d(np.arange(train.n), removed)
-                train = train.select(keep)
+                train = train.select(kept_rows(train.n, removed))
             order = rng.permutation(train.n)
             for chunk in np.array_split(order, n_m):
                 shards.append(train.select(np.sort(chunk)))

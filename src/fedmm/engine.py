@@ -754,11 +754,21 @@ def _federate(
     return initial, rounds, models
 
 
+def _client_shards(cfg: ExperimentConfig) -> tuple[list[Shard], list[Shard]]:
+    """The run's client shards and test shards.
+
+    :func:`build_scenario` copies every client's rows, so nothing a run
+    keeps refers to the training split, and it is freed when this returns,
+    before the clients are built and the rounds allocate.
+    """
+    dataset = gen_synthetic(cfg.resolved_dataset())
+    return build_scenario(dataset, cfg.scenario, cfg.k_clients), dataset.test
+
+
 def run_experiment(cfg: ExperimentConfig, parallel: bool = False) -> ExperimentLog:
     """Full framework run: R rounds plus scheduled multi-mode evaluations."""
     cfg.validate()
-    dataset = gen_synthetic(cfg.resolved_dataset())
-    shards = build_scenario(dataset, cfg.scenario, cfg.k_clients)
+    shards, test = _client_shards(cfg)
     model = init_model(cfg)
     clients = [
         make_client(i, shard, model.encoders[shard.modality_id], model.head, cfg)
@@ -767,7 +777,7 @@ def run_experiment(cfg: ExperimentConfig, parallel: bool = False) -> ExperimentL
     initial, rounds, (model,) = _federate(
         cfg,
         [(model, clients)],
-        lambda models: evaluate(models[0], dataset.test, cfg.inference_modes),
+        lambda models: evaluate(models[0], test, cfg.inference_modes),
         parallel,
     )
     log = ExperimentLog(config=cfg, initial_evals=initial, rounds=rounds, model=model)
@@ -827,10 +837,8 @@ def baseline_fedavg_latefusion(
     single-modality modes use that modality's model alone.
     """
     cfg.validate()
-    spec = cfg.resolved_dataset()
-    dataset = gen_synthetic(spec)
-    shards = build_scenario(dataset, cfg.scenario, cfg.k_clients)
-    p = spec.n_modalities
+    shards, test = _client_shards(cfg)
+    p = cfg.dataset.n_modalities
     submodels = [_baseline_submodel(cfg, m) for m in range(p)]
     clients_by_modality: list[list[ClientState]] = [[] for _ in range(p)]
     for i, shard in enumerate(shards):
@@ -841,7 +849,7 @@ def baseline_fedavg_latefusion(
     initial, rounds, submodels = _federate(
         cfg,
         list(zip(submodels, clients_by_modality)),
-        lambda models: evaluate_late_fusion(models, dataset.test, cfg.inference_modes),
+        lambda models: evaluate_late_fusion(models, test, cfg.inference_modes),
         parallel,
     )
     log = ExperimentLog(

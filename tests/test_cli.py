@@ -1,11 +1,14 @@
 """CLI behavior: subcommands, exit codes, determinism of written outputs."""
 
+import hashlib
 import json
 
 import pytest
 
 from fedmm.cli import main, summarize_log
-from fedmm.data import load_shard
+from fedmm.config import config_from_dict
+from fedmm.data import SCENARIO_KINDS, build_scenario, gen_synthetic, load_shard
+from fedmm.errors import ConfigError
 from fedmm.engine import CSV_COLUMNS
 
 LOG_HEADER = ",".join(CSV_COLUMNS) + "\n"
@@ -68,6 +71,42 @@ class TestExitCodes:
         path = write_config(tmp_path, **override)
         assert main(["run", "--config", str(path)]) == 2
         assert named in capsys.readouterr().err
+
+
+class TestMissingFraction:
+    """A missing-modality scenario must leave every client of the thinned
+    modality at least 2 training samples. With 20 sites and K=2, modality 0
+    has 16 training rows and one client: missing_fraction 0.9 keeps 2 of
+    them, 0.95 keeps 1 and 1.0 keeps none."""
+
+    @staticmethod
+    def payload(fraction, kind="missing-A"):
+        return {
+            "dataset": {"n_sites": 20, "n_groups": 2},
+            "scenario": {"kind": kind, "missing_fraction": fraction},
+            "k_clients": 2,
+            "batch_size": 4,
+        }
+
+    @pytest.mark.parametrize("kind", ["missing-A", "missing-B"])
+    @pytest.mark.parametrize("fraction", [0.95, 1.0])
+    def test_config_rejects_a_starved_client(self, kind, fraction):
+        with pytest.raises(ConfigError, match="missing_fraction"):
+            config_from_dict(self.payload(fraction, kind))
+
+    def test_two_kept_samples_pass_and_are_what_the_client_gets(self):
+        cfg = config_from_dict(self.payload(0.9))
+        shards = build_scenario(
+            gen_synthetic(cfg.resolved_dataset()), cfg.scenario, cfg.k_clients
+        )
+        assert [s.n for s in shards] == [2, 16]
+
+    @pytest.mark.parametrize("fraction", [0.95, 1.0])
+    def test_run_exits_2(self, tmp_path, capsys, fraction):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(self.payload(fraction)))
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert "missing_fraction" in capsys.readouterr().err
 
 
 class TestRun:
@@ -212,6 +251,39 @@ class TestGenData:
         spec_path.write_text(json.dumps({"dataset": {"n_sites": 60, "sites": 3}}))
         assert main(["gen-data", "--spec", str(spec_path), "--out", str(tmp_path)]) == 2
         assert "sites" in capsys.readouterr().err
+
+
+# sha256 of every shard file of a multi-label `gen-data` export (train,
+# test, then client shards) per scenario kind; same build caveat as the
+# golden log hashes in test_engine.py
+GEN_DATA_DIGESTS = {
+    "iid": "daeb5cb7ecf27087c95186cff987460eb19aad0f81117c648f59e6bfef071d88",
+    "group-skew": "2e88e18412e01ffd7ae6192ec519fe5cf1d238d8b96212da9d8c8c2c6ec282b4",
+    "group-skew-mixed": "1962985806379304ed6768ccd4dc781e1c47455345189eeb4a3a9acc2d907d63",
+    "missing-A": "43ec544b292ea78377252e0a4cbda4d42faa9a2e26aa49c2e579acc36c362967",
+    "missing-B": "ed35b47bf296c9daf883de6257faa85520db2f42f1cc1d433cec8932bcaaf6cb",
+}
+
+
+@pytest.mark.parametrize("kind", SCENARIO_KINDS)
+def test_gen_data_shard_bytes(tmp_path, capsys, kind):
+    # pins the label calibration and every scenario's split, not just
+    # run-to-run determinism
+    spec = {
+        "dataset": {"n_sites": 300, "n_groups": 4, "seed": 5},
+        "scenario": {"kind": kind},
+        "k_clients": 4,
+    }
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec))
+    out = tmp_path / "data"
+    assert main(["gen-data", "--spec", str(spec_path), "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    digest = hashlib.sha256()
+    for split in ("train", "test", "clients"):
+        for name in manifest["shards"][split]:
+            digest.update((out / name).read_bytes())
+    assert digest.hexdigest() == GEN_DATA_DIGESTS[kind]
 
 
 class TestAblate:

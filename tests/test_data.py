@@ -16,8 +16,10 @@ from fedmm.data import (
     build_scenario,
     clients_per_modality,
     gen_synthetic,
+    kept_rows,
     load_shard,
     save_shard,
+    sorted_quantile,
     write_manifest,
 )
 from fedmm.errors import ConfigError, DataError, FormatError, ValidationError
@@ -82,6 +84,59 @@ class TestGenSynthetic:
     def test_modality_views_differ(self):
         ds = gen_synthetic(small_spec())
         assert ds.train[0].dim == 5 and ds.train[1].dim == 8
+
+
+def assert_matches_np_quantile(column, q):
+    expected = np.quantile(column, q)
+    got = sorted_quantile(np.sort(column), q)
+    assert np.float64(got).tobytes() == expected.tobytes(), (column.size, q, got, expected)
+
+
+class TestSortedQuantile:
+    """``sorted_quantile`` replaces ``np.quantile`` in the label calibration,
+    so it must give the same bits."""
+
+    def test_matches_np_quantile_on_random_columns(self):
+        rng = np.random.default_rng(20)
+        for i in range(10_000):
+            n = int(rng.integers(2, 3001))
+            column = rng.standard_normal(n) * rng.uniform(0.1, 10.0)
+            if i % 4 == 0:
+                # ties between neighbours; + 0.0 turns -0.0 into 0.0, since
+                # sort and partition may order the two zeros differently
+                # (which no label can see: scores are compared with >)
+                column = np.round(column, 1) + 0.0
+            assert_matches_np_quantile(column, 1.0 - rng.uniform(0.25, 0.45))
+            assert_matches_np_quantile(column, rng.uniform(0.0, 1.0))
+
+    def test_weight_of_exactly_one_half_interpolates_from_above(self):
+        column = np.array([0.1, 0.7, 2.3])
+        q = 0.25  # virtual index 0.5
+        assert (len(column) - 1) * q == 0.5
+        assert_matches_np_quantile(column, q)
+        assert_matches_np_quantile(np.array([-3.0, 1e-3, 5.0, 7.5, 11.0]), 0.125)
+
+    @pytest.mark.parametrize("q", [1.0, np.nextafter(1.0, 0.0)])
+    def test_virtual_index_at_the_last_element(self, q):
+        column = np.random.default_rng(3).standard_normal(3000)
+        assert_matches_np_quantile(column, q)
+        assert sorted_quantile(np.sort(column), 1.0) == column.max()
+
+    @pytest.mark.parametrize("q", [0.0, 0.5])
+    def test_ends_and_middle(self, q):
+        assert_matches_np_quantile(np.array([4.0, -1.0]), q)
+
+
+class TestKeptRows:
+    @pytest.mark.parametrize("n", [1, 2, 17, 1600])
+    def test_matches_setdiff1d(self, n):
+        rng = np.random.default_rng(n)
+        for n_remove in sorted({0, 1, n // 2, n - 1, n}):
+            removed = rng.choice(n, size=n_remove, replace=False)
+            expected = np.setdiff1d(np.arange(n), removed)
+            got = kept_rows(n, removed)
+            assert got.dtype == expected.dtype
+            np.testing.assert_array_equal(got, expected)
 
 
 class TestScenarios:
