@@ -66,7 +66,6 @@ from .nncore import (
     batch_whitening_forward,
     dense_backward,
     dense_forward,
-    grad_check,
     whitening_matrix,
 )
 

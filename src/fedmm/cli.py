@@ -15,15 +15,12 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 from pathlib import Path
 
-from .config import _build_section, _check_client_count, _wrong_json_type, load_config
+from .config import load_config, load_gen_spec
 from .data import (
     SCENARIO_KINDS,
-    DatasetSpec,
-    ScenarioSpec,
     build_scenario,
     gen_synthetic,
     save_shard,
@@ -83,44 +80,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_gen_spec(path: str, seed_override: int | None):
-    p = Path(path)
-    if not p.exists():
-        raise ConfigError(f"spec file not found: {p}")
-    try:
-        payload = json.loads(p.read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"spec is not valid JSON: {exc}") from None
-    if not isinstance(payload, dict):
-        raise ConfigError("spec root must be a JSON object")
-    unknown = set(payload) - {"dataset", "scenario", "k_clients"}
-    if unknown:
-        raise ConfigError(f"unknown spec key(s): {', '.join(sorted(unknown))}")
-    if "dataset" not in payload:
-        raise ConfigError("spec must contain a 'dataset' section")
-    dataset = _build_section(DatasetSpec, payload["dataset"], "dataset")
-    scenario = None
-    if "scenario" in payload:
-        scenario = _build_section(ScenarioSpec, payload["scenario"], "scenario")
-    k_clients = payload.get("k_clients")
-    if scenario is not None and k_clients is None:
-        raise ConfigError("spec with a scenario section also needs k_clients")
-    if _wrong_json_type("int | None", k_clients):
-        raise ConfigError(f"spec key 'k_clients' is {json.dumps(k_clients)}, expected int")
-    if scenario is not None:
-        _check_client_count(k_clients, dataset.n_modalities)
-    if seed_override is not None:
-        dataset = dataclasses.replace(dataset, seed=seed_override)
-    if dataset.seed is None:
-        raise ConfigError("dataset seed missing; set it in the spec or pass --seed")
-    return dataset, scenario, k_clients
-
-
 def _cmd_gen_data(args) -> int:
-    dataset_spec, scenario, k_clients = _load_gen_spec(args.spec, args.seed)
+    dataset_spec, scenario, k_clients = load_gen_spec(args.spec, args.seed)
+    dataset = gen_synthetic(dataset_spec)
+    # split before writing, so a spec that leaves a client short writes nothing
+    clients = [] if scenario is None else build_scenario(dataset, scenario, k_clients)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    dataset = gen_synthetic(dataset_spec)
     paths: dict[str, list[str]] = {"train": [], "test": []}
     for split, shards in (("train", dataset.train), ("test", dataset.test)):
         for shard in shards:
@@ -131,7 +97,7 @@ def _cmd_gen_data(args) -> int:
     if scenario is not None:
         scenario_kind = scenario.kind
         paths["clients"] = []
-        for cid, shard in enumerate(build_scenario(dataset, scenario, k_clients)):
+        for cid, shard in enumerate(clients):
             name = f"client_{cid:03d}.shard"
             save_shard(shard, out / name, n_labels=dataset_spec.n_labels)
             paths["clients"].append(name)

@@ -1,4 +1,5 @@
-"""Experiment configuration: JSON schema, parsing, and validation.
+"""Experiment configuration and ``fedmm gen-data`` specs: JSON schema,
+parsing, and validation.
 
 Config files use exactly the field names below; unknown keys are rejected
 so typos fail fast instead of silently falling back to defaults, and so is
@@ -9,21 +10,26 @@ the dataset seed defaults to it when left unset.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .data import (
-    DROPPED_MODALITY,
-    DatasetSpec,
-    ScenarioSpec,
-    clients_per_modality,
-    train_size,
-)
-from .errors import ConfigError, ValidationError
-from .losses import NTXENT_VARIANTS
+from .data import DatasetSpec, ScenarioSpec, check_scenario
+from .errors import ConfigError, DataError, ValidationError
+from .losses import LossConfig
 from .metrics import parse_mode
+
+
+@contextlib.contextmanager
+def _as_config_error():
+    """Re-raise a ValidationError or DataError of the block as ConfigError,
+    so a file that sets a value the library rejects exits 2."""
+    try:
+        yield
+    except (ValidationError, DataError) as exc:
+        raise ConfigError(str(exc)) from None
 
 
 @dataclass
@@ -60,8 +66,8 @@ class ExperimentConfig:
         return dataclasses.replace(self.dataset, seed=self.seed)
 
     def validate(self) -> None:
-        p = self.dataset.n_modalities
-        _check_client_count(self.k_clients, p)
+        with _as_config_error():
+            check_scenario(self.dataset, self.scenario, self.k_clients)
         if self.rounds < 0 or self.local_epochs < 0:
             raise ConfigError("rounds and local_epochs must be non-negative")
         if self.batch_size < 2:
@@ -70,53 +76,17 @@ class ExperimentConfig:
             raise ConfigError("lr and weight_decay must be non-negative")
         if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
             raise ConfigError("adam betas must lie in [0, 1)")
-        if self.tau <= 0.0:
-            raise ConfigError("tau must be positive")
-        if self.lambda_mim < 0.0:
-            raise ConfigError("lambda_mim must be non-negative")
-        if self.ntxent_variant not in NTXENT_VARIANTS:
-            raise ConfigError(f"unknown ntxent_variant {self.ntxent_variant!r}")
+        with _as_config_error():
+            LossConfig(self.tau, self.lambda_mim, self.ntxent_variant)
         if self.eval_every < 1:
             raise ConfigError("eval_every must be at least 1")
         if self.d_hidden < 1 or self.d_feature < 1:
             raise ConfigError("d_hidden and d_feature must be positive")
         if not self.inference_modes:
             raise ConfigError("inference_modes must not be empty")
-        for mode in self.inference_modes:
-            try:
-                parse_mode(mode, p)
-            except ValidationError as exc:
-                raise ConfigError(str(exc)) from None
-        counts = clients_per_modality(self.k_clients, p)
-        n_train = train_size(self.dataset.n_sites)
-        if n_train // max(counts) < 2:
-            raise ConfigError(
-                f"n_sites={self.dataset.n_sites} leaves fewer than 2 training "
-                f"samples per client at K={self.k_clients}"
-            )
-        dropped = DROPPED_MODALITY.get(self.scenario.kind)
-        if dropped is not None and dropped < p:
-            # the rows build_scenario keeps, split over that modality's clients
-            kept = n_train - int(n_train * self.scenario.missing_fraction)
-            if kept // counts[dropped] < 2:
-                raise ConfigError(
-                    f"scenario {self.scenario.kind!r} with missing_fraction="
-                    f"{self.scenario.missing_fraction} leaves {kept} training "
-                    f"samples of modality {dropped} for {counts[dropped]} clients, "
-                    f"fewer than 2 per client"
-                )
-        if self.scenario.kind in ("group-skew", "group-skew-mixed"):
-            if self.dataset.n_groups < max(counts):
-                raise ConfigError(
-                    f"scenario {self.scenario.kind!r} needs n_groups >= "
-                    f"{max(counts)}, have {self.dataset.n_groups}"
-                )
-
-
-def _check_client_count(k_clients: int, n_modalities: int) -> None:
-    """Every modality needs at least one client."""
-    if k_clients < n_modalities:
-        raise ConfigError(f"k_clients={k_clients} below modality count {n_modalities}")
+        with _as_config_error():
+            for mode in self.inference_modes:
+                parse_mode(mode, self.dataset.n_modalities)
 
 
 # JSON types a field takes, by its annotation: an integer where a float is
@@ -179,15 +149,55 @@ def config_from_dict(payload: dict) -> ExperimentConfig:
     return cfg
 
 
-def load_config(path) -> ExperimentConfig:
+def _read_json_object(path, what: str) -> dict:
+    """The JSON object in the file at ``path``; ``what`` names the file in
+    the ConfigError raised when it is missing, not JSON or not an object."""
     path = Path(path)
     if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
+        raise ConfigError(f"{what} file not found: {path}")
     try:
         payload = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from None
-    return config_from_dict(payload)
+        raise ConfigError(f"{what} is not valid JSON: {exc}") from None
+    if not isinstance(payload, dict):
+        raise ConfigError(f"{what} root must be a JSON object")
+    return payload
+
+
+def load_config(path) -> ExperimentConfig:
+    return config_from_dict(_read_json_object(path, "config"))
+
+
+def load_gen_spec(
+    path, seed_override: int | None = None
+) -> tuple[DatasetSpec, ScenarioSpec | None, int | None]:
+    """The dataset spec, optional scenario and client count of a
+    ``fedmm gen-data`` spec file, checked as :func:`load_config` checks the
+    same sections. The dataset seed is ``seed_override`` when given and
+    must be set one way or the other."""
+    payload = _read_json_object(path, "spec")
+    unknown = set(payload) - {"dataset", "scenario", "k_clients"}
+    if unknown:
+        raise ConfigError(f"unknown spec key(s): {', '.join(sorted(unknown))}")
+    if "dataset" not in payload:
+        raise ConfigError("spec must contain a 'dataset' section")
+    dataset = _build_section(DatasetSpec, payload["dataset"], "dataset")
+    scenario = None
+    if "scenario" in payload:
+        scenario = _build_section(ScenarioSpec, payload["scenario"], "scenario")
+    k_clients = payload.get("k_clients")
+    if scenario is not None and k_clients is None:
+        raise ConfigError("spec with a scenario section also needs k_clients")
+    if _wrong_json_type("int | None", k_clients):
+        raise ConfigError(f"spec key 'k_clients' is {json.dumps(k_clients)}, expected int")
+    if scenario is not None:
+        with _as_config_error():
+            check_scenario(dataset, scenario, k_clients)
+    if seed_override is not None:
+        dataset = dataclasses.replace(dataset, seed=seed_override)
+    if dataset.seed is None:
+        raise ConfigError("dataset seed missing; set it in the spec or pass --seed")
+    return dataset, scenario, k_clients
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:

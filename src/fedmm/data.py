@@ -285,11 +285,46 @@ def clients_per_modality(k_clients: int, n_modalities: int) -> list[int]:
     """Split K clients across modalities as evenly as possible."""
     if k_clients < n_modalities:
         raise ValidationError(
-            f"need at least one client per modality: K={k_clients}, "
+            f"need at least one client per modality: k_clients={k_clients}, "
             f"modalities={n_modalities}"
         )
     base = k_clients // n_modalities
     return [base + (1 if m < k_clients % n_modalities else 0) for m in range(n_modalities)]
+
+
+def check_scenario(spec: DatasetSpec, scenario: ScenarioSpec, k_clients: int) -> list[int]:
+    """Clients per modality of the split :func:`build_scenario` makes.
+
+    Checks every condition the specs alone decide for each client to get at
+    least 2 training rows: one client per modality (ValidationError), one
+    group per client of a group-skew modality, and at least 2 rows per
+    client both of the training split and of what a missing-modality
+    scenario keeps (DataError). A group-skew split can still leave a client
+    short, which only the split itself shows.
+    """
+    counts = clients_per_modality(k_clients, spec.n_modalities)
+    if scenario.kind in ("group-skew", "group-skew-mixed") and spec.n_groups < max(counts):
+        raise DataError(
+            f"scenario {scenario.kind!r} needs n_groups >= {max(counts)}, "
+            f"have {spec.n_groups}"
+        )
+    n_train = train_size(spec.n_sites)
+    if n_train // max(counts) < 2:
+        raise DataError(
+            f"n_sites={spec.n_sites} leaves fewer than 2 training samples per "
+            f"client at k_clients={k_clients}"
+        )
+    dropped = DROPPED_MODALITY.get(scenario.kind)
+    if dropped is not None and dropped < spec.n_modalities:
+        kept = n_train - int(n_train * scenario.missing_fraction)
+        if kept // counts[dropped] < 2:
+            raise DataError(
+                f"scenario {scenario.kind!r} with missing_fraction="
+                f"{scenario.missing_fraction} leaves {kept} training samples of "
+                f"modality {dropped} for {counts[dropped]} clients, fewer than 2 "
+                f"per client"
+            )
+    return counts
 
 
 def kept_rows(n: int, removed: Array) -> Array:
@@ -304,17 +339,17 @@ def kept_rows(n: int, removed: Array) -> Array:
 def build_scenario(
     dataset: SyntheticDataset, scenario: ScenarioSpec, k_clients: int
 ) -> list[Shard]:
-    """Carve the training set into K client shards, one modality each."""
+    """Carve the training set into K client shards, one modality each.
+
+    Raises what :func:`check_scenario` raises, and DataError naming the
+    first client left with fewer than 2 training rows.
+    """
     spec = dataset.spec
-    counts = clients_per_modality(k_clients, spec.n_modalities)
+    counts = check_scenario(spec, scenario, k_clients)
     rng = np.random.default_rng([spec.seed, _SCENARIO_STREAM])
     shards: list[Shard] = []
 
     if scenario.kind in ("group-skew", "group-skew-mixed"):
-        if spec.n_groups < max(counts):
-            raise DataError(
-                f"group-skew needs at least {max(counts)} groups, have {spec.n_groups}"
-            )
         for m, n_m in enumerate(counts):
             train = dataset.train[m]
             site_groups = dataset.site_group[train.geo_keys]
@@ -343,8 +378,10 @@ def build_scenario(
         raise ValidationError(f"unknown scenario kind {scenario.kind!r}")
 
     for client_id, shard in enumerate(shards):
-        if shard.n == 0:
-            raise DataError(f"client {client_id} received an empty shard")
+        if shard.n < 2:
+            raise DataError(
+                f"client {client_id} received fewer than 2 training rows ({shard.n})"
+            )
     return shards
 
 

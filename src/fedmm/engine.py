@@ -226,7 +226,7 @@ def make_client(
     if shard.n == 0:
         raise DataError(f"client {client_id} has an empty shard")
     n_enc = param_count(encoder_template)
-    params = np.empty(n_enc + param_count(head_template))
+    params = np.concatenate([encoder_template.params, head_template.params])
     encoder = copy_part(encoder_template, params[:n_enc])
     head = copy_part(head_template, params[n_enc:])
     adam = AdamState.create(

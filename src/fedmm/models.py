@@ -60,9 +60,10 @@ class Stage:
 class Encoder:
     """Modality-specific backbone: input adapter plus shared-topology body.
 
-    Construction copies the stages' parameter arrays into ``params`` (a
-    new vector when not given) and binds them to it, so a stage belongs to
-    one encoder.
+    Construction makes the stages' parameter arrays views of ``params``,
+    whose values they take, or of a new vector holding their own values
+    when it is None (see :func:`bind_params`), so a stage belongs to one
+    encoder.
     """
 
     modality_id: int
@@ -361,26 +362,25 @@ def _param_slots(part) -> list[tuple[object, str]]:
 def bind_params(part, buffer: Array | None = None) -> None:
     """Make one float64 vector the only home of ``part``'s parameters.
 
-    Copies every parameter array of ``part`` into ``buffer`` (a new vector
-    when None) in :func:`flatten_params` order, rebinds each layer's
-    weight/bias and each whitening layer's gamma/beta to a reshaped view
-    of it, and stores it as ``part.params``. Writing the buffer then
-    writes the layers. Invariant: never rebind a parameter attribute of a
-    bound part (``layer.weight = w`` detaches that layer from ``params``);
-    write through the buffer or the view (``part.params[...] = flat``).
+    ``part`` adopts ``buffer`` and its values: each layer's weight/bias and
+    each whitening layer's gamma/beta is rebound to a reshaped view of it,
+    in :func:`flatten_params` order, and it is stored as ``part.params``;
+    nothing is copied. With None, the part's own arrays are first
+    concatenated into a new vector. Writing the buffer then writes the
+    layers. Invariant: never rebind a parameter attribute of a bound part
+    (``layer.weight = w`` detaches that layer from ``params``); write
+    through the buffer or the view (``part.params[...] = flat``).
     """
     slots = _param_slots(part)
-    n = sum(getattr(owner, name).size for owner, name in slots)
+    arrays = [getattr(owner, name) for owner, name in slots]
+    n = sum(a.size for a in arrays)
     if buffer is None:
-        buffer = np.empty(n)
+        buffer = np.concatenate([a.ravel() for a in arrays])
     elif buffer.shape != (n,):
         raise DimensionError(f"buffer has {buffer.shape} entries, part needs ({n},)")
     cursor = 0
-    for owner, name in slots:
-        arr = getattr(owner, name)
-        view = buffer[cursor : cursor + arr.size].reshape(arr.shape)
-        view[...] = arr
-        setattr(owner, name, view)
+    for (owner, name), arr in zip(slots, arrays):
+        setattr(owner, name, buffer[cursor : cursor + arr.size].reshape(arr.shape))
         cursor += arr.size
     part.params = buffer
 
@@ -440,9 +440,11 @@ def _copy_stage(stage: Stage) -> Stage:
 
 
 def copy_part(template: Encoder | TaskHead, buffer: Array | None = None):
-    """A new encoder or head with ``template``'s structure, parameters and
-    running statistics, forward caches dropped. Its parameters are copied
-    once, into ``buffer`` (a new vector when None), and live there."""
+    """A new encoder or head with ``template``'s structure and running
+    statistics, forward caches dropped. Its parameters live in ``buffer``,
+    whose values it adopts, or in a copy of ``template.params`` when None."""
+    if buffer is None:
+        buffer = template.params.copy()
     if isinstance(template, Encoder):
         body = [_copy_stage(s) for s in template.body]
         return Encoder(template.modality_id, _copy_stage(template.adapter), body, buffer)
@@ -467,9 +469,7 @@ def unflatten_params(flat: Array, template):
         pieces = np.split(flat, np.cumsum([param_count(p) for p in parts])[:-1])
         *encoders, head = [unflatten_params(x, p) for x, p in zip(pieces, parts)]
         return GlobalModelSet(encoders=encoders, head=head, round=template.round)
-    part = copy_part(template)
-    assign_params(part, flat)
-    return part
+    return copy_part(template, flat.copy())
 
 
 # ---------------------------------------------------------------------------

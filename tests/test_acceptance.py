@@ -13,6 +13,7 @@ import time
 
 import numpy as np
 import pytest
+from gradcheck import grad_check
 from modelclone import clone_model
 from shardcheck import shards_equal
 
@@ -62,7 +63,6 @@ from fedmm.nncore import (
     batch_whitening_forward,
     dense_backward,
     dense_forward,
-    grad_check,
     whitening_matrix,
 )
 from fedmm.data import batches

@@ -2,11 +2,15 @@
 
 import hashlib
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedmm.cli import main, summarize_log
-from fedmm.config import config_from_dict
+from fedmm.config import config_from_dict, load_gen_spec
 from fedmm.data import SCENARIO_KINDS, build_scenario, gen_synthetic, load_shard
 from fedmm.errors import ConfigError
 from fedmm.engine import CSV_COLUMNS
@@ -251,6 +255,77 @@ class TestGenData:
         spec_path.write_text(json.dumps({"dataset": {"n_sites": 60, "sites": 3}}))
         assert main(["gen-data", "--spec", str(spec_path), "--out", str(tmp_path)]) == 2
         assert "sites" in capsys.readouterr().err
+
+
+# (dataset, scenario, k_clients) that leave some client without 2 training
+# rows whatever the split draws
+STARVED_SPLITS = {
+    "missing-A-all": ({"n_sites": 20}, {"kind": "missing-A", "missing_fraction": 1.0}, 2),
+    "group-skew-3-groups": ({"n_groups": 3}, {"kind": "group-skew"}, 14),
+    "missing-B-0.99": ({"n_sites": 20}, {"kind": "missing-B", "missing_fraction": 0.99}, 14),
+}
+
+
+def accepts(load, source) -> bool:
+    try:
+        load(source)
+    except ConfigError:
+        return False
+    return True
+
+
+class TestGenDataMatchesRun:
+    """`gen-data` checks a spec's split as `run` checks a config's, and
+    writes nothing when it fails."""
+
+    @staticmethod
+    def exit_codes(tmp_path, dataset, scenario, k_clients):
+        """(gen-data, run) exit codes for one split, and the gen-data output."""
+        split = {"dataset": dataset, "scenario": scenario, "k_clients": k_clients}
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({**split, "dataset": {**dataset, "seed": 0}}))
+        out = tmp_path / "data"
+        gen = main(["gen-data", "--spec", str(spec_path), "--out", str(out)])
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({**split, "rounds": 1}))
+        run = main(["run", "--config", str(config_path), "--out", str(tmp_path / "run")])
+        return gen, run, out
+
+    @pytest.mark.parametrize("split", STARVED_SPLITS.values(), ids=STARVED_SPLITS)
+    def test_starved_split_is_a_config_error_for_both(self, tmp_path, capsys, split):
+        gen, run, out = self.exit_codes(tmp_path, *split)
+        assert (gen, run) == (2, 2)
+        assert not out.exists() or not any(out.iterdir())
+
+    def test_one_row_client_fails_both_before_output(self, tmp_path, capsys):
+        # the spec passes, but group 0's modality-0 client gets one row
+        gen, run, out = self.exit_codes(tmp_path, {"n_sites": 20}, {"kind": "group-skew"}, 14)
+        assert (gen, run) == (1, 1)
+        err = capsys.readouterr().err
+        assert err.count("client 0 received fewer than 2 training rows (1)") == 2
+        assert not out.exists() or not any(out.iterdir())
+        assert not (tmp_path / "run").exists()
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n_sites=st.integers(5, 40),
+        n_groups=st.integers(1, 8),
+        k_clients=st.integers(0, 16),
+        kind=st.sampled_from(SCENARIO_KINDS),
+        fraction=st.floats(0.0, 1.0),
+    )
+    def test_load_gen_spec_accepts_what_config_accepts(
+        self, n_sites, n_groups, k_clients, kind, fraction
+    ):
+        split = {
+            "dataset": {"n_sites": n_sites, "n_groups": n_groups, "seed": 0},
+            "scenario": {"kind": kind, "missing_fraction": fraction},
+            "k_clients": k_clients,
+        }
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "spec.json"
+            path.write_text(json.dumps(split))
+            assert accepts(config_from_dict, split) == accepts(load_gen_spec, path)
 
 
 # sha256 of every shard file of a multi-label `gen-data` export (train,

@@ -221,6 +221,14 @@ class TestScenarios:
         b = build_scenario(ds, ScenarioSpec(kind="missing-B"), k_clients=4)
         assert all(shards_equal(x, y) for x, y in zip(a, b))
 
+    def test_group_skew_client_with_one_row_rejected(self):
+        # 16 training rows over 7 groups leave group 0 one row of modality
+        # 0; batches() drops a one-row batch, so client 0 would never step
+        ds = gen_synthetic(DatasetSpec(n_sites=20, seed=0))
+        message = r"^client 0 received fewer than 2 training rows \(1\)$"
+        with pytest.raises(DataError, match=message):
+            build_scenario(ds, ScenarioSpec(kind="group-skew"), k_clients=14)
+
     def test_too_few_clients_rejected(self):
         ds = gen_synthetic(small_spec())
         with pytest.raises(ValidationError):

@@ -773,6 +773,43 @@ class TestRunExperiment:
     def test_parallel_matches_serial(self):
         assert_parallel_matches_serial(run_experiment)
 
+    def test_blas_thread_count_leaves_the_bits(self, tmp_path):
+        # OpenBLAS reads OPENBLAS_NUM_THREADS when it loads, so each count
+        # needs a fresh interpreter
+        if engine._blas_thread_calls() is None or engine._usable_cpus() < 2:
+            pytest.skip("needs OpenBLAS and 2 usable CPUs")
+        script = textwrap.dedent(
+            """
+            import sys
+
+            from fedmm import ExperimentConfig, ScenarioSpec, run_experiment
+            from fedmm.engine import _blas_thread_calls
+
+            run_experiment(ExperimentConfig(
+                scenario=ScenarioSpec(kind="group-skew"), rounds=2, output_dir=sys.argv[1]
+            ))
+            get_threads, _ = _blas_thread_calls()
+            print(get_threads())
+            """
+        )
+        root = Path(__file__).resolve().parents[1]
+        logs, threads = [], []
+        for count in ("1", "2"):
+            out = tmp_path / count
+            result = subprocess.run(
+                [sys.executable, "-c", script, str(out)],
+                cwd=root,
+                env={**os.environ, "PYTHONPATH": "src", "OPENBLAS_NUM_THREADS": count},
+                capture_output=True,
+                text=True,
+                timeout=300,
+            )
+            assert result.returncode == 0, result.stderr
+            threads.append(int(result.stdout))
+            logs.append((out / "log.csv").read_bytes())
+        assert threads[0] != threads[1]
+        assert logs[0] == logs[1]
+
     def test_different_seeds_differ(self):
         a = run_experiment(tiny_cfg(seed=0))
         b = run_experiment(tiny_cfg(seed=1))

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from gradcheck import grad_check
 from modelclone import clone_model
 
 from fedmm import nncore
@@ -24,7 +25,7 @@ from fedmm.models import (
     param_count,
     unflatten_params,
 )
-from fedmm.nncore import activation_forward, dense_forward, grad_check, whitening_matrix
+from fedmm.nncore import activation_forward, dense_forward, whitening_matrix
 
 
 def _sigmoid(x):

@@ -271,6 +271,15 @@ class TestFlattening:
         assert enc.adapter.whitening.beta[0] == 5 * 6 + 6 + 6
         assert flatten_params(enc).tobytes() == enc.params.tobytes()
 
+    def test_constructor_adopts_the_given_buffer(self):
+        enc = build_encoder(0, 5, 6, 4, True, np.random.default_rng(0))
+        buf = flatten_params(build_encoder(0, 5, 6, 4, True, np.random.default_rng(1)))
+        expected = buf.copy()
+        adopted = Encoder(enc.modality_id, enc.adapter, enc.body, params=buf)
+        assert adopted.params is buf
+        assert flatten_params(adopted).tobytes() == expected.tobytes()
+        assert np.shares_memory(adopted.adapter.dense.weight, buf)
+
     def test_unflatten_copies_input_and_rejects_nan(self):
         model = small_model(use_whitening=True, seed=3)
         flat = flatten_params(model)

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from gradcheck import grad_check
 
 from fedmm.errors import (
     BatchSizeError,
@@ -25,7 +26,6 @@ from fedmm.nncore import (
     batch_whitening_forward,
     dense_backward,
     dense_forward,
-    grad_check,
     whiten_batch,
     whitening_matrix,
 )
