@@ -173,8 +173,9 @@ def load_gen_spec(
 ) -> tuple[DatasetSpec, ScenarioSpec | None, int | None]:
     """The dataset spec, optional scenario and client count of a
     ``fedmm gen-data`` spec file, checked as :func:`load_config` checks the
-    same sections. The dataset seed is ``seed_override`` when given and
-    must be set one way or the other."""
+    same sections. A scenario and ``k_clients`` come together or not at
+    all. The dataset seed is ``seed_override`` when given and must be set
+    one way or the other."""
     payload = _read_json_object(path, "spec")
     unknown = set(payload) - {"dataset", "scenario", "k_clients"}
     if unknown:
@@ -188,6 +189,8 @@ def load_gen_spec(
     k_clients = payload.get("k_clients")
     if scenario is not None and k_clients is None:
         raise ConfigError("spec with a scenario section also needs k_clients")
+    if scenario is None and k_clients is not None:
+        raise ConfigError("spec key 'k_clients' needs a scenario section")
     if _wrong_json_type("int | None", k_clients):
         raise ConfigError(f"spec key 'k_clients' is {json.dumps(k_clients)}, expected int")
     if scenario is not None:

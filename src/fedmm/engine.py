@@ -31,7 +31,10 @@ completion order.
 
 Each client owns one parameter vector laid out as [encoder | head]; its
 encoder and head buffers are the two slices, so an Adam step on the vector
-is the whole local update and the broadcast is two slice copies.
+is the whole local update and the broadcast is two slice copies. The upload
+is those two slices themselves, not copies: a pooled round's aggregation
+reads straight from the memory the workers wrote, and the only parameter
+vectors a round allocates are the new global model's.
 
 Whitening running statistics never leave a client: the first broadcast
 initializes them and later broadcasts overwrite parameters only.
@@ -68,7 +71,6 @@ from .models import (
     build_encoder,
     copy_part,
     encode,
-    flatten_params,
     head_forward,
     init_dense,
     param_count,
@@ -171,6 +173,14 @@ class ClientState:
 
 @dataclass
 class ClientUpdate:
+    """What one client sends the server after its local update.
+
+    ``encoder_flat`` and ``head_flat`` are the client's own parameter
+    slices (``ClientState.encoder.params`` and ``.head.params``), not
+    copies: they hold this round's values until that client's next local
+    update overwrites them. :func:`run_round` aggregates them before then.
+    """
+
     client_id: int
     modality_id: int  # slot within the model being aggregated
     encoder_flat: np.ndarray
@@ -261,7 +271,8 @@ def client_update(
     parameters are overwritten by the broadcast. Other-modality encoders
     of ``global_model`` are read-only throughout. The loss settings come
     from ``cfg``: ``tau``, ``ntxent_variant`` and ``lambda_mim``, which
-    counts only when ``use_mim`` is on.
+    counts only when ``use_mim`` is on. The returned flats are the
+    client's own encoder and head slices, valid until its next update.
     """
     if client.shard.n == 0:
         raise DataError(f"client {client.client_id} has an empty shard")
@@ -309,13 +320,13 @@ def client_update(
 
 
 def _upload(client: ClientState, mean_ce: float, mean_ntx: float) -> ClientUpdate:
-    """What ``client`` sends the server: its parameters, flattened, and its
-    sample count and mean losses."""
+    """What ``client`` sends the server: its encoder and head slices,
+    uncopied, and its sample count and mean losses."""
     return ClientUpdate(
         client_id=client.client_id,
         modality_id=client.encoder.modality_id,
-        encoder_flat=flatten_params(client.encoder),
-        head_flat=flatten_params(client.head),
+        encoder_flat=client.encoder.params,
+        head_flat=client.head.params,
         n_samples=client.shard.n,
         mean_ce=mean_ce,
         mean_ntx=mean_ntx,
@@ -331,6 +342,11 @@ def aggregate(updates: list[ClientUpdate], model: GlobalModelSet) -> GlobalModel
     round (``model.round + 1``) and the client. Sums
     run in ascending client-id order over deltas from the broadcast
     parameters; a single-member group copies its update verbatim.
+
+    The uploads are read, never kept: each new part's parameters are one
+    fresh copy, made by :func:`unflatten_params` and averaged into in
+    place, so the new global model shares no memory with any client, and
+    ``updates`` may alias client state that the next round overwrites.
     """
     if not updates:
         raise DataError("aggregation needs at least one client update")
@@ -351,31 +367,34 @@ def aggregate(updates: list[ClientUpdate], model: GlobalModelSet) -> GlobalModel
         members = [
             (u.client_id, u.encoder_flat, u.n_samples / group_total) for u in group
         ]
-        flat = _average("encoder", enc.params, members)
-        new_encoders.append(unflatten_params(flat, enc))
+        new_encoders.append(_average("encoder", enc, members))
     total = sum(u.n_samples for u in updates)
     members = [(u.client_id, u.head_flat, u.n_samples / total) for u in updates]
-    head_flat = _average("head", model.head.params, members)
-    new_head = unflatten_params(head_flat, model.head)
+    new_head = _average("head", model.head, members)
     return GlobalModelSet(encoders=new_encoders, head=new_head, round=model.round + 1)
 
 
 def _average(
-    kind: str, base: np.ndarray, members: list[tuple[int, np.ndarray, float]]
-) -> np.ndarray:
-    """``base`` plus the weighted deltas of the (client id, flat, weight)
-    members, summed in their order; a single member is returned verbatim."""
+    kind: str, template: Encoder | TaskHead, members: list[tuple[int, np.ndarray, float]]
+) -> Encoder | TaskHead:
+    """A new part like ``template`` whose parameters are ``template``'s
+    plus the weighted deltas of the (client id, flat, weight) members,
+    summed in their order into its one new buffer; a single member's flat
+    is copied verbatim."""
+    base = template.params
     for client_id, flat, _ in members:
         if flat.shape != base.shape:
             raise DimensionError(
                 f"client {client_id} {kind} has {flat.shape}, expected {base.shape}"
             )
     if len(members) == 1:
-        return members[0][1]
-    out = base.copy()
+        return unflatten_params(members[0][1], template)
+    part = unflatten_params(base, template)
     for _, flat, weight in members:
-        out += weight * (flat - base)
-    return out
+        part.params += weight * (flat - base)
+    if not np.isfinite(part.params).all():
+        raise NumericError(f"averaged {kind} parameters are not finite")
+    return part
 
 
 def _usable_cpus() -> int:
@@ -483,7 +502,7 @@ def _report(client: ClientState, update: ClientUpdate) -> tuple:
 
 def _take_report(client: ClientState, report: tuple) -> ClientUpdate:
     """Write a worker's :func:`_report` into ``client`` and build the
-    client's upload from its shared parameter vector."""
+    client's upload: the slices of its shared parameter vector."""
     mean_ce, mean_ntx, step_count, ready, rng_state = report
     client.adam.step_count = step_count
     for w, stats_ready in zip(_whitening_states(client), ready):
@@ -895,9 +914,10 @@ def run_ablation(
 
     Every cell is the final-round fused-inference micro F1 of one run; all
     runs of a column share the identical dataset, shards, and RNG streams,
-    so rows are paired comparisons.
+    so rows are paired comparisons. Every cell's config is validated before
+    the first run, so a column that cannot run fails before any does.
     """
-    table: dict[tuple[str, str], float] = {}
+    cells = {}
     for kind in scenarios:
         for name, use_fw, use_mim in ABLATION_ROWS:
             run_cfg = dataclasses.replace(
@@ -907,8 +927,9 @@ def run_ablation(
                 use_mim=use_mim,
                 output_dir=None,
             )
-            log = run_experiment(run_cfg)
-            table[(name, kind)] = log.final_eval("both").micro_f1
+            run_cfg.validate()
+            cells[(name, kind)] = run_cfg
+    table = {key: run_experiment(c).final_eval("both").micro_f1 for key, c in cells.items()}
     return AblationTable(
         rows=[r[0] for r in ABLATION_ROWS], scenarios=list(scenarios), micro_f1=table
     )

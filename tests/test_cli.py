@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fedmm import engine
 from fedmm.cli import main, summarize_log
 from fedmm.config import config_from_dict, load_gen_spec
 from fedmm.data import SCENARIO_KINDS, build_scenario, gen_synthetic, load_shard
@@ -250,6 +251,18 @@ class TestGenData:
         assert "k_clients" in capsys.readouterr().err
         assert not out.exists() or not any(out.iterdir())
 
+    @pytest.mark.parametrize("k_clients", [0, 4])
+    def test_gen_data_clients_without_scenario_is_a_config_error(
+        self, tmp_path, capsys, k_clients
+    ):
+        # a client count with no scenario to split by would go unused
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({"dataset": {"seed": 1}, "k_clients": k_clients}))
+        out = tmp_path / "d"
+        assert main(["gen-data", "--spec", str(spec_path), "--out", str(out)]) == 2
+        assert "k_clients" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_gen_data_rejects_unknown_keys(self, tmp_path, capsys):
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps({"dataset": {"n_sites": 60, "sites": 3}}))
@@ -392,4 +405,17 @@ class TestAblate:
         args = ["ablate", "--config", str(cfg), "--out", str(out)]
         assert main(args + ["--scenarios", "iid,bogus"]) == 2
         assert "bogus" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unrunnable_column_rejected_before_any_run(self, tmp_path, capsys, monkeypatch):
+        # the iid column could run, but group-skew needs 3 groups: the grid
+        # must fail before its first run, not after the iid column
+        runs = []
+        monkeypatch.setattr(engine, "run_experiment", lambda cfg: runs.append(cfg))
+        cfg = write_config(tmp_path, rounds=1, k_clients=6, inference_modes=["both"])
+        out = tmp_path / "ablate"
+        args = ["ablate", "--config", str(cfg), "--out", str(out)]
+        assert main(args + ["--scenarios", "iid,group-skew"]) == 2
+        assert "needs n_groups >= 3, have 2" in capsys.readouterr().err
+        assert runs == []
         assert not out.exists()

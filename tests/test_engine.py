@@ -10,6 +10,7 @@ import subprocess
 import sys
 import textwrap
 import threading
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -35,7 +36,7 @@ from fedmm.engine import (
     timings_csv,
 )
 from fedmm.errors import DataError, DimensionError, NumericError, ValidationError
-from fedmm.models import flatten_params, unflatten_params
+from fedmm.models import flatten_params, params_overlap, unflatten_params
 
 
 ENTRY_POINTS = (run_experiment, baseline_fedavg_latefusion)
@@ -234,7 +235,7 @@ class TestClientUpdate:
             update.encoder_flat.tobytes() + update.head_flat.tobytes()
         )
         for flat in (update.encoder_flat, update.head_flat):
-            assert not np.may_share_memory(flat, client.params)
+            assert np.shares_memory(flat, client.params)
 
     @pytest.mark.parametrize(
         "use_mim, lambda_mim, aligned",
@@ -292,6 +293,21 @@ class TestAggregate:
         for m, enc in enumerate(merged.encoders):
             assert flatten_params(enc).tobytes() == updates[m].encoder_flat.tobytes()
         assert merged.round == model.round + 1
+
+    @pytest.mark.parametrize("k_clients", [2, 4], ids=["K=P", "K>P"])
+    def test_new_global_model_shares_no_client_memory(self, k_clients):
+        # the uploads are the clients' own vectors; a single-member group's
+        # verbatim average must still be copied before it becomes global
+        cfg = tiny_cfg(k_clients=k_clients)
+        _, model, clients = _setup(cfg)
+        updates = [client_update(c, model, cfg) for c in clients]
+        for u, c in zip(updates, clients):
+            assert np.shares_memory(u.encoder_flat, c.params)
+        merged = aggregate(updates, model)
+        for c in clients:
+            assert not params_overlap(merged, c.encoder)
+            assert not params_overlap(merged, c.head)
+        assert not params_overlap(merged, model)
 
     def test_hand_weighted_mean(self):
         cfg = tiny_cfg()
@@ -425,6 +441,24 @@ class TestRunRound:
             for c in clients
         ]
         assert log.bytes_exchanged == 2 * 8 * sum(per_client)
+
+    def test_round_allocates_few_client_vectors(self):
+        # the uploads are the clients' own vectors, so a warmed-up round's
+        # new allocations peak at a few vectors (batch temporaries and the
+        # new global model), not one copy per client
+        cfg = ExperimentConfig(
+            dataset=DatasetSpec(n_sites=400), scenario=ScenarioSpec(kind="iid"), k_clients=16
+        )
+        _, model, clients = _setup(cfg)
+        model, _ = run_round(model, clients, cfg)
+        vector = np.mean([c.params.nbytes for c in clients])
+        tracemalloc.start()
+        try:
+            run_round(model, clients, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * vector
 
     def test_round_index_increments(self):
         cfg = tiny_cfg()
@@ -572,6 +606,29 @@ class TestClientPool:
         run_experiment(tiny_cfg(use_fw=True, rounds=2), parallel=True)
         assert len(reports) == 2 * 2  # the child's clients 0 and 2, two rounds
         assert [a for report in reports for a in arrays(report)] == []
+
+    def test_pooled_upload_is_the_shared_client_vector(self, monkeypatch):
+        # the parent averages straight out of the shared memory the workers
+        # wrote, for a worker's clients and its own alike
+        seen = []
+        original = engine.aggregate
+
+        def recording_aggregate(updates, model):
+            seen.append(updates)
+            return original(updates, model)
+
+        usable_cpus(monkeypatch, 2)
+        monkeypatch.setattr(engine, "aggregate", recording_aggregate)
+        cfg = tiny_cfg()
+        _, model, clients = _setup(cfg)
+        private = [c.params for c in clients]
+        pooled_round(model, clients, cfg)
+        (updates,) = seen
+        for update, client, before in zip(updates, clients, private):
+            assert not np.shares_memory(client.params, before)  # moved to the arena
+            n_enc = update.encoder_flat.size
+            assert np.shares_memory(update.encoder_flat, client.params[:n_enc])
+            assert np.shares_memory(update.head_flat, client.params[n_enc:])
 
     @pytest.mark.parametrize("where", ["child", "parent"])
     def test_failed_worker_is_reaped(self, monkeypatch, where):
