@@ -42,31 +42,20 @@ from .errors import (
     StateError,
     ValidationError,
 )
-from .losses import LossConfig, bce_multilabel, ce_singlelabel, local_objective, ntxent
+from .losses import LossConfig, local_objective
 from .metrics import MetricsReport, evaluate, macro_f1, micro_f1
 from .models import (
     DenseLayer,
     Encoder,
     GlobalModelSet,
     TaskHead,
-    cross_encode,
     encode,
     flatten_params,
-    fuse_full,
     head_forward,
     load_model,
     save_model,
     unflatten_params,
 )
-from .nncore import (
-    AdamState,
-    WhiteningState,
-    adam_step,
-    batch_whitening_backward,
-    batch_whitening_forward,
-    dense_backward,
-    dense_forward,
-    whitening_matrix,
-)
+from .nncore import AdamState, WhiteningState
 
 __version__ = "0.1.0"

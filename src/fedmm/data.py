@@ -436,6 +436,21 @@ def _bad_label(
     return row, col, f"label of sample {row} is {float(label_cols[row, col])!r}, {kind}"
 
 
+def label_mismatch(shard: Shard, task_kind: str, n_labels: int) -> str | None:
+    """Why a ``task_kind`` head of ``n_labels`` labels cannot score ``shard``:
+    another task kind or label column count, or :func:`_bad_label`; or None."""
+    if shard.task_kind != task_kind:
+        return f"{shard.task_kind} labels for a {task_kind} head"
+    if task_kind == "multi-label":
+        if shard.labels.shape[1] != n_labels:
+            return f"{shard.labels.shape[1]} label columns for a head of {n_labels} labels"
+        label_cols = shard.labels
+    else:
+        label_cols = shard.labels[:, None]
+    bad = _bad_label(label_cols, shard.task_kind, n_labels)
+    return None if bad is None else bad[2]
+
+
 def save_shard(shard: Shard, path, n_labels: int | None = None) -> None:
     """Write the binary shard format (see :func:`load_shard`).
 

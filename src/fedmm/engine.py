@@ -58,10 +58,16 @@ from typing import BinaryIO, NoReturn
 import numpy as np
 
 from .config import ExperimentConfig, config_to_dict
-from .data import Shard, batches, build_scenario, gen_synthetic
+from .data import Shard, batches, build_scenario, gen_synthetic, label_mismatch
 from .errors import DataError, DimensionError, NumericError, ValidationError
 from .losses import LossConfig, local_objective
-from .metrics import MetricsReport, evaluate, mode_modalities, report_from_predictions
+from .metrics import (
+    MetricsReport,
+    check_test_set,
+    evaluate,
+    mode_modalities,
+    report_from_predictions,
+)
 from .models import (
     Encoder,
     GlobalModelSet,
@@ -233,8 +239,19 @@ def make_client(
     head_template: TaskHead,
     cfg: ExperimentConfig,
 ) -> ClientState:
+    """A client holding ``shard`` and copies of the templates. The shard must
+    fit them: a feature width other than the encoder's raises DimensionError
+    and a label the head cannot score ValidationError."""
     if shard.n == 0:
         raise DataError(f"client {client_id} has an empty shard")
+    if shard.dim != encoder_template.input_dim:
+        raise DimensionError(
+            f"client {client_id}: shard has {shard.dim} features, encoder takes "
+            f"{encoder_template.input_dim}"
+        )
+    why = label_mismatch(shard, head_template.task_kind, head_template.n_labels)
+    if why is not None:
+        raise ValidationError(f"client {client_id}: {why}")
     n_enc = param_count(encoder_template)
     params = np.concatenate([encoder_template.params, head_template.params])
     encoder = copy_part(encoder_template, params[:n_enc])
@@ -817,15 +834,12 @@ def evaluate_late_fusion(
 
     Each submodel holds one modality, whose one-slot fused layout is its
     features unchanged, so the features go straight to that submodel's head.
-    As in :func:`~fedmm.metrics.evaluate`, every mode is validated first,
-    each needed modality is encoded once for all modes, and the result is
-    a report per mode.
+    As in :func:`~fedmm.metrics.evaluate`, every mode and the test set are
+    validated first, each needed modality is encoded once for all modes,
+    and the result is a report per mode.
     """
     wanted = mode_modalities(modes, len(submodels))
-    if not test_shards or any(s.n == 0 for s in test_shards):
-        raise ValidationError("test set must be non-empty")
-    if len(test_shards) != len(submodels):
-        raise ValidationError(f"{len(test_shards)} test shards for {len(submodels)} modalities")
+    check_test_set(test_shards, len(submodels), submodels[0].head)
     probs = {}
     for m in sorted(set().union(*wanted.values())):
         features = encode(submodels[m].encoders[0], test_shards[m].features, "eval")

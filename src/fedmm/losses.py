@@ -5,6 +5,10 @@ Gradient conventions: classification losses return gradients with respect
 to the pre-activation logits, averaged over the batch. The contrastive
 loss sums over the batch and differentiates only the local features; the
 other-model features it is paired against are treated as constants.
+
+:func:`local_objective` is the public entry point and checks the shapes it
+is given; the losses it calls are internal, trust those shapes and keep
+only their value checks (the class id range, the two-row minimum).
 """
 
 from __future__ import annotations
@@ -55,8 +59,6 @@ def bce_multilabel(probs: Array, y: Array) -> tuple[float, Array]:
     Returns the loss and its gradient wrt the logits that produced ``probs``
     through a sigmoid.
     """
-    if probs.shape != y.shape or probs.ndim != 2:
-        raise DimensionError(f"probs {probs.shape} vs labels {y.shape}")
     # np.clip, .sum and .mean with less call overhead, bit for bit
     p = np.minimum(np.maximum(probs, _PROB_FLOOR), 1.0 - _PROB_FLOOR)
     per_sample = -np.add.reduce(y * np.log(p) + (1.0 - y) * np.log(1.0 - p), axis=1)
@@ -71,11 +73,6 @@ def ce_singlelabel(probs: Array, y: Array) -> tuple[float, Array]:
     ``y`` holds integer class indices; the gradient is wrt the logits that
     produced ``probs`` through a row softmax.
     """
-    if probs.ndim != 2:
-        raise DimensionError(f"probs must be 2-D, got {probs.shape}")
-    y = np.asarray(y)
-    if y.shape != (probs.shape[0],):
-        raise DimensionError(f"labels {y.shape} vs batch of {probs.shape[0]}")
     if np.any(y < 0) or np.any(y >= probs.shape[1]):
         raise ValidationError(
             f"class index out of range [0, {probs.shape[1]}): {y.min()}..{y.max()}"
@@ -109,8 +106,6 @@ def ntxent(f_local: Array, f_global: Array, cfg: LossConfig) -> tuple[float, Arr
     the "standard" variant includes the positive as well. The gradient is
     wrt ``f_local`` only; ``f_global`` is a constant.
     """
-    if f_local.shape != f_global.shape or f_local.ndim != 2:
-        raise DimensionError(f"f_local {f_local.shape} vs f_global {f_global.shape}")
     b = f_local.shape[0]
     if b < 2:
         raise BatchSizeError(f"contrastive loss needs at least 2 rows, got {b}")
@@ -172,7 +167,17 @@ def local_objective(
     relative weight independent of batch size. The gradient covers the
     local encoder and the head as one vector in ``[encoder | head]``
     flatten order; the other models stay untouched.
+
+    A ``y`` that does not fit the batch and ``head``, an ``x`` that does not
+    fit ``encoder``, or an ``encoder`` of another hidden width than
+    ``global_set``'s raises DimensionError before any state changes.
     """
+    rows = x.shape[:1]
+    expected = rows + (head.n_labels,) if head.task_kind == "multi-label" else rows
+    if y.shape != expected:
+        raise DimensionError(f"labels {y.shape} do not match batch and head: {expected}")
+    if encoder.hidden_dim != global_set.encoders[0].hidden_dim:
+        raise DimensionError(f"encoder hidden dim {encoder.hidden_dim} is not the model's")
     slot = encoder.modality_id
     n_mod = global_set.n_modalities
     n_enc = encoder.params.size

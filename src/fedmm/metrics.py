@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Shard
+from .data import Shard, label_mismatch
 from .errors import DimensionError, ValidationError
-from .models import GlobalModelSet, encode, fuse_full, head_forward
+from .models import GlobalModelSet, TaskHead, encode, fuse_full, head_forward
 from .nncore import Array
 
 MODE_BOTH = "both"
@@ -138,6 +138,23 @@ def mode_modalities(modes, n_modalities: int) -> dict[str, list[int]]:
     return wanted
 
 
+def check_test_set(test_shards: list[Shard], n_modalities: int, head: TaskHead) -> None:
+    """Reject, with ValidationError, a test set that is empty, has an empty
+    shard, another shard count than ``n_modalities`` or labels ``head``
+    cannot score, and, with DimensionError, unaligned shards."""
+    if not test_shards or any(s.n == 0 for s in test_shards):
+        raise ValidationError("test set must be non-empty")
+    if len(test_shards) != n_modalities:
+        raise ValidationError(f"{len(test_shards)} test shards for {n_modalities} modalities")
+    rows = {s.n for s in test_shards}
+    if len(rows) != 1:
+        raise DimensionError(f"test shards disagree on rows: {sorted(rows)}")
+    for m, shard in enumerate(test_shards):
+        why = label_mismatch(shard, head.task_kind, head.n_labels)
+        if why is not None:
+            raise ValidationError(f"test shard {m}: {why}")
+
+
 def evaluate(
     model: GlobalModelSet, test_shards: list[Shard], modes
 ) -> dict[str, MetricsReport]:
@@ -150,11 +167,8 @@ def evaluate(
     order given. The model is not mutated: whitening statistics are
     identical before and after.
     """
-    if not test_shards or any(s.n == 0 for s in test_shards):
-        raise ValidationError("test set must be non-empty")
     p = model.n_modalities
-    if len(test_shards) != p:
-        raise ValidationError(f"{len(test_shards)} test shards for {p} modalities")
+    check_test_set(test_shards, p, model.head)
     wanted = mode_modalities(modes, p)
     features = {
         m: encode(model.encoders[m], test_shards[m].features, "eval")

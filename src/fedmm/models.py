@@ -11,6 +11,10 @@ ascending modality id; absent slots are zero-filled.
 Each encoder and each head keeps its parameters in one contiguous float64
 vector, ``params``, in flatten order; every layer's arrays are views into
 it (see :func:`bind_params`).
+
+Shapes are checked once, where they become fixed: by :class:`Encoder`,
+:class:`GlobalModelSet` and the public :func:`encode` and
+:func:`head_forward`. The per-step internals trust those checks.
 """
 
 from __future__ import annotations
@@ -22,8 +26,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import TASK_KINDS
-from .errors import DimensionError, FormatError, ValidationError
+from .errors import ConfigError, DimensionError, FormatError, ValidationError
 from .nncore import (
+    ACTIVATION_KINDS,
     Array,
     DenseLayer,
     WhiteningState,
@@ -72,11 +77,16 @@ class Encoder:
     params: Array | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        if self.adapter.dense.out_dim != self.body[0].dense.in_dim:
-            raise DimensionError(
-                f"adapter output {self.adapter.dense.out_dim} does not match "
-                f"body input {self.body[0].dense.in_dim}"
-            )
+        width = self.input_dim
+        for i, stage in enumerate(self.stages()):
+            dense, st = stage.dense, stage.whitening
+            if dense.in_dim != width:
+                raise DimensionError(f"stage {i} takes {dense.in_dim} inputs, gets {width}")
+            if st is not None and st.dim != dense.out_dim:
+                raise DimensionError(f"stage {i} whitens {st.dim} of {dense.out_dim} outputs")
+            if stage.activation not in (None, *ACTIVATION_KINDS):
+                raise ConfigError(f"unknown activation kind {stage.activation!r}")
+            width = dense.out_dim
         if any(stage.whitening is not None for stage in self.body):
             raise ValidationError("only the adapter stage may whiten")
         bind_params(self, self.params)
@@ -125,9 +135,10 @@ class GlobalModelSet:
     round: int = 0
 
     def __post_init__(self):
-        dims = {enc.feature_dim for enc in self.encoders}
+        # one hidden width, so cross-encoding fits any adapter to any body
+        dims = {(enc.hidden_dim, enc.feature_dim) for enc in self.encoders}
         if len(dims) != 1:
-            raise DimensionError(f"encoders disagree on feature dim: {sorted(dims)}")
+            raise DimensionError(f"encoders disagree on (hidden, feature) dims: {sorted(dims)}")
         expected = len(self.encoders) * self.encoders[0].feature_dim
         if self.head.layer.in_dim != expected:
             raise DimensionError(
@@ -260,11 +271,6 @@ def encode_backward(
     """Backprop through a cached train forward into ``out``, a vector laid
     out like the encoder's ``params`` (:func:`flatten_params` order); each
     stage's gradient is written into its slice. Returns ``out``."""
-    if out.shape != encoder.params.shape:
-        raise DimensionError(
-            f"gradient buffer has {out.shape} entries, encoder needs "
-            f"{encoder.params.shape}"
-        )
     stages = encoder.stages()
     end = out.size
     g = grad_out
@@ -288,32 +294,21 @@ def fuse_full(
     features_by_modality: list[Array | None], n_modalities: int, feature_dim: int
 ) -> Array:
     """Concatenate present modality features in slot order; absent slots are zero."""
-    if len(features_by_modality) != n_modalities:
-        raise DimensionError(
-            f"expected {n_modalities} feature blocks, got {len(features_by_modality)}"
-        )
     present = [f for f in features_by_modality if f is not None]
     if not present:
         raise ValidationError("fusion needs at least one present modality")
-    rows = {f.shape[0] for f in present}
-    if len(rows) != 1:
-        raise DimensionError(f"modality feature blocks disagree on rows: {sorted(rows)}")
-    b = present[0].shape[0]
-    out = np.zeros((b, n_modalities * feature_dim))
+    out = np.zeros((present[0].shape[0], n_modalities * feature_dim))
     for m, f in enumerate(features_by_modality):
-        if f is None:
-            continue
-        if f.shape[1] != feature_dim:
-            raise DimensionError(
-                f"modality {m} features have dim {f.shape[1]}, expected {feature_dim}"
-            )
-        out[:, m * feature_dim : (m + 1) * feature_dim] = f
+        if f is not None:
+            out[:, m * feature_dim : (m + 1) * feature_dim] = f
     return out
 
 
 def head_forward(head: TaskHead, z: Array) -> Array:
     """Class probabilities, one row per sample: sigmoid per label for a
     multi-label head, a row softmax for a single-label one."""
+    if z.ndim != 2 or z.shape[1] != head.layer.in_dim:
+        raise DimensionError(f"head input {z.shape} does not match its width {head.layer.in_dim}")
     logits = dense_forward(head.layer, z)
     kind = "sigmoid" if head.task_kind == "multi-label" else "softmax-rows"
     return activation_forward(logits, kind)
@@ -335,11 +330,6 @@ def cross_encode(adapter_out: Array, global_other: Encoder) -> Array:
     and its parameters act as constants: no gradient ever reaches them.
     Bodies never whiten (see :class:`Encoder`).
     """
-    if adapter_out.ndim != 2 or adapter_out.shape[1] != global_other.hidden_dim:
-        raise DimensionError(
-            f"adapter output {adapter_out.shape} does not match body input "
-            f"{global_other.hidden_dim} of modality {global_other.modality_id}"
-        )
     return _forward(global_other.body, adapter_out, "eval")
 
 

@@ -9,6 +9,11 @@ instance (see :mod:`fedmm.engine`). Arrays that a step writes (Adam's
 moments, the whitening running statistics) are written in place, so they
 may live in memory a worker shares with its parent.
 
+The per-step kernels are internal and keep only the checks that depend on
+values or state. Callers pass shapes checked once, at a boundary: the
+constructors here and in :mod:`fedmm.models`, ``engine.make_client``, and
+the public entry points (``encode``, ``head_forward``, ``local_objective``).
+
 The whitening backward deliberately treats the batch statistics (mean and
 whitening matrix) as constants: gradients flow through the affine transform
 only. The finite-difference oracles in the test suite freeze the statistics
@@ -76,10 +81,6 @@ class DenseLayer:
 
 
 def dense_forward(layer: DenseLayer, x: Array) -> Array:
-    if x.ndim != 2 or x.shape[1] != layer.in_dim:
-        raise DimensionError(
-            f"input {x.shape} does not match weight {layer.weight.shape}"
-        )
     return x @ layer.weight + layer.bias
 
 
@@ -90,15 +91,6 @@ def dense_backward(layer: DenseLayer, x: Array, grad_out: Array, input_grad: boo
     ``input_grad=False`` the input gradient, a (B x out) @ (out x in)
     product, is skipped and returned as None.
     """
-    if x.ndim != 2 or x.shape[1] != layer.in_dim:
-        raise DimensionError(
-            f"input {x.shape} does not match weight {layer.weight.shape}"
-        )
-    if grad_out.shape != (x.shape[0], layer.out_dim):
-        raise DimensionError(
-            f"grad_out {grad_out.shape} does not match output "
-            f"({x.shape[0]}, {layer.out_dim})"
-        )
     grad_x = grad_out @ layer.weight.T if input_grad else None
     grad_w = x.T @ grad_out
     grad_b = np.add.reduce(grad_out, axis=0)
@@ -108,6 +100,8 @@ def dense_backward(layer: DenseLayer, x: Array, grad_out: Array, input_grad: boo
 # ---------------------------------------------------------------------------
 # activations
 # ---------------------------------------------------------------------------
+
+ACTIVATION_KINDS = ("relu", "sigmoid", "softmax-rows")
 
 
 def _sigmoid(x: Array) -> Array:
@@ -120,8 +114,6 @@ def _sigmoid(x: Array) -> Array:
 
 
 def _softmax_rows(x: Array) -> Array:
-    if x.ndim != 2:
-        raise DimensionError(f"softmax-rows needs a 2-D input, got shape {x.shape}")
     shifted = x - x.max(axis=1, keepdims=True)
     ex = np.exp(shifted)
     return ex / ex.sum(axis=1, keepdims=True)
@@ -139,10 +131,6 @@ def activation_forward(x: Array, kind: str) -> Array:
 
 def activation_backward(x: Array, kind: str, grad_out: Array) -> Array:
     """Jacobian-vector product of the activation at input ``x``."""
-    if grad_out.shape != x.shape:
-        raise DimensionError(
-            f"grad_out {grad_out.shape} does not match input {x.shape}"
-        )
     if kind == "relu":
         return grad_out * (x > 0.0)
     if kind == "sigmoid":
@@ -170,14 +158,10 @@ def is_symmetric(matrix: Array, atol: float) -> bool:
 def whitening_matrix(cov: Array, eps: float) -> Array:
     """ZCA whitening matrix W = U diag((lambda + eps)^-1/2) U^T.
 
-    ``cov`` must be symmetric within 1e-9. Rank deficiency is absorbed by
-    ``eps``; a singular covariance with eps == 0 raises NumericError.
+    ``cov`` is a symmetric float64 matrix. Rank deficiency is absorbed by
+    ``eps``; a singular covariance with eps == 0, or one ``eigh`` cannot
+    decompose, raises NumericError.
     """
-    cov = np.asarray(cov, dtype=np.float64)
-    if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
-        raise DimensionError(f"covariance must be square, got {cov.shape}")
-    if not is_symmetric(cov, 1e-9):
-        raise ValidationError("covariance matrix is not symmetric within 1e-9")
     try:
         lam, u = np.linalg.eigh(cov)
     except np.linalg.LinAlgError as exc:
@@ -274,8 +258,6 @@ def batch_whitening_forward(x: Array, state: WhiteningState, mode: str) -> Array
     Eval mode recomputes the whitening matrix from the running covariance
     on every call and never mutates the state.
     """
-    if x.ndim != 2 or x.shape[1] != state.dim:
-        raise DimensionError(f"input {x.shape} does not match layer dim {state.dim}")
     if mode == "train":
         if x.shape[0] < 2:
             raise BatchSizeError(
@@ -307,11 +289,6 @@ def batch_whitening_backward(state: WhiteningState, grad_out: Array):
     """Gradients wrt (input, gamma, beta) with frozen batch statistics."""
     if state.cache_w is None or state.cache_xhat is None:
         raise StateError("whitening backward called without a cached forward")
-    if grad_out.shape != state.cache_xhat.shape:
-        raise DimensionError(
-            f"grad_out {grad_out.shape} does not match cached activations "
-            f"{state.cache_xhat.shape}"
-        )
     grad_x = (grad_out * state.gamma) @ state.cache_w
     grad_gamma = np.add.reduce(grad_out * state.cache_xhat, axis=0)
     grad_beta = np.add.reduce(grad_out, axis=0)
@@ -370,12 +347,6 @@ def adam_step(params: Array, grads: Array, state: AdamState) -> Array:
     (the decay term reads the parameters from before the step), so the
     result is bitwise the same as evaluating it out of place.
     """
-    if params.shape != grads.shape:
-        raise DimensionError(f"params {params.shape} vs grads {grads.shape}")
-    if params.shape != state.first_moment.shape:
-        raise DimensionError(
-            f"params {params.shape} vs optimizer state {state.first_moment.shape}"
-        )
     state.step_count += 1
     t = state.step_count
     m, v = state.first_moment, state.second_moment

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fedmm import engine, losses
+from fedmm import engine, losses, metrics
 from fedmm.config import ExperimentConfig
 from fedmm.data import SCENARIO_KINDS, DatasetSpec, ScenarioSpec, build_scenario, gen_synthetic
 from fedmm.engine import (
@@ -252,6 +252,22 @@ class TestClientUpdate:
         update = client_update(clients[0], model, cfg)
         assert bool(calls) == aligned
         assert (update.mean_ntx != 0.0) == aligned
+
+    @pytest.mark.parametrize("corrupt", ["features", "labels", "task-kind"])
+    def test_make_client_rejects_a_shard_the_model_cannot_read(self, corrupt):
+        # caught at construction, not at the client's first local step
+        cfg = tiny_cfg()
+        _, model, clients = _setup(cfg)
+        shard = clients[0].shard
+        if corrupt == "task-kind":
+            shard = dataclasses.replace(
+                shard, task_kind="single-label", labels=np.zeros(shard.n, dtype=np.int64)
+            )
+        else:
+            shard = dataclasses.replace(shard, **{corrupt: getattr(shard, corrupt)[:, :-1]})
+        error = DimensionError if corrupt == "features" else ValidationError
+        with pytest.raises(error, match="^client 0: "):
+            make_client(0, shard, model.encoders[shard.modality_id], model.head, cfg)
 
     def test_client_sharing_global_arrays_is_rejected(self):
         cfg = tiny_cfg()
@@ -791,7 +807,9 @@ class TestClientPool:
         _, model, clients = _setup(cfg)
         model, _ = pooled_round(model, clients, cfg, parallel)
         clients[2].shard.features[0] = np.nan
-        with pytest.raises(ValidationError, match=r"^round 2: client 2: covariance"):
+        # the NaN row makes the batch covariance NaN: eigh fails inside the
+        # update, or, where it returns NaNs, the upload fails aggregation
+        with pytest.raises(NumericError, match=r"^round 2: client 2"):
             pooled_round(model, clients, cfg, parallel)
 
 
@@ -922,19 +940,23 @@ class TestEvaluateEveryMode:
             assert_reports_identical(together[mode], alone)
 
 
+def scorer(cfg, late_fusion):
+    """``evaluate`` on an initial model, or ``evaluate_late_fusion`` on
+    initial submodels, waiting for the test shards and modes."""
+    if late_fusion:
+        p = cfg.resolved_dataset().n_modalities
+        submodels = [engine._baseline_submodel(cfg, m) for m in range(p)]
+        return functools.partial(evaluate_late_fusion, submodels)
+    return functools.partial(engine.evaluate, init_model(cfg))
+
+
 @pytest.mark.parametrize("late_fusion", [False, True], ids=["evaluate", "evaluate_late_fusion"])
 def test_empty_test_set_rejected(late_fusion):
     # zero rows have no accuracy to report: both evaluators refuse them
     cfg = tiny_cfg()
-    spec = cfg.resolved_dataset()
-    empty = [shard.select([]) for shard in gen_synthetic(spec).test]
-    if late_fusion:
-        submodels = [engine._baseline_submodel(cfg, m) for m in range(spec.n_modalities)]
-        score = functools.partial(evaluate_late_fusion, submodels)
-    else:
-        score = functools.partial(engine.evaluate, init_model(cfg))
+    empty = [shard.select([]) for shard in gen_synthetic(cfg.resolved_dataset()).test]
     with pytest.raises(ValidationError, match="^test set must be non-empty$"):
-        score(empty, ALL_MODES)
+        scorer(cfg, late_fusion)(empty, ALL_MODES)
 
 
 @pytest.mark.parametrize("late_fusion", [False, True], ids=["evaluate", "evaluate_late_fusion"])
@@ -943,16 +965,58 @@ def test_wrong_test_shard_count_rejected(late_fusion, count):
     # one test shard per modality: a missing one has no features to score
     # and an extra one would be ignored
     cfg = tiny_cfg()
-    spec = cfg.resolved_dataset()
-    test = gen_synthetic(spec).test
+    test = gen_synthetic(cfg.resolved_dataset()).test
     shards = [test[m % len(test)] for m in range(count)]
-    if late_fusion:
-        submodels = [engine._baseline_submodel(cfg, m) for m in range(spec.n_modalities)]
-        score = functools.partial(evaluate_late_fusion, submodels)
-    else:
-        score = functools.partial(engine.evaluate, init_model(cfg))
     with pytest.raises(ValidationError, match=f"^{count} test shards for 2 modalities$"):
-        score(shards, ALL_MODES)
+        scorer(cfg, late_fusion)(shards, ALL_MODES)
+
+
+def relabel_sample_3(value):
+    def edit(labels):
+        labels = labels.copy()
+        labels[3] = value
+        return labels
+
+    return edit
+
+
+@pytest.mark.parametrize("late_fusion", [False, True], ids=["evaluate", "evaluate_late_fusion"])
+@pytest.mark.parametrize(
+    "head_kind,shard_kind,edit,expected",
+    [
+        ("single-label", "single-label", relabel_sample_3(99), r"label of sample 3 is 99\.0"),
+        ("single-label", "single-label", relabel_sample_3(-1), r"label of sample 3 is -1\.0"),
+        ("multi-label", "multi-label", lambda y: y[:, :-1], "2 label columns for a head of 3"),
+        ("multi-label", "single-label", None, "single-label labels for a multi-label head"),
+    ],
+    ids=["class-99", "class-minus-1", "label-columns", "task-kind"],
+)
+def test_unscorable_test_labels_rejected_before_encoding(
+    monkeypatch, late_fusion, head_kind, shard_kind, edit, expected
+):
+    cfg = tiny_cfg() if head_kind == "multi-label" else single_label(tiny_cfg())
+    score = scorer(cfg, late_fusion)
+    shard_cfg = tiny_cfg() if shard_kind == "multi-label" else single_label(tiny_cfg())
+    test = gen_synthetic(shard_cfg.resolved_dataset()).test
+    if edit is not None:
+        test[0] = dataclasses.replace(test[0], labels=edit(test[0].labels))
+    encoded = []
+    for module in (engine, metrics):
+        monkeypatch.setattr(module, "encode", lambda *args: encoded.append(args))
+    with pytest.raises(ValidationError, match=f"^test shard 0: {expected}"):
+        score(test, ALL_MODES)
+    assert encoded == []
+
+
+@pytest.mark.parametrize("late_fusion", [False, True], ids=["evaluate", "evaluate_late_fusion"])
+def test_unaligned_test_shards_rejected(late_fusion):
+    # row i of every shard is one sample, so shards of unequal length
+    # cannot be fused or averaged row by row
+    cfg = tiny_cfg()
+    test = gen_synthetic(cfg.resolved_dataset()).test
+    test[1] = test[1].select(np.arange(test[1].n - 1))
+    with pytest.raises(DimensionError, match="rows"):
+        scorer(cfg, late_fusion)(test, ALL_MODES)
 
 
 class TestBaseline:

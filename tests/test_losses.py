@@ -18,10 +18,13 @@ from fedmm.losses import (
     ntxent,
 )
 from fedmm.models import (
+    build_encoder,
     build_model,
     cross_encode,
+    encode,
     encode_train,
     flatten_params,
+    head_forward,
     param_count,
     unflatten_params,
 )
@@ -53,10 +56,6 @@ class TestBceMultilabel:
             return loss, grad.ravel()
 
         assert grad_check(f, rng.normal(size=12), h=1e-5) < 1e-6
-
-    def test_shape_mismatch(self):
-        with pytest.raises(DimensionError):
-            bce_multilabel(np.zeros((2, 3)), np.zeros((2, 4)))
 
 
 class TestCeSinglelabel:
@@ -227,6 +226,43 @@ def _tiny_model(seed=0, use_whitening=True, task_kind="multi-label"):
         use_whitening=use_whitening,
         rng=np.random.default_rng(seed),
     )
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        "encode-x",
+        "head-z",
+        "head-z-1d",
+        "local-x",
+        "local-y-columns",
+        "local-y-rows",
+        "local-hidden",
+    ],
+)
+def test_public_entry_points_raise_dimension_error(call):
+    # the kernels trust their shapes, so a malformed direct call must be
+    # caught at the entry point, with a typed error rather than numpy's
+    model = _tiny_model()
+    enc, head = model.encoders[0], model.head
+    x, y = np.random.default_rng(4).normal(size=(4, 3)), np.ones((4, 2))
+
+    def objective(x_, y_, encoder=enc):
+        return local_objective(x_, y_, encoder, head, model, LossConfig())
+
+    calls = {
+        "encode-x": lambda: encode(enc, np.zeros((4, 4)), "train"),
+        "head-z": lambda: head_forward(head, np.zeros((4, 5))),
+        "head-z-1d": lambda: head_forward(head, np.zeros(6)),
+        "local-x": lambda: objective(np.zeros((4, 4)), y),
+        "local-y-columns": lambda: objective(x, np.ones((4, 3))),
+        "local-y-rows": lambda: objective(x, np.ones((3, 2))),
+        "local-hidden": lambda: objective(
+            x, y, build_encoder(0, 3, 7, 3, True, np.random.default_rng(1))
+        ),
+    }
+    with pytest.raises(DimensionError):
+        calls[call]()
 
 
 class TestLocalObjective:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from modelclone import clone_model
 
-from fedmm.errors import DimensionError, FormatError, NumericError, ValidationError
+from fedmm.errors import ConfigError, DimensionError, FormatError, NumericError, ValidationError
 from fedmm.models import (
     Encoder,
     GlobalModelSet,
@@ -62,6 +62,29 @@ class TestEncode:
         out = encode(enc, np.random.default_rng(2).normal(size=(batch, 7)), "train")
         assert out.shape == (batch, 4)
 
+    @pytest.mark.parametrize(
+        "adapter_whitening,body_dims,activation,error",
+        [
+            (None, [(8, 8), (6, 3)], "relu", DimensionError),  # body stage 2 takes 6, gets 8
+            (5, [(8, 8), (8, 3)], "relu", DimensionError),  # whitens 5 of 8 adapter outputs
+            (None, [(8, 8), (8, 3)], "tanh", ConfigError),
+        ],
+        ids=["body-chain", "whitening-dim", "activation"],
+    )
+    def test_broken_topology_rejected_at_construction(
+        self, adapter_whitening, body_dims, activation, error
+    ):
+        rng = np.random.default_rng(0)
+
+        def dense(n_in, n_out):
+            return DenseLayer(rng.normal(size=(n_in, n_out)), np.zeros(n_out))
+
+        whitening = WhiteningState.create(adapter_whitening) if adapter_whitening else None
+        adapter = Stage(dense(4, 8), whitening, "relu")
+        body = [Stage(dense(*body_dims[0]), None, activation), Stage(dense(*body_dims[1]))]
+        with pytest.raises(error):
+            Encoder(0, adapter, body)
+
     def test_dimension_error_names_modality(self):
         enc = build_encoder(1, 7, 6, 4, False, np.random.default_rng(1))
         with pytest.raises(DimensionError, match="modality 1"):
@@ -100,11 +123,6 @@ class TestFusion:
         f = np.array([[3.0, -1.0], [0.5, 2.0]])
         np.testing.assert_array_equal(fuse_full([f], 1, 2), f)
 
-    def test_slot_out_of_range(self):
-        # a third block would land in slot 2 of a two-slot layout
-        with pytest.raises(DimensionError):
-            fuse_full([None, None, np.zeros((1, 2))], 2, 2)
-
     def test_full_fusion_is_plain_concatenation(self):
         a = np.array([[1.0, 2.0]])
         b = np.array([[3.0, 4.0]])
@@ -119,10 +137,6 @@ class TestFusion:
     def test_all_absent_rejected(self):
         with pytest.raises(ValidationError):
             fuse_full([None, None], 2, 2)
-
-    def test_row_count_mismatch_rejected(self):
-        with pytest.raises(DimensionError):
-            fuse_full([np.zeros((2, 2)), np.zeros((3, 2))], 2, 2)
 
     def test_training_and_inference_fusion_agree_per_modality(self):
         # training fuses one present block; inference fuses the same block
@@ -213,11 +227,13 @@ class TestCrossEncode:
         assert out.tobytes() == expected.tobytes()
 
     def test_topology_mismatch_rejected(self):
+        # a 6-wide adapter output cannot feed an 8-wide body, so the two
+        # encoders never form one model
         enc_a = build_encoder(0, 5, 6, 4, False, np.random.default_rng(0))
         enc_b = build_encoder(1, 7, 8, 4, False, np.random.default_rng(1))
-        _, cache = encode_train(enc_a, np.zeros((3, 5)))
-        with pytest.raises(DimensionError):
-            cross_encode(cache.inputs[1], enc_b)
+        head = TaskHead(DenseLayer(np.zeros((8, 3)), np.zeros(3)), "multi-label")
+        with pytest.raises(DimensionError, match="hidden"):
+            GlobalModelSet(encoders=[enc_a, enc_b], head=head)
 
 
 class TestFlattening:
@@ -310,8 +326,6 @@ class TestFlattening:
         assert np.isfinite(grad).all()  # every slice written
         # the last stage has no activation: its bias gradient is the column sum
         np.testing.assert_array_equal(grad[-3:], np.full(3, 6.0))
-        with pytest.raises(DimensionError):
-            encode_backward(enc, cache, np.ones_like(out), np.empty(param_count(enc) + 1))
 
 
 class TestCheckpoint:
