@@ -33,8 +33,9 @@ Each client owns one parameter vector laid out as [encoder | head]; its
 encoder and head buffers are the two slices, so an Adam step on the vector
 is the whole local update and the broadcast is two slice copies. The upload
 is those two slices themselves, not copies: a pooled round's aggregation
-reads straight from the memory the workers wrote, and the only parameter
-vectors a round allocates are the new global model's.
+reads straight from the memory the workers wrote. A global model owns one
+[enc_0 | ... | enc_{P-1} | head] vector, sent to a worker as one array;
+aggregation copies it once and averages each part's slice in place.
 
 Whitening running statistics never leave a client: the first broadcast
 initializes them and later broadcasts overwrite parameters only.
@@ -73,18 +74,18 @@ from .models import (
     GlobalModelSet,
     TaskHead,
     assign_params,
-    bind_params,
+    bind_parts,
     build_encoder,
     copy_part,
     encode,
     head_forward,
     init_dense,
-    param_count,
     params_overlap,
     save_model,
     unflatten_params,
+    whitening_states,
 )
-from .nncore import AdamState, WhiteningState, adam_step
+from .nncore import AdamState, adam_step
 
 _MODEL_STREAM = 1
 _CLIENT_STREAM = 2
@@ -252,10 +253,9 @@ def make_client(
     why = label_mismatch(shard, head_template.task_kind, head_template.n_labels)
     if why is not None:
         raise ValidationError(f"client {client_id}: {why}")
-    n_enc = param_count(encoder_template)
-    params = np.concatenate([encoder_template.params, head_template.params])
-    encoder = copy_part(encoder_template, params[:n_enc])
-    head = copy_part(head_template, params[n_enc:])
+    # the copies share the templates' buffers until bound to their own vector
+    encoder, head = (copy_part(t, t.params) for t in (encoder_template, head_template))
+    params = bind_parts([encoder, head])
     adam = AdamState.create(
         params.size,
         lr=cfg.lr,
@@ -293,14 +293,11 @@ def client_update(
     """
     if client.shard.n == 0:
         raise DataError(f"client {client.client_id} has an empty shard")
-    slot = client.encoder.modality_id
-    if params_overlap(client.encoder, global_model.encoders[slot]) or params_overlap(
-        client.head, global_model.head
-    ):
+    if any(params_overlap(part, global_model) for part in (client.encoder, client.head)):
         raise ValidationError(
             f"client {client.client_id} parameters share memory with the global model"
         )
-    assign_params(client.encoder, global_model.encoders[slot].params)
+    assign_params(client.encoder, global_model.encoders[client.encoder.modality_id].params)
     assign_params(client.head, global_model.head.params)
     loss_cfg = LossConfig(
         tau=cfg.tau,
@@ -326,9 +323,8 @@ def client_update(
             n_batches += 1
     # a client's last-batch whitening caches would otherwise live until
     # its next round: memory that grows with the client count
-    for stage in client.encoder.stages():
-        if stage.whitening is not None:
-            stage.whitening.drop_cache()
+    for st in whitening_states([client.encoder]):
+        st.drop_cache()
     return _upload(
         client,
         ce_total / n_batches if n_batches else 0.0,
@@ -355,27 +351,34 @@ def aggregate(updates: list[ClientUpdate], model: GlobalModelSet) -> GlobalModel
 
     Encoders average within their modality group with renormalized
     data-proportional weights; the head averages over all clients. Each
-    upload must be finite; a NaN or Inf raises NumericError naming the
-    round (``model.round + 1``) and the client. Sums
+    upload must name one of the model's slots and be finite; otherwise
+    DimensionError or NumericError names the round (``model.round + 1``)
+    and the client. Sums
     run in ascending client-id order over deltas from the broadcast
     parameters; a single-member group copies its update verbatim.
 
-    The uploads are read, never kept: each new part's parameters are one
-    fresh copy, made by :func:`unflatten_params` and averaged into in
-    place, so the new global model shares no memory with any client, and
+    The uploads are read, never kept: the new model's vector is one fresh
+    copy of ``model.params`` (:func:`unflatten_params`), averaged into slice
+    by slice in place, so it shares no memory with any client, and
     ``updates`` may alias client state that the next round overwrites.
     """
     if not updates:
         raise DataError("aggregation needs at least one client update")
     updates = sorted(updates, key=lambda u: u.client_id)
     for u in updates:
+        if not 0 <= u.modality_id < model.n_modalities:
+            raise DimensionError(
+                f"round {model.round + 1}: client {u.client_id} uploaded for slot "
+                f"{u.modality_id} of a {model.n_modalities}-modality model"
+            )
         for kind, flat in (("encoder", u.encoder_flat), ("head", u.head_flat)):
             if not np.isfinite(flat).all():
                 raise NumericError(
                     f"round {model.round + 1}: client {u.client_id} uploaded "
                     f"non-finite {kind} parameters"
                 )
-    new_encoders = []
+    new = unflatten_params(model.params, model)
+    new.round = model.round + 1
     for m, enc in enumerate(model.encoders):
         group = [u for u in updates if u.modality_id == m]
         if not group:
@@ -384,34 +387,31 @@ def aggregate(updates: list[ClientUpdate], model: GlobalModelSet) -> GlobalModel
         members = [
             (u.client_id, u.encoder_flat, u.n_samples / group_total) for u in group
         ]
-        new_encoders.append(_average("encoder", enc, members))
+        _average("encoder", new.encoders[m].params, enc.params, members)
     total = sum(u.n_samples for u in updates)
     members = [(u.client_id, u.head_flat, u.n_samples / total) for u in updates]
-    new_head = _average("head", model.head, members)
-    return GlobalModelSet(encoders=new_encoders, head=new_head, round=model.round + 1)
+    _average("head", new.head.params, model.head.params, members)
+    return new
 
 
 def _average(
-    kind: str, template: Encoder | TaskHead, members: list[tuple[int, np.ndarray, float]]
-) -> Encoder | TaskHead:
-    """A new part like ``template`` whose parameters are ``template``'s
-    plus the weighted deltas of the (client id, flat, weight) members,
-    summed in their order into its one new buffer; a single member's flat
-    is copied verbatim."""
-    base = template.params
+    kind: str, out: np.ndarray, base: np.ndarray, members: list[tuple[int, np.ndarray, float]]
+) -> None:
+    """Add to ``out``, a copy of ``base``, the weighted deltas from ``base``
+    of the (client id, flat, weight) members, summed in their order; a
+    single member's flat is copied in verbatim."""
     for client_id, flat, _ in members:
         if flat.shape != base.shape:
             raise DimensionError(
                 f"client {client_id} {kind} has {flat.shape}, expected {base.shape}"
             )
     if len(members) == 1:
-        return unflatten_params(members[0][1], template)
-    part = unflatten_params(base, template)
+        out[...] = members[0][1]
+        return
     for _, flat, weight in members:
-        part.params += weight * (flat - base)
-    if not np.isfinite(part.params).all():
+        out += weight * (flat - base)
+    if not np.isfinite(out).all():
         raise NumericError(f"averaged {kind} parameters are not finite")
-    return part
 
 
 def _usable_cpus() -> int:
@@ -473,10 +473,6 @@ def _update(
         raise
 
 
-def _whitening_states(client: ClientState) -> list[WhiteningState]:
-    return [s.whitening for s in client.encoder.stages() if s.whitening is not None]
-
-
 def _share(client: ClientState) -> None:
     """Move the arrays :func:`client_update` writes into one anonymous
     shared mapping: the parameter vector, the Adam moments and the
@@ -484,7 +480,7 @@ def _share(client: ClientState) -> None:
     for this process too. Values are copied and every reference the client
     holds is rebound, so the client reads as before."""
     owners = [(client.adam, "first_moment"), (client.adam, "second_moment")]
-    for w in _whitening_states(client):
+    for w in whitening_states([client.encoder]):
         owners += [(w, "running_mean"), (w, "running_cov")]
     arrays = [client.params] + [getattr(owner, name) for owner, name in owners]
     size = sum(a.size for a in arrays)
@@ -499,10 +495,7 @@ def _share(client: ClientState) -> None:
     params, *rest = views
     for (owner, name), view in zip(owners, rest):
         setattr(owner, name, view)
-    n_enc = client.encoder.params.size
-    bind_params(client.encoder, params[:n_enc])
-    bind_params(client.head, params[n_enc:])
-    client.params = params
+    client.params = bind_parts([client.encoder, client.head], params)
 
 
 def _report(client: ClientState, update: ClientUpdate) -> tuple:
@@ -512,7 +505,7 @@ def _report(client: ClientState, update: ClientUpdate) -> tuple:
         update.mean_ce,
         update.mean_ntx,
         client.adam.step_count,
-        [w.stats_ready for w in _whitening_states(client)],
+        [w.stats_ready for w in whitening_states([client.encoder])],
         client.rng.bit_generator.state,
     )
 
@@ -522,7 +515,7 @@ def _take_report(client: ClientState, report: tuple) -> ClientUpdate:
     client's upload: the slices of its shared parameter vector."""
     mean_ce, mean_ntx, step_count, ready, rng_state = report
     client.adam.step_count = step_count
-    for w, stats_ready in zip(_whitening_states(client), ready):
+    for w, stats_ready in zip(whitening_states([client.encoder]), ready):
         w.stats_ready = stats_ready
     client.rng.bit_generator.state = rng_state
     return _upload(client, mean_ce, mean_ntx)
@@ -625,13 +618,12 @@ class _ClientPool:
         one report per client, or the first failure; return at EOF."""
         while True:
             try:
-                key, round_done, buffers = _receive(requests)
+                key, round_done, params = _receive(requests)
             except EOFError:
                 return
             model, groups = self._federations[key]
             model.round = round_done
-            for part, buffer in zip(model.encoders + [model.head], buffers):
-                part.params[...] = buffer
+            model.params[...] = params
             try:
                 outcome = [_report(c, _update(c, model, self._cfg)) for c in groups[g]]
             except Exception as exc:  # sent to the parent, which re-raises it
@@ -646,10 +638,9 @@ class _ClientPool:
         key = clients[0].client_id
         *worker_groups, own = self._federations[key][1]
         workers = self._workers[: len(worker_groups)]
-        buffers = [part.params for part in model.encoders + [model.head]]
         for worker, group in zip(workers, worker_groups):
             try:
-                _send(worker.requests, (key, model.round, buffers))
+                _send(worker.requests, (key, model.round, model.params))
             except BrokenPipeError:
                 self._died(worker, model, group)
         updates = {c.client_id: _update(c, model, self._cfg) for c in own}

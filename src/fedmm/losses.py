@@ -170,7 +170,8 @@ def local_objective(
 
     A ``y`` that does not fit the batch and ``head``, an ``x`` that does not
     fit ``encoder``, or an ``encoder`` of another hidden width than
-    ``global_set``'s raises DimensionError before any state changes.
+    ``global_set``'s or for a slot outside it raises DimensionError before
+    any state changes.
     """
     rows = x.shape[:1]
     expected = rows + (head.n_labels,) if head.task_kind == "multi-label" else rows
@@ -180,6 +181,8 @@ def local_objective(
         raise DimensionError(f"encoder hidden dim {encoder.hidden_dim} is not the model's")
     slot = encoder.modality_id
     n_mod = global_set.n_modalities
+    if not 0 <= slot < n_mod:
+        raise DimensionError(f"encoder slot {slot} is not one of the model's {n_mod}")
     n_enc = encoder.params.size
     grad = np.empty(n_enc + head.params.size)
     d = encoder.feature_dim

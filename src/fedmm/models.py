@@ -8,9 +8,10 @@ the body topology, which is what lets one modality's adapter feed another
 modality's body during cross-encoding. Modality slots concatenate in
 ascending modality id; absent slots are zero-filled.
 
-Each encoder and each head keeps its parameters in one contiguous float64
-vector, ``params``, in flatten order; every layer's arrays are views into
-it (see :func:`bind_params`).
+A global model keeps its parameters in one float64 vector, ``params``,
+laid out as ``[enc_0 | ... | enc_{P-1} | head]``: each part's ``params`` is
+its consecutive slice (see :func:`bind_parts`), and every layer's arrays
+are views into that slice in flatten order (see :func:`bind_params`).
 
 Shapes are checked once, where they become fixed: by :class:`Encoder`,
 :class:`GlobalModelSet` and the public :func:`encode` and
@@ -128,11 +129,14 @@ class TaskHead:
 
 @dataclass
 class GlobalModelSet:
-    """Per-modality encoders plus the shared head; the unit of aggregation."""
+    """Per-modality encoders plus the shared head; the unit of aggregation.
+    Its parts are bound to consecutive slices of ``params``, head last,
+    as an :class:`Encoder`'s stages are to its own (see :func:`bind_parts`)."""
 
     encoders: list[Encoder]
     head: TaskHead
     round: int = 0
+    params: Array | None = field(default=None, repr=False)
 
     def __post_init__(self):
         # one hidden width, so cross-encoding fits any adapter to any body
@@ -145,6 +149,7 @@ class GlobalModelSet:
                 f"head input {self.head.layer.in_dim} != "
                 f"modalities * feature dim = {expected}"
             )
+        self.params = bind_parts(self.encoders + [self.head], self.params)
 
     @property
     def n_modalities(self) -> int:
@@ -242,6 +247,8 @@ def _check_input(encoder: Encoder, x: Array) -> None:
             f"modality {encoder.modality_id}: input {x.shape} does not match "
             f"expected dim {encoder.input_dim}"
         )
+    if x.shape[0] == 0:
+        raise ValidationError(f"modality {encoder.modality_id}: input has no rows")
 
 
 def encode(encoder: Encoder, x: Array, mode: str) -> Array:
@@ -375,12 +382,18 @@ def bind_params(part, buffer: Array | None = None) -> None:
     part.params = buffer
 
 
-def _buffers(part) -> list[Array]:
-    if isinstance(part, (Encoder, TaskHead)):
-        return [part.params]
-    if isinstance(part, GlobalModelSet):
-        return [p.params for p in part.encoders + [part.head]]
-    raise ValidationError(f"cannot flatten object of type {type(part).__name__}")
+def bind_parts(parts: list, buffer: Array | None = None) -> Array:
+    """Bind ``parts`` to consecutive slices of one vector, in order, and
+    return it: ``buffer``, whose values they adopt (:func:`bind_params`),
+    or, when None, a new vector holding their own values."""
+    sizes = [part.params.size for part in parts]
+    if buffer is None:
+        buffer = np.concatenate([part.params for part in parts])
+    if buffer.shape != (sum(sizes),):
+        raise DimensionError(f"buffer has {buffer.shape} entries, parts need ({sum(sizes)},)")
+    for part, start, n in zip(parts, np.cumsum([0] + sizes), sizes):
+        bind_params(part, buffer[start : start + n])
+    return buffer
 
 
 def flatten_params(part) -> Array:
@@ -390,16 +403,16 @@ def flatten_params(part) -> Array:
     gamma and beta when the stage whitens; a model set lists encoders in
     modality order with the head last. Running statistics are excluded.
     """
-    return np.concatenate(_buffers(part))
+    return part.params.copy()
 
 
 def param_count(part) -> int:
-    return sum(buf.size for buf in _buffers(part))
+    return part.params.size
 
 
 def params_overlap(a, b) -> bool:
-    """True when any parameter buffer of ``a`` may share memory with one of ``b``."""
-    return any(np.may_share_memory(x, y) for x in _buffers(a) for y in _buffers(b))
+    """True when the parameter buffer of ``a`` may share memory with that of ``b``."""
+    return np.may_share_memory(a.params, b.params)
 
 
 def assign_params(part: Encoder | TaskHead, flat: Array) -> None:
@@ -429,12 +442,16 @@ def _copy_stage(stage: Stage) -> Stage:
     return Stage(dataclasses.replace(stage.dense), st, stage.activation)
 
 
-def copy_part(template: Encoder | TaskHead, buffer: Array | None = None):
-    """A new encoder or head with ``template``'s structure and running
-    statistics, forward caches dropped. Its parameters live in ``buffer``,
-    whose values it adopts, or in a copy of ``template.params`` when None."""
+def copy_part(template, buffer: Array | None = None):
+    """A new encoder, head or model set with ``template``'s structure and
+    running statistics, forward caches dropped. Its parameters live in
+    ``buffer``, whose values it adopts, or in a copy of ``template.params``
+    when None."""
     if buffer is None:
         buffer = template.params.copy()
+    if isinstance(template, GlobalModelSet):  # parts share its slices until bound to ``buffer``
+        *encoders, head = [copy_part(p, p.params) for p in template.encoders + [template.head]]
+        return GlobalModelSet(encoders, head, template.round, buffer)
     if isinstance(template, Encoder):
         body = [_copy_stage(s) for s in template.body]
         return Encoder(template.modality_id, _copy_stage(template.adapter), body, buffer)
@@ -449,16 +466,10 @@ def unflatten_params(flat: Array, template):
     owns a copy of ``flat``; NaN/Inf entries raise NumericError.
     """
     flat = as_tensor(flat)
-    expected = param_count(template)
-    if flat.shape != (expected,):
+    if flat.shape != template.params.shape:
         raise DimensionError(
-            f"flat vector has {flat.shape} entries, template needs ({expected},)"
+            f"flat vector has {flat.shape} entries, template needs {template.params.shape}"
         )
-    if isinstance(template, GlobalModelSet):
-        parts = template.encoders + [template.head]
-        pieces = np.split(flat, np.cumsum([param_count(p) for p in parts])[:-1])
-        *encoders, head = [unflatten_params(x, p) for x, p in zip(pieces, parts)]
-        return GlobalModelSet(encoders=encoders, head=head, round=template.round)
     return copy_part(template, flat.copy())
 
 
@@ -472,11 +483,14 @@ class _ByteReader:
         self.data = data
         self.offset = 0
 
-    def take(self, n: int) -> bytes:
+    def need(self, n: int) -> None:
         if self.offset + n > len(self.data):
             raise FormatError(
                 f"file truncated: needed {n} more bytes", offset=self.offset
             )
+
+    def take(self, n: int) -> bytes:
+        self.need(n)
         chunk = self.data[self.offset : self.offset + n]
         self.offset += n
         return chunk
@@ -493,13 +507,22 @@ class _ByteReader:
             raise FormatError("trailing bytes after payload", offset=self.offset)
 
 
-def _whitening_states(model: GlobalModelSet) -> list[WhiteningState]:
-    return [
-        stage.whitening
-        for enc in model.encoders
-        for stage in enc.stages()
-        if stage.whitening is not None
-    ]
+def whitening_states(encoders: list[Encoder]) -> list[WhiteningState]:
+    """Every whitening layer of ``encoders``, in encoder and stage order."""
+    return [s.whitening for enc in encoders for s in enc.stages() if s.whitening is not None]
+
+
+def _payload_floats(
+    input_dims: list[int], hidden_dim: int, feature_dim: int, n_labels: int, whitening: bool
+) -> int:
+    """Floats that follow a checkpoint header: the parameters of the
+    :func:`build_model` layout it declares and, per whitening layer, the
+    ready flag, eps, momentum, running mean and running covariance."""
+    h, f = hidden_dim, feature_dim
+    per_encoder = h + h * h + h + h * f + f
+    if whitening:
+        per_encoder += 2 * h + 3 + h + h * h
+    return sum(d * h + per_encoder for d in input_dims) + (len(input_dims) * f + 1) * n_labels
 
 
 def save_model(model: GlobalModelSet, path) -> None:
@@ -521,7 +544,7 @@ def save_model(model: GlobalModelSet, path) -> None:
         model.round,
     )
     payload = [flatten_params(model).astype("<f8").tobytes()]
-    for st in _whitening_states(model):
+    for st in whitening_states(model.encoders):
         stats = np.concatenate(
             [
                 [1.0 if st.stats_ready else 0.0, st.eps, st.momentum],
@@ -553,6 +576,9 @@ def load_model(path) -> GlobalModelSet:
     )
     if task_idx >= len(TASK_KINDS):
         raise FormatError(f"unknown task kind code {task_idx}", offset=reader.offset - 6)
+    # before the template, whose size grows with the square of the declared width
+    floats = _payload_floats(input_dims, hidden_dim, feature_dim, n_labels, bool(whiten_flag))
+    reader.need(8 * floats)
     template = build_model(
         input_dims=input_dims,
         hidden_dim=hidden_dim,
@@ -567,7 +593,7 @@ def load_model(path) -> GlobalModelSet:
     if not np.all(np.isfinite(flat)):
         raise FormatError("checkpoint parameters contain non-finite values")
     model = unflatten_params(flat, template)
-    for st in _whitening_states(model):
+    for st in whitening_states(model.encoders):
         offset = reader.offset
         header = reader.floats(3)
         mean = reader.floats(st.dim)

@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from onevector import assert_one_vector
 
 from fedmm import engine, losses, metrics
 from fedmm.config import ExperimentConfig
@@ -29,14 +30,13 @@ from fedmm.engine import (
     experiment_csv,
     init_model,
     make_client,
-    param_count,
     run_ablation,
     run_experiment,
     run_round,
     timings_csv,
 )
 from fedmm.errors import DataError, DimensionError, NumericError, ValidationError
-from fedmm.models import flatten_params, params_overlap, unflatten_params
+from fedmm.models import flatten_params, param_count, params_overlap, unflatten_params
 
 
 ENTRY_POINTS = (run_experiment, baseline_fedavg_latefusion)
@@ -324,6 +324,26 @@ class TestAggregate:
             assert not params_overlap(merged, c.encoder)
             assert not params_overlap(merged, c.head)
         assert not params_overlap(merged, model)
+
+    @pytest.mark.parametrize("k_clients", [2, 4], ids=["K=P", "K>P"])
+    def test_new_global_model_is_one_vector(self, k_clients):
+        # K=P copies each single-member group verbatim; K>P averages deltas
+        cfg = tiny_cfg(k_clients=k_clients)
+        _, model, clients = _setup(cfg)
+        assert_one_vector(model)
+        merged = aggregate([client_update(c, model, cfg) for c in clients], model)
+        assert_one_vector(merged)
+
+    def test_upload_for_a_slot_outside_the_model_is_an_error(self):
+        # no encoder group would take it, yet its head would enter the head
+        # average at full weight
+        cfg = tiny_cfg()
+        _, model, _ = _setup(cfg)
+        model.round = 2
+        updates = _fake_updates(model, 4)
+        stray = dataclasses.replace(updates[0], client_id=99, modality_id=5)
+        with pytest.raises(DimensionError, match="round 3: client 99 "):
+            aggregate(updates + [stray], model)
 
     def test_hand_weighted_mean(self):
         cfg = tiny_cfg()

@@ -238,6 +238,7 @@ def _tiny_model(seed=0, use_whitening=True, task_kind="multi-label"):
         "local-y-columns",
         "local-y-rows",
         "local-hidden",
+        "local-slot",
     ],
 )
 def test_public_entry_points_raise_dimension_error(call):
@@ -259,6 +260,9 @@ def test_public_entry_points_raise_dimension_error(call):
         "local-y-rows": lambda: objective(x, np.ones((3, 2))),
         "local-hidden": lambda: objective(
             x, y, build_encoder(0, 3, 7, 3, True, np.random.default_rng(1))
+        ),
+        "local-slot": lambda: objective(
+            x, y, build_encoder(2, 3, 5, 3, True, np.random.default_rng(1))
         ),
     }
     with pytest.raises(DimensionError):

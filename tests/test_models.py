@@ -1,8 +1,12 @@
 """Tests for the encoder family, fusion, cross-encoding, and checkpoints."""
 
+import struct
+import tracemalloc
+
 import numpy as np
 import pytest
 from modelclone import clone_model
+from onevector import assert_one_vector
 
 from fedmm.errors import ConfigError, DimensionError, FormatError, NumericError, ValidationError
 from fedmm.models import (
@@ -89,6 +93,13 @@ class TestEncode:
         enc = build_encoder(1, 7, 6, 4, False, np.random.default_rng(1))
         with pytest.raises(DimensionError, match="modality 1"):
             encode(enc, np.zeros((2, 9)), "train")
+
+    def test_zero_row_input_rejected(self):
+        # a never-calibrated whitening encoder would whiten an empty batch
+        # with the statistics of no rows
+        enc = build_encoder(1, 7, 6, 4, True, np.random.default_rng(1))
+        with pytest.raises(ValidationError, match="modality 1"):
+            encode(enc, np.zeros((0, 7)), "eval")
 
     def test_eval_mode_never_mutates_state(self):
         enc = build_encoder(0, 5, 6, 4, True, np.random.default_rng(3))
@@ -237,6 +248,25 @@ class TestCrossEncode:
 
 
 class TestFlattening:
+    def test_built_model_is_one_vector(self):
+        assert_one_vector(small_model(use_whitening=True))
+
+    def test_unflattened_model_is_one_vector(self):
+        model = small_model(use_whitening=True, seed=4)
+        rebuilt = unflatten_params(flatten_params(model), model)
+        assert_one_vector(rebuilt)
+        assert rebuilt.params.tobytes() == model.params.tobytes()
+
+    def test_model_adopts_the_given_buffer(self):
+        model = small_model(use_whitening=False)
+        buf = flatten_params(small_model(use_whitening=False, seed=5))
+        adopted = GlobalModelSet(model.encoders, model.head, params=buf)
+        assert adopted.params is buf
+        assert adopted.head.layer.bias.tobytes() == buf[-3:].tobytes()
+        assert_one_vector(adopted)
+        with pytest.raises(DimensionError):
+            GlobalModelSet(model.encoders, model.head, params=buf[1:])
+
     def test_roundtrip_is_bitwise_identity(self):
         model = small_model(use_whitening=True, seed=11)
         # give the running statistics non-trivial values
@@ -344,6 +374,29 @@ class TestCheckpoint:
         assert st_new.running_mean.tobytes() == st_old.running_mean.tobytes()
         assert st_new.running_cov.tobytes() == st_old.running_cov.tobytes()
         assert st_new.stats_ready == st_old.stats_ready
+
+    def test_loaded_model_is_one_vector(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_model(small_model(use_whitening=True, seed=22), path)
+        assert_one_vector(load_model(path))
+
+    def test_declared_size_checked_before_building(self, tmp_path):
+        # a header alone that declares a wide model is rejected without
+        # allocating that model: its template would take 2 * 300 * 300 floats
+        # for the body weights and as many for the running covariances
+        header = b"MFMM" + struct.pack("<HH", 1, 2) + struct.pack("<II", 5, 7)
+        header += struct.pack("<IIIBBI", 300, 4, 3, 0, 1, 0)
+        path = tmp_path / "wide.ckpt"
+        path.write_bytes(header)
+        tracemalloc.start()
+        try:
+            with pytest.raises(FormatError, match="truncated") as info:
+                load_model(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert info.value.offset == len(header)
+        assert peak < 100_000
 
     def test_roundtrip_without_whitening(self, tmp_path):
         model = small_model(use_whitening=False, task_kind="single-label")
