@@ -10,9 +10,11 @@ a federation has clients; inline when that is one or when the platform has
 no ``os.fork``): processes forked once, at the first round, and kept until
 the last (:class:`_ClientPool`). Worker g keeps ``clients[g::workers]``,
 and this process updates the last group itself. The arrays a local update
-writes (parameters, Adam moments, whitening running statistics) live in
-memory the workers share with this process, so this process's clients stay
-authoritative between rounds. A round sends each worker the global
+writes (parameters, Adam moments, whitening running statistics) live from
+:func:`make_client` on in one anonymous shared mapping per client, serial
+runs included; a worker forked later writes them for this process too, so
+this process's clients stay authoritative between rounds and the pool moves
+nothing before it forks. A round sends each worker the global
 parameters and takes back only scalars per client (losses, Adam step
 count, whether the whitening statistics are ready, RNG state). From the
 first fork until every worker is reaped, evaluation between rounds
@@ -47,6 +49,7 @@ import contextlib
 import ctypes
 import dataclasses
 import functools
+import itertools
 import json
 import mmap
 import os
@@ -164,9 +167,10 @@ class ClientState:
 
     ``params`` is the client's own vector laid out as [encoder | head];
     ``encoder.params`` and ``head.params`` are its two slices (``make_client``
-    binds them), and ``client_update`` writes into it in place. A worker
-    pool moves it, the Adam moments and the whitening running statistics
-    into shared memory (:func:`_share`).
+    binds them), and ``client_update`` writes into it in place. It, the
+    Adam moments and the whitening running statistics live in one
+    anonymous shared mapping that ``make_client`` allocates, so a worker
+    process forked afterwards writes them for this one too.
     """
 
     client_id: int
@@ -242,7 +246,14 @@ def make_client(
 ) -> ClientState:
     """A client holding ``shard`` and copies of the templates. The shard must
     fit them: a feature width other than the encoder's raises DimensionError
-    and a label the head cannot score ValidationError."""
+    and a label the head cannot score ValidationError.
+
+    Everything :func:`client_update` writes is allocated here, once, in one
+    anonymous shared mapping laid out as [parameters | Adam first moment |
+    Adam second moment | each whitening layer's running mean and running
+    covariance]. Each piece is its own array over its bytes, so every layer
+    view's ``.base`` is ``params``. A process forked afterwards (a
+    :class:`_ClientPool` worker) writes them for this one too."""
     if shard.n == 0:
         raise DataError(f"client {client_id} has an empty shard")
     if shard.dim != encoder_template.input_dim:
@@ -255,9 +266,24 @@ def make_client(
         raise ValidationError(f"client {client_id}: {why}")
     # the copies share the templates' buffers until bound to their own vector
     encoder, head = (copy_part(t, t.params) for t in (encoder_template, head_template))
-    params = bind_parts([encoder, head])
-    adam = AdamState.create(
-        params.size,
+    states = whitening_states([encoder])
+    n = encoder.params.size + head.params.size
+    sizes = [n, n, n] + [size for st in states for size in (st.dim, st.dim * st.dim)]
+    block = mmap.mmap(-1, 8 * sum(sizes))  # zero-filled, as Adam's moments start
+    params, first_moment, second_moment, *stats = (
+        np.frombuffer(block, np.float64, size, 8 * start)
+        for start, size in zip(itertools.accumulate(sizes, initial=0), sizes)
+    )
+    np.concatenate([encoder.params, head.params], out=params)
+    bind_parts([encoder, head], params)
+    for st, mean, cov in zip(states, stats[::2], stats[1::2]):
+        cov = cov.reshape(st.dim, st.dim)
+        mean[...] = st.running_mean
+        cov[...] = st.running_cov
+        st.running_mean, st.running_cov = mean, cov
+    adam = AdamState(
+        first_moment,
+        second_moment,
         lr=cfg.lr,
         beta1=cfg.beta1,
         beta2=cfg.beta2,
@@ -473,31 +499,6 @@ def _update(
         raise
 
 
-def _share(client: ClientState) -> None:
-    """Move the arrays :func:`client_update` writes into one anonymous
-    shared mapping: the parameter vector, the Adam moments and the
-    whitening running statistics. A worker forked afterwards writes them
-    for this process too. Values are copied and every reference the client
-    holds is rebound, so the client reads as before."""
-    owners = [(client.adam, "first_moment"), (client.adam, "second_moment")]
-    for w in whitening_states([client.encoder]):
-        owners += [(w, "running_mean"), (w, "running_cov")]
-    arrays = [client.params] + [getattr(owner, name) for owner, name in owners]
-    size = sum(a.size for a in arrays)
-    arena = np.frombuffer(mmap.mmap(-1, 8 * size), dtype=np.float64)
-    views = []
-    cursor = 0
-    for a in arrays:
-        view = arena[cursor : cursor + a.size].reshape(a.shape)
-        view[...] = a
-        views.append(view)
-        cursor += a.size
-    params, *rest = views
-    for (owner, name), view in zip(owners, rest):
-        setattr(owner, name, view)
-    client.params = bind_parts([client.encoder, client.head], params)
-
-
 def _report(client: ClientState, update: ClientUpdate) -> tuple:
     """What a worker sends back for one updated client: the scalars of the
     update and of the client's state. The arrays it wrote are shared."""
@@ -557,9 +558,10 @@ class _ClientPool:
     baseline. A federation of n clients is dealt by stride into
     ``k = min(workers, n)`` groups, group g being ``clients[g::k]``; worker
     g updates group g every round and this process the last group. Every
-    client's written arrays live in shared memory (:func:`_share`), so a
-    round sends a worker only the global parameters and gets back only
-    scalars (:func:`_report`).
+    client's written arrays already live in shared memory
+    (:func:`make_client`), so the pool only deals the groups and forks,
+    moving and rebinding nothing; a round sends a worker only the global
+    parameters and gets back only scalars (:func:`_report`).
 
     Fork rather than spawn: a worker needs this process's clients, shards
     and models as they are, which a spawned worker would have to be sent.
@@ -576,8 +578,6 @@ class _ClientPool:
                 model,
                 [clients[g::k] for g in range(k)],
             )
-            for client in clients:
-                _share(client)
         self._workers: list[_Worker] = []
         try:
             for g in range(workers - 1):

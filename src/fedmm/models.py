@@ -574,6 +574,15 @@ def load_model(path) -> GlobalModelSet:
     hidden_dim, feature_dim, n_labels, task_idx, whiten_flag, round_idx = reader.unpack(
         "<IIIBBI"
     )
+    # the input dims, both widths and the label count: 4-byte fields from byte 8
+    widths = [(f"modality {m} input dim", d) for m, d in enumerate(input_dims)] + [
+        ("hidden width", hidden_dim),
+        ("feature width", feature_dim),
+        ("label count", n_labels),
+    ]
+    for i, (name, value) in enumerate(widths):
+        if value == 0:
+            raise FormatError(f"checkpoint declares {name} 0", offset=8 + 4 * i)
     if task_idx >= len(TASK_KINDS):
         raise FormatError(f"unknown task kind code {task_idx}", offset=reader.offset - 6)
     # before the template, whose size grows with the square of the declared width

@@ -661,10 +661,35 @@ class TestClientPool:
         pooled_round(model, clients, cfg)
         (updates,) = seen
         for update, client, before in zip(updates, clients, private):
-            assert not np.shares_memory(client.params, before)  # moved to the arena
+            assert client.params is before  # the pool rebinds nothing
             n_enc = update.encoder_flat.size
             assert np.shares_memory(update.encoder_flat, client.params[:n_enc])
             assert np.shares_memory(update.head_flat, client.params[n_enc:])
+
+    def test_client_state_is_shared_from_make_client(self):
+        # every array a local update writes lives in shared memory from the
+        # client's construction on: a child forked before any pool opens
+        # writes them for this process too
+        cfg = tiny_cfg(use_fw=True)
+        _, _, clients = _setup(cfg)
+        client = clients[0]
+        whitening = [s.whitening for s in client.encoder.stages() if s.whitening is not None]
+        assert whitening
+        arrays = [client.params, client.adam.first_moment, client.adam.second_moment]
+        arrays += [a for w in whitening for a in (w.running_mean, w.running_cov)]
+        pid = os.fork()
+        if pid == 0:
+            status = 1
+            try:
+                for i, a in enumerate(arrays):
+                    a[...] = 100.0 + i
+                status = 0
+            finally:
+                os._exit(status)
+        _, status = os.waitpid(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0
+        for i, a in enumerate(arrays):
+            assert (a == 100.0 + i).all()
 
     @pytest.mark.parametrize("where", ["child", "parent"])
     def test_failed_worker_is_reaped(self, monkeypatch, where):

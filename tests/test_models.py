@@ -8,6 +8,7 @@ import pytest
 from modelclone import clone_model
 from onevector import assert_one_vector
 
+from fedmm import models
 from fedmm.errors import ConfigError, DimensionError, FormatError, NumericError, ValidationError
 from fedmm.models import (
     Encoder,
@@ -397,6 +398,33 @@ class TestCheckpoint:
             tracemalloc.stop()
         assert info.value.offset == len(header)
         assert peak < 100_000
+
+    @pytest.mark.parametrize(
+        "field,name",
+        [
+            (0, "modality 0 input dim"),
+            (1, "modality 1 input dim"),
+            (2, "hidden width"),
+            (3, "feature width"),
+            (4, "label count"),
+        ],
+        ids=["input-0", "input-1", "hidden", "feature", "labels"],
+    )
+    def test_zero_width_rejected_at_its_field(self, tmp_path, field, name):
+        # the header fields from byte 8: two input dims, hidden, feature and
+        # label count; a zero in any is malformed even when the payload
+        # matches the size it declares
+        widths = [5, 7, 6, 4, 3]
+        widths[field] = 0
+        *dims, hidden, feature, labels = widths
+        header = b"MFMM" + struct.pack("<HH", 1, 2) + struct.pack("<II", *dims)
+        header += struct.pack("<IIIBBI", hidden, feature, labels, 0, 0, 0)
+        floats = models._payload_floats(dims, hidden, feature, labels, False)
+        path = tmp_path / "zero.ckpt"
+        path.write_bytes(header + bytes(8 * floats))
+        with pytest.raises(FormatError, match=f"declares {name} 0") as info:
+            load_model(path)
+        assert info.value.offset == 8 + 4 * field
 
     def test_roundtrip_without_whitening(self, tmp_path):
         model = small_model(use_whitening=False, task_kind="single-label")
