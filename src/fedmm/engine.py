@@ -9,14 +9,14 @@ logs. With ``parallel`` it opens one worker per usable CPU (never more than
 a federation has clients; inline when that is one or when the platform has
 no ``os.fork``): processes forked once, at the first round, and kept until
 the last (:class:`_ClientPool`). Worker g keeps ``clients[g::workers]``,
-and this process updates the last group itself. The arrays a local update
-writes (parameters, Adam moments, whitening running statistics) live from
-:func:`make_client` on in one anonymous shared mapping per client, serial
-runs included; a worker forked later writes them for this process too, so
-this process's clients stay authoritative between rounds and the pool moves
-nothing before it forks. A round sends each worker the global
-parameters and takes back only scalars per client (losses, Adam step
-count, whether the whitening statistics are ready, RNG state). From the
+and this process updates the last group itself. Everything a local update
+writes (parameters, Adam moments and step count, whitening running
+statistics and ready flags, the RNG state) lives from :func:`make_client`
+on in one anonymous shared mapping per client, serial runs included; a
+worker forked later writes it for this process too, so this process's
+clients stay authoritative between rounds and the pool moves nothing
+before it forks. A round sends each worker the global parameters and
+takes back only each client's two mean losses. From the
 first fork until every worker is reaped, evaluation between rounds
 included, the BLAS numpy loaded is capped to one thread, so workers times
 BLAS threads stay within the usable cores. Results are identical either
@@ -39,8 +39,9 @@ reads straight from the memory the workers wrote. A global model owns one
 [enc_0 | ... | enc_{P-1} | head] vector, sent to a worker as one array;
 aggregation copies it once and averages each part's slice in place.
 
-Whitening running statistics never leave a client: the first broadcast
-initializes them and later broadcasts overwrite parameters only.
+Whitening running statistics never leave a client: :func:`make_client`
+copies them from the global template and no broadcast touches them; a
+broadcast overwrites parameters only.
 """
 
 from __future__ import annotations
@@ -92,6 +93,8 @@ from .nncore import AdamState, adam_step
 
 _MODEL_STREAM = 1
 _CLIENT_STREAM = 2
+_PCG64_WORDS = 6  # 128-bit state and increment as (high, low) words, has_uint32, uinteger
+_LOW_WORD = (1 << 64) - 1
 
 CSV_COLUMNS = (
     "round",
@@ -168,7 +171,8 @@ class ClientState:
     ``params`` is the client's own vector laid out as [encoder | head];
     ``encoder.params`` and ``head.params`` are its two slices (``make_client``
     binds them), and ``client_update`` writes into it in place. It, the
-    Adam moments and the whitening running statistics live in one
+    Adam state, the whitening running statistics and ready flags and
+    ``rng_words``, the PCG64 state of the client's stream, all live in one
     anonymous shared mapping that ``make_client`` allocates, so a worker
     process forked afterwards writes them for this one too.
     """
@@ -179,7 +183,37 @@ class ClientState:
     head: TaskHead
     params: np.ndarray
     adam: AdamState
-    rng: np.random.Generator
+    rng_words: np.ndarray
+    _stream: np.random.Generator = field(
+        init=False, repr=False, default_factory=lambda: np.random.Generator(np.random.PCG64(0))
+    )
+
+    @property
+    def rng(self) -> np.random.Generator:
+        """The client's stream as ``rng_words`` hold it. Each read sets the
+        state of the one Generator the client reuses; assign the stream back
+        to store what was drawn from it."""
+        state_hi, state_lo, inc_hi, inc_lo, has_uint32, uinteger = self.rng_words.tolist()
+        self._stream.bit_generator.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": state_hi << 64 | state_lo, "inc": inc_hi << 64 | inc_lo},
+            "has_uint32": has_uint32,
+            "uinteger": uinteger,
+        }
+        return self._stream
+
+    @rng.setter
+    def rng(self, generator: np.random.Generator) -> None:
+        state = generator.bit_generator.state
+        s, inc = state["state"]["state"], state["state"]["inc"]
+        self.rng_words[...] = (
+            s >> 64,
+            s & _LOW_WORD,
+            inc >> 64,
+            inc & _LOW_WORD,
+            state["has_uint32"],
+            state["uinteger"],
+        )
 
 
 @dataclass
@@ -249,10 +283,13 @@ def make_client(
     and a label the head cannot score ValidationError.
 
     Everything :func:`client_update` writes is allocated here, once, in one
-    anonymous shared mapping laid out as [parameters | Adam first moment |
-    Adam second moment | each whitening layer's running mean and running
-    covariance]. Each piece is its own array over its bytes, so every layer
-    view's ``.base`` is ``params``. A process forked afterwards (a
+    anonymous shared mapping. A header of 8-byte words comes first: Adam's
+    step count, the stream's PCG64 state (``rng_words``) and one word per
+    whitening layer whose first byte is its ready flag. Then come
+    [parameters | Adam first moment | Adam second moment | each whitening
+    layer's running mean and running covariance]. Each piece is its own
+    array over its bytes, so every layer view's ``.base`` is ``params``,
+    and each scalar a 0-d view. A process forked afterwards (a
     :class:`_ClientPool` worker) writes them for this one too."""
     if shard.n == 0:
         raise DataError(f"client {client_id} has an empty shard")
@@ -267,37 +304,45 @@ def make_client(
     # the copies share the templates' buffers until bound to their own vector
     encoder, head = (copy_part(t, t.params) for t in (encoder_template, head_template))
     states = whitening_states([encoder])
+    n_words = 1 + _PCG64_WORDS + len(states)
     n = encoder.params.size + head.params.size
     sizes = [n, n, n] + [size for st in states for size in (st.dim, st.dim * st.dim)]
-    block = mmap.mmap(-1, 8 * sum(sizes))  # zero-filled, as Adam's moments start
+    # zero-filled, as Adam's moments and step count start
+    block = mmap.mmap(-1, 8 * (n_words + sum(sizes)))
+    words = np.frombuffer(block, np.uint64, n_words)
+    ready = words[1 + _PCG64_WORDS :].view(np.bool_)[::8]
     params, first_moment, second_moment, *stats = (
         np.frombuffer(block, np.float64, size, 8 * start)
-        for start, size in zip(itertools.accumulate(sizes, initial=0), sizes)
+        for start, size in zip(itertools.accumulate(sizes, initial=n_words), sizes)
     )
     np.concatenate([encoder.params, head.params], out=params)
     bind_parts([encoder, head], params)
-    for st, mean, cov in zip(states, stats[::2], stats[1::2]):
+    for i, (st, mean, cov) in enumerate(zip(states, stats[::2], stats[1::2])):
         cov = cov.reshape(st.dim, st.dim)
         mean[...] = st.running_mean
         cov[...] = st.running_cov
-        st.running_mean, st.running_cov = mean, cov
+        ready[i] = st.stats_ready
+        st.running_mean, st.running_cov, st.stats_ready = mean, cov, ready[i, ...]
     adam = AdamState(
         first_moment,
         second_moment,
+        words[0, ...].view(np.int64),
         lr=cfg.lr,
         beta1=cfg.beta1,
         beta2=cfg.beta2,
         weight_decay=cfg.weight_decay,
     )
-    return ClientState(
+    client = ClientState(
         client_id=client_id,
         shard=shard,
         encoder=encoder,
         head=head,
         params=params,
         adam=adam,
-        rng=client_rng(cfg.seed, client_id),
+        rng_words=words[1 : 1 + _PCG64_WORDS],
     )
+    client.rng = client_rng(cfg.seed, client_id)
+    return client
 
 
 def client_update(
@@ -314,8 +359,10 @@ def client_update(
     parameters are overwritten by the broadcast. Other-modality encoders
     of ``global_model`` are read-only throughout. The loss settings come
     from ``cfg``: ``tau``, ``ntxent_variant`` and ``lambda_mim``, which
-    counts only when ``use_mim`` is on. The returned flats are the
-    client's own encoder and head slices, valid until its next update.
+    counts only when ``use_mim`` is on. The client's stream is read from
+    its mapping once, at the start, and stored back once, at the end. The
+    returned flats are the client's own encoder and head slices, valid
+    until its next update.
     """
     if client.shard.n == 0:
         raise DataError(f"client {client.client_id} has an empty shard")
@@ -333,8 +380,9 @@ def client_update(
 
     ce_total = ntx_total = 0.0
     n_batches = 0
+    rng = client.rng
     for _ in range(cfg.local_epochs):
-        for idx in batches(client.shard.n, cfg.batch_size, client.rng):
+        for idx in batches(client.shard.n, cfg.batch_size, rng):
             res = local_objective(
                 client.shard.features[idx],
                 client.shard.labels[idx],
@@ -347,6 +395,7 @@ def client_update(
             ce_total += res.ce
             ntx_total += res.ntx
             n_batches += 1
+    client.rng = rng
     # a client's last-batch whitening caches would otherwise live until
     # its next round: memory that grows with the client count
     for st in whitening_states([client.encoder]):
@@ -499,29 +548,6 @@ def _update(
         raise
 
 
-def _report(client: ClientState, update: ClientUpdate) -> tuple:
-    """What a worker sends back for one updated client: the scalars of the
-    update and of the client's state. The arrays it wrote are shared."""
-    return (
-        update.mean_ce,
-        update.mean_ntx,
-        client.adam.step_count,
-        [w.stats_ready for w in whitening_states([client.encoder])],
-        client.rng.bit_generator.state,
-    )
-
-
-def _take_report(client: ClientState, report: tuple) -> ClientUpdate:
-    """Write a worker's :func:`_report` into ``client`` and build the
-    client's upload: the slices of its shared parameter vector."""
-    mean_ce, mean_ntx, step_count, ready, rng_state = report
-    client.adam.step_count = step_count
-    for w, stats_ready in zip(whitening_states([client.encoder]), ready):
-        w.stats_ready = stats_ready
-    client.rng.bit_generator.state = rng_state
-    return _upload(client, mean_ce, mean_ntx)
-
-
 def _send(out: BinaryIO, value) -> None:
     """Write ``value`` pickled, after its 8-byte length, and flush."""
     payload = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
@@ -558,10 +584,11 @@ class _ClientPool:
     baseline. A federation of n clients is dealt by stride into
     ``k = min(workers, n)`` groups, group g being ``clients[g::k]``; worker
     g updates group g every round and this process the last group. Every
-    client's written arrays already live in shared memory
+    client's whole state already lives in shared memory
     (:func:`make_client`), so the pool only deals the groups and forks,
     moving and rebinding nothing; a round sends a worker only the global
-    parameters and gets back only scalars (:func:`_report`).
+    parameters and gets back only each client's ``(mean_ce, mean_ntx)``,
+    from which this process builds the upload (:func:`_upload`).
 
     Fork rather than spawn: a worker needs this process's clients, shards
     and models as they are, which a spawned worker would have to be sent.
@@ -615,7 +642,8 @@ class _ClientPool:
     def _serve(self, g: int, requests: BinaryIO, reports: BinaryIO) -> None:
         """Worker g: per request, write the global parameters into this
         process's copy of the federation's model, update group g and send
-        one report per client, or the first failure; return at EOF."""
+        each client's ``(mean_ce, mean_ntx)``, or the first failure; return
+        at EOF."""
         while True:
             try:
                 key, round_done, params = _receive(requests)
@@ -625,7 +653,8 @@ class _ClientPool:
             model.round = round_done
             model.params[...] = params
             try:
-                outcome = [_report(c, _update(c, model, self._cfg)) for c in groups[g]]
+                updates = [_update(c, model, self._cfg) for c in groups[g]]
+                outcome = [(u.mean_ce, u.mean_ntx) for u in updates]
             except Exception as exc:  # sent to the parent, which re-raises it
                 outcome = exc
             _send(reports, outcome)
@@ -651,8 +680,8 @@ class _ClientPool:
                 self._died(worker, model, group)
             if isinstance(outcome, Exception):
                 raise outcome
-            for client, report in zip(group, outcome):
-                updates[client.client_id] = _take_report(client, report)
+            for client, losses in zip(group, outcome):
+                updates[client.client_id] = _upload(client, *losses)
         return [updates[c.client_id] for c in clients]
 
     def _died(self, worker: _Worker, model: GlobalModelSet, group: list[ClientState]) -> NoReturn:

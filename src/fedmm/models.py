@@ -432,12 +432,13 @@ def assign_params(part: Encoder | TaskHead, flat: Array) -> None:
 
 
 def _copy_stage(stage: Stage) -> Stage:
-    """Same structure and running statistics, forward caches dropped; the
-    parameter arrays stay shared until the new part binds its own buffer."""
+    """Same structure, running statistics and ready flag, forward caches
+    dropped; the parameter arrays stay shared until the new part binds its
+    own buffer."""
     st = stage.whitening
     if st is not None:
-        mean, cov = st.running_mean.copy(), st.running_cov.copy()
-        st = dataclasses.replace(st, running_mean=mean, running_cov=cov)
+        mean, cov, ready = st.running_mean.copy(), st.running_cov.copy(), st.stats_ready.copy()
+        st = dataclasses.replace(st, running_mean=mean, running_cov=cov, stats_ready=ready)
         st.drop_cache()
     return Stage(dataclasses.replace(stage.dense), st, stage.activation)
 
@@ -619,7 +620,7 @@ def load_model(path) -> GlobalModelSet:
                 "checkpoint running covariance is not symmetric within 1e-12",
                 offset=cov_offset,
             )
-        st.stats_ready = bool(header[0])
+        st.stats_ready[...] = bool(header[0])
         st.eps = float(header[1])
         st.momentum = float(header[2])
         st.running_mean = mean

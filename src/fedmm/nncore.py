@@ -5,9 +5,10 @@ Everything works on C-contiguous float64 numpy arrays. Layers cache what
 their backward pass needs on the instance that ran the forward pass, so an
 instance serves one forward/backward pair at a time; parallel client
 updates run in forked worker processes, each with its own copy of every
-instance (see :mod:`fedmm.engine`). Arrays that a step writes (Adam's
-moments, the whitening running statistics) are written in place, so they
-may live in memory a worker shares with its parent.
+instance (see :mod:`fedmm.engine`). All state that a step writes (Adam's
+moments and step count, the whitening running statistics and ready flag)
+is held in arrays and written in place, the two scalars as 0-d arrays, so
+it may live in memory a worker shares with its parent.
 
 The per-step kernels are internal and keep only the checks that depend on
 values or state. Callers pass shapes checked once, at a boundary: the
@@ -197,7 +198,8 @@ class WhiteningState:
 
     ``cache_*`` fields hold the batch artifacts from the last train-mode
     forward (batch mean, whitening matrix, whitened activations) and feed
-    the stop-gradient backward pass.
+    the stop-gradient backward pass. ``stats_ready``, set by the first
+    train-mode forward, is a 0-d bool array written in place.
     """
 
     gamma: Array
@@ -206,7 +208,7 @@ class WhiteningState:
     running_cov: Array
     eps: float = 1e-5
     momentum: float = 0.1
-    stats_ready: bool = False
+    stats_ready: Array = field(default_factory=lambda: np.zeros((), np.bool_))
     cache_mean: Array | None = field(default=None, repr=False)
     cache_w: Array | None = field(default=None, repr=False)
     cache_xhat: Array | None = field(default=None, repr=False)
@@ -216,6 +218,7 @@ class WhiteningState:
         self.beta = as_tensor(self.beta)
         self.running_mean = as_tensor(self.running_mean)
         self.running_cov = as_tensor(self.running_cov)
+        self.stats_ready = np.asarray(self.stats_ready, np.bool_)
         d = self.gamma.shape[0]
         if self.beta.shape != (d,) or self.running_mean.shape != (d,):
             raise DimensionError("gamma, beta and running_mean lengths differ")
@@ -272,7 +275,7 @@ def batch_whitening_forward(x: Array, state: WhiteningState, mode: str) -> Array
         state.running_mean += m * mu
         state.running_cov *= 1.0 - m
         state.running_cov += np.multiply(cov, m, out=cov)
-        state.stats_ready = True
+        state.stats_ready[...] = True
         state.cache_mean = mu
         state.cache_w = w
         state.cache_xhat = xhat
@@ -302,16 +305,22 @@ def batch_whitening_backward(state: WhiteningState, grad_out: Array):
 
 @dataclass
 class AdamState:
-    """Bias-corrected Adam with optional decoupled weight decay."""
+    """Bias-corrected Adam with optional decoupled weight decay.
+
+    ``step_count`` is a 0-d int64 array that each step increments in place.
+    """
 
     first_moment: Array
     second_moment: Array
-    step_count: int = 0
+    step_count: Array = field(default_factory=lambda: np.zeros((), np.int64))
     lr: float = 1e-3
     beta1: float = 0.9
     beta2: float = 0.999
     eps_opt: float = 1e-8
     weight_decay: float = 0.0
+
+    def __post_init__(self):
+        self.step_count = np.asarray(self.step_count, np.int64)
 
     @classmethod
     def create(
@@ -347,8 +356,10 @@ def adam_step(params: Array, grads: Array, state: AdamState) -> Array:
     (the decay term reads the parameters from before the step), so the
     result is bitwise the same as evaluating it out of place.
     """
-    state.step_count += 1
-    t = state.step_count
+    state.step_count[...] += 1
+    # a Python int: beta ** np.int64(t) differs from beta ** t in the last
+    # bit at some t (0.999 at 7, 23, 26, 28; 0.9 at 12, 23, 40)
+    t = int(state.step_count)
     m, v = state.first_moment, state.second_moment
     scratch = np.multiply(grads, 1.0 - state.beta1)
     m *= state.beta1

@@ -99,14 +99,18 @@ def final_params(log):
 
 
 def client_state(client):
-    """Bytes of everything a local update changes on ``client``."""
+    """Values of everything a local update changes on ``client``, copied
+    out: the step count and ready flags are 0-d arrays written in place."""
     whitening = [s.whitening for s in client.encoder.stages() if s.whitening is not None]
     return (
         client.params.tobytes(),
         client.adam.first_moment.tobytes(),
         client.adam.second_moment.tobytes(),
-        client.adam.step_count,
-        [(w.running_mean.tobytes(), w.running_cov.tobytes(), w.stats_ready) for w in whitening],
+        int(client.adam.step_count),
+        [
+            (w.running_mean.tobytes(), w.running_cov.tobytes(), bool(w.stats_ready))
+            for w in whitening
+        ],
         client.rng.bit_generator.state,
     )
 
@@ -617,31 +621,27 @@ class TestClientPool:
             runs.append((flatten_params(model).tobytes(), states))
         assert runs[0] == runs[1]
 
-    def test_worker_report_carries_no_arrays(self, monkeypatch):
-        # a worker's clients write their arrays into shared memory, so its
-        # per-round report holds scalars only
-        def arrays(value):
-            if isinstance(value, np.ndarray):
-                yield value
-            elif isinstance(value, (tuple, list)):
-                for item in value:
-                    yield from arrays(item)
-            elif isinstance(value, dict):
-                for item in value.values():
-                    yield from arrays(item)
-
+    def test_worker_report_is_each_clients_two_losses(self, monkeypatch):
+        # a worker's clients write their whole state into shared memory, so
+        # its per-round report holds each client's (mean_ce, mean_ntx) alone
         reports = []
-        original = engine._take_report
+        original = engine._receive
 
-        def recording_take(client, report):
-            reports.append(report)
-            return original(client, report)
+        def recording_receive(src):
+            value = original(src)
+            if os.getpid() == parent:  # the worker's requests stay in the worker
+                reports.append(value)
+            return value
 
+        parent = os.getpid()
         usable_cpus(monkeypatch, 2)
-        monkeypatch.setattr(engine, "_take_report", recording_take)
-        run_experiment(tiny_cfg(use_fw=True, rounds=2), parallel=True)
-        assert len(reports) == 2 * 2  # the child's clients 0 and 2, two rounds
-        assert [a for report in reports for a in arrays(report)] == []
+        monkeypatch.setattr(engine, "_receive", recording_receive)
+        run_experiment(tiny_cfg(use_fw=True, use_mim=True, rounds=2), parallel=True)
+        assert len(reports) == 2  # one per round from the one worker
+        for report in reports:
+            assert len(report) == 2  # the worker's clients 0 and 2
+            for entry in report:
+                assert type(entry) is tuple and [type(v) for v in entry] == [float, float]
 
     def test_pooled_upload_is_the_shared_client_vector(self, monkeypatch):
         # the parent averages straight out of the shared memory the workers
@@ -667,11 +667,13 @@ class TestClientPool:
             assert np.shares_memory(update.head_flat, client.params[n_enc:])
 
     def test_client_state_is_shared_from_make_client(self):
-        # every array a local update writes lives in shared memory from the
+        # everything a local update writes lives in shared memory from the
         # client's construction on: a child forked before any pool opens
-        # writes them for this process too
+        # writes it for this process too, the step count, ready flags and
+        # stream included
         cfg = tiny_cfg(use_fw=True)
-        _, _, clients = _setup(cfg)
+        _, model, clients = _setup(cfg)
+        _, _, twins = _setup(cfg)
         client = clients[0]
         whitening = [s.whitening for s in client.encoder.stages() if s.whitening is not None]
         assert whitening
@@ -683,6 +685,7 @@ class TestClientPool:
             try:
                 for i, a in enumerate(arrays):
                     a[...] = 100.0 + i
+                client_update(clients[1], model, cfg)
                 status = 0
             finally:
                 os._exit(status)
@@ -690,6 +693,8 @@ class TestClientPool:
         assert os.waitstatus_to_exitcode(status) == 0
         for i, a in enumerate(arrays):
             assert (a == 100.0 + i).all()
+        client_update(twins[1], model, cfg)
+        assert client_state(clients[1]) == client_state(twins[1])
 
     @pytest.mark.parametrize("where", ["child", "parent"])
     def test_failed_worker_is_reaped(self, monkeypatch, where):

@@ -172,13 +172,13 @@ class TestEvaluate:
         for enc in model.encoders:
             st = enc.adapter.whitening
             snapshots.append(
-                (st.running_mean.tobytes(), st.running_cov.tobytes(), st.stats_ready)
+                (st.running_mean.tobytes(), st.running_cov.tobytes(), bool(st.stats_ready))
             )
         for mode in ("both", "only-0", "only-1"):
             evaluate(model, ds.test, (mode,))
         for enc, before in zip(model.encoders, snapshots):
             st = enc.adapter.whitening
-            after = (st.running_mean.tobytes(), st.running_cov.tobytes(), st.stats_ready)
+            after = (st.running_mean.tobytes(), st.running_cov.tobytes(), bool(st.stats_ready))
             assert after == before
 
     def test_unknown_mode_rejected(self):

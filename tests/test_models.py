@@ -107,9 +107,9 @@ class TestEncode:
         rng = np.random.default_rng(4)
         encode(enc, rng.normal(size=(8, 5)), "train")  # populate statistics
         st = enc.adapter.whitening
-        before = (st.running_mean.tobytes(), st.running_cov.tobytes(), st.stats_ready)
+        before = (st.running_mean.tobytes(), st.running_cov.tobytes(), bool(st.stats_ready))
         encode(enc, rng.normal(size=(6, 5)), "eval")
-        after = (st.running_mean.tobytes(), st.running_cov.tobytes(), st.stats_ready)
+        after = (st.running_mean.tobytes(), st.running_cov.tobytes(), bool(st.stats_ready))
         assert before == after
 
     def test_eval_without_calibrated_stats_uses_batch_statistics(self):

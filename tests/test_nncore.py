@@ -329,9 +329,10 @@ class TestAdam:
 
     @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
     def test_in_place_step_matches_out_of_place_formula(self, weight_decay):
-        def reference(params, grads, state):
-            state.step_count += 1
-            t = state.step_count
+        # the oracle counts steps in a Python int of its own: the kernel's
+        # counter is a 0-d int64 array, and beta ** np.int64(t) differs from
+        # beta ** t in the last bit at some t (0.999 at 7, 0.9 at 12)
+        def reference(params, grads, state, t):
             state.first_moment = (
                 state.beta1 * state.first_moment + (1.0 - state.beta1) * grads
             )
@@ -351,11 +352,12 @@ class TestAdam:
         state = AdamState.create(257, lr=3e-3, weight_decay=weight_decay)
         oracle = AdamState.create(257, lr=3e-3, weight_decay=weight_decay)
         moments = (state.first_moment, state.second_moment)
-        for _ in range(6):
+        for t in range(1, 13):
             grads = rng.normal(size=257) * rng.uniform(1e-3, 10.0)
             out = adam_step(params, grads, state)
-            expected = reference(expected, grads, oracle)
+            expected = reference(expected, grads, oracle, t)
             assert out is params
+            assert int(state.step_count) == t
             assert params.tobytes() == expected.tobytes()
             assert state.first_moment.tobytes() == oracle.first_moment.tobytes()
             assert state.second_moment.tobytes() == oracle.second_moment.tobytes()
