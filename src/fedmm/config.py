@@ -66,6 +66,8 @@ class ExperimentConfig:
         return dataclasses.replace(self.dataset, seed=self.seed)
 
     def validate(self) -> None:
+        if self.seed < 0:
+            raise ConfigError("seed must be non-negative")
         with _as_config_error():
             check_scenario(self.dataset, self.scenario, self.k_clients)
         if self.rounds < 0 or self.local_epochs < 0:
@@ -197,7 +199,8 @@ def load_gen_spec(
         with _as_config_error():
             check_scenario(dataset, scenario, k_clients)
     if seed_override is not None:
-        dataset = dataclasses.replace(dataset, seed=seed_override)
+        with _as_config_error():
+            dataset = dataclasses.replace(dataset, seed=seed_override)
     if dataset.seed is None:
         raise ConfigError("dataset seed missing; set it in the spec or pass --seed")
     return dataset, scenario, k_clients

@@ -64,6 +64,8 @@ class DatasetSpec:
             raise ValidationError("n_groups must be >= 1")
         if self.noise_sigma < 0.0 or self.group_shift < 0.0:
             raise ValidationError("noise_sigma and group_shift must be non-negative")
+        if self.seed is not None and self.seed < 0:
+            raise ValidationError("seed must be non-negative")
 
     @property
     def n_modalities(self) -> int:

@@ -42,6 +42,10 @@ aggregation copies it once and averages each part's slice in place.
 Whitening running statistics never leave a client: :func:`make_client`
 copies them from the global template and no broadcast touches them; a
 broadcast overwrites parameters only.
+
+Both entry points build their models with :func:`~fedmm.models.build_model`,
+each part from its own init stream (:func:`model_rng`), and score them
+through :func:`~fedmm.metrics.score_modes`, each with its own fusion rule.
 """
 
 from __future__ import annotations
@@ -66,24 +70,16 @@ from .config import ExperimentConfig, config_to_dict
 from .data import Shard, batches, build_scenario, gen_synthetic, label_mismatch
 from .errors import DataError, DimensionError, NumericError, ValidationError
 from .losses import LossConfig, local_objective
-from .metrics import (
-    MetricsReport,
-    check_test_set,
-    evaluate,
-    mode_modalities,
-    report_from_predictions,
-)
+from .metrics import MetricsReport, evaluate, score_modes
 from .models import (
     Encoder,
     GlobalModelSet,
     TaskHead,
     assign_params,
     bind_parts,
-    build_encoder,
+    build_model,
     copy_part,
-    encode,
     head_forward,
-    init_dense,
     params_overlap,
     save_model,
     unflatten_params,
@@ -124,44 +120,34 @@ def client_rng(seed: int, client_id: int) -> np.random.Generator:
 
 
 def init_model(cfg: ExperimentConfig) -> GlobalModelSet:
+    """The framework's initial global model, part m from stream m (:func:`model_rng`)."""
     spec = cfg.resolved_dataset()
-    p = spec.n_modalities
-    encoders = [
-        build_encoder(
-            m,
-            spec.modality_dims[m],
-            cfg.d_hidden,
-            cfg.d_feature,
-            cfg.use_fw,
-            model_rng(cfg.seed, m),
-        )
-        for m in range(p)
-    ]
-    head = TaskHead(
-        layer=init_dense(model_rng(cfg.seed, p), p * cfg.d_feature, spec.n_labels, 1.0),
-        task_kind=spec.task_kind,
+    return build_model(
+        spec.modality_dims,
+        cfg.d_hidden,
+        cfg.d_feature,
+        spec.n_labels,
+        spec.task_kind,
+        cfg.use_fw,
+        [model_rng(cfg.seed, part) for part in range(spec.n_modalities + 1)],
     )
-    return GlobalModelSet(encoders=encoders, head=head)
 
 
 def _baseline_submodel(cfg: ExperimentConfig, modality: int) -> GlobalModelSet:
+    """The late-fusion baseline's initial model for ``modality``: that
+    encoder, unwhitened, in slot 0, from the stream it has in
+    :func:`init_model`, and a private head over its features from stream
+    P + ``modality`` (:func:`model_rng`)."""
     spec = cfg.resolved_dataset()
-    p = spec.n_modalities
-    encoder = build_encoder(
-        0,
-        spec.modality_dims[modality],
+    return build_model(
+        [spec.modality_dims[modality]],
         cfg.d_hidden,
         cfg.d_feature,
+        spec.n_labels,
+        spec.task_kind,
         False,
-        model_rng(cfg.seed, modality),
+        [model_rng(cfg.seed, part) for part in (modality, spec.n_modalities + modality)],
     )
-    head = TaskHead(
-        layer=init_dense(
-            model_rng(cfg.seed, p + modality), cfg.d_feature, spec.n_labels, 1.0
-        ),
-        task_kind=spec.task_kind,
-    )
-    return GlobalModelSet(encoders=[encoder], head=head)
 
 
 @dataclass
@@ -426,10 +412,10 @@ def aggregate(updates: list[ClientUpdate], model: GlobalModelSet) -> GlobalModel
 
     Encoders average within their modality group with renormalized
     data-proportional weights; the head averages over all clients. Each
-    upload must name one of the model's slots and be finite; otherwise
-    DimensionError or NumericError names the round (``model.round + 1``)
-    and the client. Sums
-    run in ascending client-id order over deltas from the broadcast
+    upload must name one of the model's slots and be finite and as long as
+    the part it updates, and every slot needs an upload; every error names
+    the round (``model.round + 1``), and the client where one is at fault.
+    Sums run in ascending client-id order over deltas from the broadcast
     parameters; a single-member group copies its update verbatim.
 
     The uploads are read, never kept: the new model's vector is one fresh
@@ -437,56 +423,55 @@ def aggregate(updates: list[ClientUpdate], model: GlobalModelSet) -> GlobalModel
     by slice in place, so it shares no memory with any client, and
     ``updates`` may alias client state that the next round overwrites.
     """
+    where = f"round {model.round + 1}:"
     if not updates:
-        raise DataError("aggregation needs at least one client update")
+        raise DataError(f"{where} aggregation needs at least one client update")
     updates = sorted(updates, key=lambda u: u.client_id)
     for u in updates:
         if not 0 <= u.modality_id < model.n_modalities:
             raise DimensionError(
-                f"round {model.round + 1}: client {u.client_id} uploaded for slot "
+                f"{where} client {u.client_id} uploaded for slot "
                 f"{u.modality_id} of a {model.n_modalities}-modality model"
             )
-        for kind, flat in (("encoder", u.encoder_flat), ("head", u.head_flat)):
+        bases = (model.encoders[u.modality_id].params, model.head.params)
+        for kind, flat, base in zip(("encoder", "head"), (u.encoder_flat, u.head_flat), bases):
+            if flat.shape != base.shape:
+                raise DimensionError(
+                    f"{where} client {u.client_id} {kind} has {flat.shape}, expected {base.shape}"
+                )
             if not np.isfinite(flat).all():
                 raise NumericError(
-                    f"round {model.round + 1}: client {u.client_id} uploaded "
-                    f"non-finite {kind} parameters"
+                    f"{where} client {u.client_id} uploaded non-finite {kind} parameters"
                 )
     new = unflatten_params(model.params, model)
     new.round = model.round + 1
     for m, enc in enumerate(model.encoders):
         group = [u for u in updates if u.modality_id == m]
         if not group:
-            raise DataError(f"no client update for modality {m} this round")
+            raise DataError(f"{where} no client update for modality {m} this round")
         group_total = sum(u.n_samples for u in group)
-        members = [
-            (u.client_id, u.encoder_flat, u.n_samples / group_total) for u in group
-        ]
-        _average("encoder", new.encoders[m].params, enc.params, members)
+        members = [(u.encoder_flat, u.n_samples / group_total) for u in group]
+        _average(f"{where} averaged encoder", new.encoders[m].params, enc.params, members)
     total = sum(u.n_samples for u in updates)
-    members = [(u.client_id, u.head_flat, u.n_samples / total) for u in updates]
-    _average("head", new.head.params, model.head.params, members)
+    members = [(u.head_flat, u.n_samples / total) for u in updates]
+    _average(f"{where} averaged head", new.head.params, model.head.params, members)
     return new
 
 
 def _average(
-    kind: str, out: np.ndarray, base: np.ndarray, members: list[tuple[int, np.ndarray, float]]
+    what: str, out: np.ndarray, base: np.ndarray, members: list[tuple[np.ndarray, float]]
 ) -> None:
     """Add to ``out``, a copy of ``base``, the weighted deltas from ``base``
-    of the (client id, flat, weight) members, summed in their order; a
-    single member's flat is copied in verbatim."""
-    for client_id, flat, _ in members:
-        if flat.shape != base.shape:
-            raise DimensionError(
-                f"client {client_id} {kind} has {flat.shape}, expected {base.shape}"
-            )
+    of the (flat, weight) members, summed in their order; a single member's
+    flat is copied in verbatim. A non-finite sum raises NumericError naming
+    ``what``."""
     if len(members) == 1:
-        out[...] = members[0][1]
+        out[...] = members[0][0]
         return
-    for _, flat, weight in members:
+    for flat, weight in members:
         out += weight * (flat - base)
     if not np.isfinite(out).all():
-        raise NumericError(f"averaged {kind} parameters are not finite")
+        raise NumericError(f"{what} parameters are not finite")
 
 
 def _usable_cpus() -> int:
@@ -853,27 +838,19 @@ def evaluate_late_fusion(
     """Average per-modality predicted probabilities over available modalities.
 
     Each submodel holds one modality, whose one-slot fused layout is its
-    features unchanged, so the features go straight to that submodel's head.
-    As in :func:`~fedmm.metrics.evaluate`, every mode and the test set are
-    validated first, each needed modality is encoded once for all modes,
-    and the result is a report per mode.
+    features unchanged, so the features go straight to that submodel's
+    head, once per modality for every mode (:func:`~fedmm.metrics.score_modes`).
     """
-    wanted = mode_modalities(modes, len(submodels))
-    check_test_set(test_shards, len(submodels), submodels[0].head)
-    probs = {}
-    for m in sorted(set().union(*wanted.values())):
-        features = encode(submodels[m].encoders[0], test_shards[m].features, "eval")
-        probs[m] = head_forward(submodels[m].head, features)
-    reports = {}
-    for mode, present in wanted.items():
-        prob_sum = probs[present[0]]
-        for m in present[1:]:
-            prob_sum = prob_sum + probs[m]
-        labels = test_shards[present[0]].labels
-        reports[mode] = report_from_predictions(
-            prob_sum / len(present), labels, submodels[0].head.task_kind
-        )
-    return reports
+    probs: dict[int, np.ndarray] = {}
+
+    def mean_probabilities(features, present):
+        for m in present:
+            if m not in probs:
+                probs[m] = head_forward(submodels[m].head, features[m])
+        return sum((probs[m] for m in present[1:]), probs[present[0]]) / len(present)
+
+    encoders = [sub.encoders[0] for sub in submodels]
+    return score_modes(encoders, submodels[0].head, test_shards, modes, mean_probabilities)
 
 
 def baseline_fedavg_latefusion(

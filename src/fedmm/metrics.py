@@ -15,7 +15,7 @@ import numpy as np
 
 from .data import Shard, label_mismatch
 from .errors import DimensionError, ValidationError
-from .models import GlobalModelSet, TaskHead, encode, fuse_full, head_forward
+from .models import Encoder, GlobalModelSet, TaskHead, encode, fuse_full, head_forward
 from .nncore import Array
 
 MODE_BOTH = "both"
@@ -127,25 +127,27 @@ def parse_mode(mode: str, n_modalities: int) -> int | None:
     return m
 
 
-def mode_modalities(modes, n_modalities: int) -> dict[str, list[int]]:
-    """The modalities each inference mode reads, every mode validated
-    first: all of them for ``both``, modality m alone for ``only-m``. A
-    bare mode string is rejected, since none of its characters is a mode."""
-    wanted = {}
-    for mode in modes:
-        only = parse_mode(mode, n_modalities)
-        wanted[mode] = [only] if only is not None else list(range(n_modalities))
-    return wanted
+def score_modes(
+    encoders: list[Encoder], head: TaskHead, test_shards: list[Shard], modes, probabilities
+) -> dict[str, MetricsReport]:
+    """The one evaluation loop: a report per mode, in the order given.
 
-
-def check_test_set(test_shards: list[Shard], n_modalities: int, head: TaskHead) -> None:
-    """Reject, with ValidationError, a test set that is empty, has an empty
-    shard, another shard count than ``n_modalities`` or labels ``head``
-    cannot score, and, with DimensionError, unaligned shards."""
+    Every mode is validated first (a bare mode string is rejected, since
+    none of its characters is a mode), then the test set: ValidationError
+    for an empty set or shard, a shard count other than one per encoder or
+    labels ``head`` cannot score, DimensionError for unaligned shards. Then
+    each modality some mode reads (all for ``both``, m for ``only-m``) is
+    encoded once, in eval mode, and ``probabilities(features, present)``,
+    the evaluator's fusion rule, gives each mode's class probabilities from
+    the features by modality and the modalities that mode reads.
+    """
+    p = len(encoders)
+    only = {mode: parse_mode(mode, p) for mode in modes}
+    wanted = {mode: list(range(p)) if m is None else [m] for mode, m in only.items()}
     if not test_shards or any(s.n == 0 for s in test_shards):
         raise ValidationError("test set must be non-empty")
-    if len(test_shards) != n_modalities:
-        raise ValidationError(f"{len(test_shards)} test shards for {n_modalities} modalities")
+    if len(test_shards) != p:
+        raise ValidationError(f"{len(test_shards)} test shards for {p} modalities")
     rows = {s.n for s in test_shards}
     if len(rows) != 1:
         raise DimensionError(f"test shards disagree on rows: {sorted(rows)}")
@@ -153,6 +155,16 @@ def check_test_set(test_shards: list[Shard], n_modalities: int, head: TaskHead) 
         why = label_mismatch(shard, head.task_kind, head.n_labels)
         if why is not None:
             raise ValidationError(f"test shard {m}: {why}")
+    features = {
+        m: encode(encoders[m], test_shards[m].features, "eval")
+        for m in sorted(set().union(*wanted.values()))
+    }
+    return {
+        mode: report_from_predictions(
+            probabilities(features, present), test_shards[present[0]].labels, head.task_kind
+        )
+        for mode, present in wanted.items()
+    }
 
 
 def evaluate(
@@ -161,23 +173,14 @@ def evaluate(
     """Score the model on aligned per-modality test shards, once per mode.
 
     Mode ``both`` fuses every modality's features; ``only-m`` places
-    modality m's features in their slot and zero-fills the rest. Every mode
-    is validated before anything is encoded, and each modality a mode needs
-    is encoded once for all of them. Returns a report per mode, in the
-    order given. The model is not mutated: whitening statistics are
-    identical before and after.
+    modality m's features in their slot and zero-fills the rest; the shared
+    head scores the fused rows (:func:`score_modes`). The model is not
+    mutated: whitening statistics are identical before and after.
     """
     p = model.n_modalities
-    check_test_set(test_shards, p, model.head)
-    wanted = mode_modalities(modes, p)
-    features = {
-        m: encode(model.encoders[m], test_shards[m].features, "eval")
-        for m in sorted(set().union(*wanted.values()))
-    }
-    reports = {}
-    for mode, present in wanted.items():
+
+    def fused_probabilities(features, present):
         blocks = [features[m] if m in present else None for m in range(p)]
-        probs = head_forward(model.head, fuse_full(blocks, p, model.feature_dim))
-        labels = test_shards[present[0]].labels
-        reports[mode] = report_from_predictions(probs, labels, model.head.task_kind)
-    return reports
+        return head_forward(model.head, fuse_full(blocks, p, model.feature_dim))
+
+    return score_modes(model.encoders, model.head, test_shards, modes, fused_probabilities)

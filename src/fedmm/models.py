@@ -21,7 +21,9 @@ Shapes are checked once, where they become fixed: by :class:`Encoder`,
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import struct
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -195,20 +197,23 @@ def build_encoder(
 
 
 def build_model(
-    input_dims: list[int],
+    input_dims: Sequence[int],
     hidden_dim: int,
     feature_dim: int,
     n_labels: int,
     task_kind: str,
     use_whitening: bool,
-    rng: np.random.Generator,
+    rngs: Iterable[np.random.Generator],
 ) -> GlobalModelSet:
+    """The one model builder: an encoder per input dim in slot order, then
+    the head, each part drawing from the next stream of ``rngs``."""
+    rngs = iter(rngs)
     encoders = [
-        build_encoder(m, dim, hidden_dim, feature_dim, use_whitening, rng)
+        build_encoder(m, dim, hidden_dim, feature_dim, use_whitening, next(rngs))
         for m, dim in enumerate(input_dims)
     ]
     head = TaskHead(
-        layer=init_dense(rng, len(input_dims) * feature_dim, n_labels, 1.0),
+        layer=init_dense(next(rngs), len(input_dims) * feature_dim, n_labels, 1.0),
         task_kind=task_kind,
     )
     return GlobalModelSet(encoders=encoders, head=head)
@@ -596,7 +601,7 @@ def load_model(path) -> GlobalModelSet:
         n_labels=n_labels,
         task_kind=TASK_KINDS[task_idx],
         use_whitening=bool(whiten_flag),
-        rng=np.random.default_rng(0),
+        rngs=itertools.repeat(np.random.default_rng(0)),
     )
     template.round = round_idx
     flat = reader.floats(param_count(template))
@@ -620,9 +625,16 @@ def load_model(path) -> GlobalModelSet:
                 "checkpoint running covariance is not symmetric within 1e-12",
                 offset=cov_offset,
             )
-        st.stats_ready[...] = bool(header[0])
-        st.eps = float(header[1])
-        st.momentum = float(header[2])
+        # a flag of 0 or 1, then the eps and momentum ranges WhiteningState checks
+        values = header.tolist()
+        ready, eps, momentum = values
+        for i, ok in enumerate([ready in (0.0, 1.0), eps >= 0.0, 0.0 < momentum <= 1.0]):
+            if not ok:
+                what = f"{('ready flag', 'eps', 'momentum')[i]} {values[i]}"
+                raise FormatError(f"checkpoint whitening {what} is out of range", offset + 8 * i)
+        st.stats_ready[...] = bool(ready)
+        st.eps = eps
+        st.momentum = momentum
         st.running_mean = mean
         st.running_cov = cov
     reader.expect_end()

@@ -8,6 +8,7 @@ cached runs through module-level memoization.
 
 import dataclasses
 import functools
+import itertools
 import math
 import time
 
@@ -191,7 +192,7 @@ def _composite_point(seed):
             n_labels=2,
             task_kind="multi-label",
             use_whitening=True,
-            rng=np.random.default_rng(point_seed),
+            rngs=itertools.repeat(np.random.default_rng(point_seed)),
         )
         rng = np.random.default_rng(point_seed + 1000)
         x = rng.normal(size=(3, 3)) + 0.8
@@ -326,7 +327,7 @@ def test_criterion_03_aggregation_oracle():
         n_labels=3,
         task_kind="multi-label",
         use_whitening=True,
-        rng=np.random.default_rng(3),
+        rngs=itertools.repeat(np.random.default_rng(3)),
     )
     worst = 0.0
     for trial in range(100):
@@ -609,7 +610,7 @@ def test_criterion_10_format_robustness(tmp_path):
         n_labels=3,
         task_kind="multi-label",
         use_whitening=True,
-        rng=np.random.default_rng(4),
+        rngs=itertools.repeat(np.random.default_rng(4)),
     )
     from fedmm.models import encode
 

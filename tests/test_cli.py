@@ -78,6 +78,39 @@ class TestExitCodes:
         assert named in capsys.readouterr().err
 
 
+class TestNegativeSeed:
+    """numpy takes no negative seed: every command refuses one as a config
+    error, before it writes anything."""
+
+    @pytest.mark.parametrize("command", ["run", "baseline", "ablate"])
+    @pytest.mark.parametrize(
+        "config,flags",
+        [
+            ({"seed": -1}, []),
+            ({"dataset": {"n_sites": 80, "seed": -3}}, []),
+            ({}, ["--seed", "-1"]),
+        ],
+        ids=["config-seed", "dataset-seed", "seed-flag"],
+    )
+    def test_training_commands_exit_2(self, tmp_path, capsys, command, config, flags):
+        path = write_config(tmp_path, **config)
+        out = tmp_path / "out"
+        assert main([command, "--config", str(path), "--out", str(out), *flags]) == 2
+        assert "seed must be non-negative" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "seed,flags", [(-1, []), (1, ["--seed", "-1"])], ids=["spec-seed", "seed-flag"]
+    )
+    def test_gen_data_exits_2(self, tmp_path, capsys, seed, flags):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({"dataset": {"n_sites": 60, "seed": seed}}))
+        out = tmp_path / "d"
+        assert main(["gen-data", "--spec", str(spec_path), "--out", str(out), *flags]) == 2
+        assert "seed must be non-negative" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestMissingFraction:
     """A missing-modality scenario must leave every client of the thinned
     modality at least 2 training samples. With 20 sites and K=2, modality 0

@@ -447,6 +447,44 @@ class TestAggregate:
         assert "round 7" in message
         assert f"client {updates[-1].client_id} " in message
 
+    def test_no_update_at_all_names_the_round(self):
+        _, model, _ = _setup(tiny_cfg())
+        model.round = 4
+        with pytest.raises(DataError, match="^round 5: aggregation needs at least one "):
+            aggregate([], model)
+
+    def test_modality_without_updates_names_the_round(self):
+        _, model, _ = _setup(tiny_cfg())
+        model.round = 4
+        updates = [u for u in _fake_updates(model, 5) if u.modality_id == 0]
+        with pytest.raises(DataError, match="^round 5: no client update for modality 1 "):
+            aggregate(updates, model)
+
+    def test_length_mismatch_names_the_round_and_client(self):
+        _, model, _ = _setup(tiny_cfg())
+        model.round = 4
+        updates = _fake_updates(model, 6)
+        updates[0] = dataclasses.replace(updates[0], encoder_flat=np.zeros(3), modality_id=0)
+        n = model.encoders[0].params.size
+        expected = rf"^round 5: client 0 encoder has \(3,\), expected \({n},\)$"
+        with pytest.raises(DimensionError, match=expected):
+            aggregate(updates, model)
+
+    def test_non_finite_average_names_the_round(self):
+        # finite uploads whose deltas from the broadcast overflow
+        _, model, _ = _setup(tiny_cfg())
+        model.round = 4
+        model.encoders[0].params[...] = -1e308
+        updates = [
+            ClientUpdate(
+                cid, m, np.full(model.encoders[m].params.size, 1e308), model.head.params, 1, 0, 0
+            )
+            for cid, m in enumerate([0, 0, 1])
+        ]
+        expected = "^round 5: averaged encoder parameters are not finite$"
+        with np.errstate(over="ignore"), pytest.raises(NumericError, match=expected):
+            aggregate(updates, model)
+
     def test_weights_sum_to_one_per_group_and_head(self):
         # every client uploads the same x, so the mean is x only if the
         # group weights and the head weights each sum to one
@@ -1010,6 +1048,13 @@ def test_empty_test_set_rejected(late_fusion):
 
 
 @pytest.mark.parametrize("late_fusion", [False, True], ids=["evaluate", "evaluate_late_fusion"])
+def test_unknown_mode_rejected_before_the_test_set(late_fusion):
+    # both evaluators validate in one order: every mode, then the test set
+    with pytest.raises(ValidationError, match="^unknown inference mode 'none'$"):
+        scorer(tiny_cfg(), late_fusion)([], ("both", "none"))
+
+
+@pytest.mark.parametrize("late_fusion", [False, True], ids=["evaluate", "evaluate_late_fusion"])
 @pytest.mark.parametrize("count", [1, 3], ids=["too-few", "too-many"])
 def test_wrong_test_shard_count_rejected(late_fusion, count):
     # one test shard per modality: a missing one has no features to score
@@ -1051,8 +1096,7 @@ def test_unscorable_test_labels_rejected_before_encoding(
     if edit is not None:
         test[0] = dataclasses.replace(test[0], labels=edit(test[0].labels))
     encoded = []
-    for module in (engine, metrics):
-        monkeypatch.setattr(module, "encode", lambda *args: encoded.append(args))
+    monkeypatch.setattr(metrics, "encode", lambda *args: encoded.append(args))
     with pytest.raises(ValidationError, match=f"^test shard 0: {expected}"):
         score(test, ALL_MODES)
     assert encoded == []
@@ -1145,19 +1189,29 @@ class TestBaseline:
 
     def test_one_encode_per_modality_per_evaluation(self, monkeypatch):
         encoded = []
-        original = engine.encode
+        original = metrics.encode
 
         def counting_encode(encoder, x, mode):
             encoded.append(x.shape)
             return original(encoder, x, mode)
 
-        monkeypatch.setattr(engine, "encode", counting_encode)
+        monkeypatch.setattr(metrics, "encode", counting_encode)
         cfg = tiny_cfg(rounds=1)
-        baseline_fedavg_latefusion(cfg)
+        log = baseline_fedavg_latefusion(cfg)
         assert len(encoded) == 2 * 2  # the set-up and the round-1 evaluations
+        test = gen_synthetic(cfg.resolved_dataset()).test
         with pytest.raises(ValidationError):
-            evaluate_late_fusion([None, None], [None, None], ("both", "only-2"))
+            evaluate_late_fusion(log.baseline_models, test, ("both", "only-2"))
         assert len(encoded) == 4
+
+    def test_one_head_pass_per_modality_per_evaluation(self, monkeypatch):
+        # the three modes read each modality twice; each head still runs once
+        cfg = tiny_cfg(rounds=1)
+        log = baseline_fedavg_latefusion(cfg)
+        test = gen_synthetic(cfg.resolved_dataset()).test
+        calls = counting(monkeypatch, (engine, "head_forward"))
+        evaluate_late_fusion(log.baseline_models, test, ALL_MODES)
+        assert calls == ["head_forward"] * 2
 
     def test_contrastive_setting_has_no_effect(self, monkeypatch):
         # each submodel holds one modality, so with MIM on and a positive

@@ -1,6 +1,7 @@
 """Tests for classification losses, the contrastive loss, and the combined
 per-client objective, all checked against independent oracles."""
 
+import itertools
 import math
 
 import numpy as np
@@ -224,7 +225,7 @@ def _tiny_model(seed=0, use_whitening=True, task_kind="multi-label"):
         n_labels=2,
         task_kind=task_kind,
         use_whitening=use_whitening,
-        rng=np.random.default_rng(seed),
+        rngs=itertools.repeat(np.random.default_rng(seed)),
     )
 
 

@@ -1,5 +1,7 @@
 """Tests for F1 metrics and multi-mode evaluation."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -140,7 +142,7 @@ def _fixture_model_and_data(use_whitening=True):
         n_labels=3,
         task_kind="multi-label",
         use_whitening=use_whitening,
-        rng=np.random.default_rng(2),
+        rngs=itertools.repeat(np.random.default_rng(2)),
     )
     return model, ds
 

@@ -1,5 +1,6 @@
 """Tests for the encoder family, fusion, cross-encoding, and checkpoints."""
 
+import itertools
 import struct
 import tracemalloc
 
@@ -41,7 +42,7 @@ def small_model(use_whitening=True, task_kind="multi-label", seed=0):
         n_labels=3,
         task_kind=task_kind,
         use_whitening=use_whitening,
-        rng=np.random.default_rng(seed),
+        rngs=itertools.repeat(np.random.default_rng(seed)),
     )
 
 
@@ -220,7 +221,7 @@ class TestCrossEncode:
             n_labels=8,
             task_kind="multi-label",
             use_whitening=True,
-            rng=np.random.default_rng(5),
+            rngs=itertools.repeat(np.random.default_rng(5)),
         )
         local, other = model.encoders
         x = np.random.default_rng(6).normal(size=(64, 24))
@@ -425,6 +426,35 @@ class TestCheckpoint:
         with pytest.raises(FormatError, match=f"declares {name} 0") as info:
             load_model(path)
         assert info.value.offset == 8 + 4 * field
+
+    @pytest.mark.parametrize(
+        "field,value,named",
+        [
+            (0, 0.5, "ready flag 0.5"),
+            (1, -5.0, "eps -5.0"),
+            (2, 7.0, "momentum 7.0"),
+            (2, 0.0, "momentum 0.0"),
+        ],
+        ids=["ready-flag", "negative-eps", "momentum-above-1", "momentum-0"],
+    )
+    def test_whitening_header_out_of_range_rejected_at_its_float(
+        self, tmp_path, field, value, named
+    ):
+        # the ranges a built whitening layer must keep; a loaded one is no
+        # exception. Each layer's (ready flag, eps, momentum) header opens
+        # its running statistics, which follow the parameters
+        model = small_model(use_whitening=True)
+        path = tmp_path / "model.ckpt"
+        save_model(model, path)
+        data = bytearray(path.read_bytes())
+        stats = sum(3 + st.dim + st.dim**2 for st in models.whitening_states(model.encoders))
+        offset = len(data) - 8 * stats + 8 * field
+        data[offset : offset + 8] = struct.pack("<d", value)
+        path.write_bytes(bytes(data))
+        expected = f"^checkpoint whitening {named} is out of range "
+        with pytest.raises(FormatError, match=expected) as info:
+            load_model(path)
+        assert info.value.offset == offset
 
     def test_roundtrip_without_whitening(self, tmp_path):
         model = small_model(use_whitening=False, task_kind="single-label")
