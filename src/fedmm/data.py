@@ -460,9 +460,11 @@ def save_shard(shard: Shard, path, n_labels: int | None = None) -> None:
     columns stored for a multi-label shard and to the largest class id plus
     one for a single-label shard (1 when it is empty). A multi-label shard
     stores one column per label, so an ``n_labels`` that differs from its
-    column count raises ValidationError, as does a label :func:`load_shard`
-    would reject, so no file is written that cannot be read back.
+    column count raises ValidationError, as does a zero width or a label
+    :func:`load_shard` would reject, so no file is written that it rejects.
     """
+    if shard.dim == 0:
+        raise ValidationError("shard has feature dim 0")
     if shard.task_kind == "multi-label":
         n_label_cols = shard.labels.shape[1]
         lab = shard.labels
@@ -479,6 +481,8 @@ def save_shard(shard: Shard, path, n_labels: int | None = None) -> None:
     bad = _bad_label(lab, shard.task_kind, declared_labels)
     if bad is not None:
         raise ValidationError(bad[2])
+    if declared_labels == 0:
+        raise ValidationError("shard has label count 0")
     if not 0 <= declared_labels < 2**32:
         raise ValidationError(f"label count {declared_labels} does not fit the u32 header")
     header = SHARD_MAGIC + struct.pack(
@@ -507,7 +511,7 @@ def load_shard(path) -> Shard:
     u64 geo key, the features, and the labels as little-endian float64.
     Labels the header cannot describe raise FormatError at their byte: a
     multi-label entry other than 0 or 1, or a single-label value that is not
-    an integral class id in ``[0, label count)``.
+    an integral class id in ``[0, label count)``; a zero width, at its field.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -523,6 +527,9 @@ def load_shard(path) -> Shard:
         raise FormatError(f"unsupported shard version {version}", offset=4)
     if task_idx >= len(TASK_KINDS):
         raise FormatError(f"unknown task kind code {task_idx}", offset=8)
+    for name, value, offset in (("feature dim", dim, 13), ("label count", n_labels, 17)):
+        if value == 0:
+            raise FormatError(f"shard declares {name} 0", offset=offset)
     task_kind = TASK_KINDS[task_idx]
     n_label_cols = n_labels if task_kind == "multi-label" else 1
     dtype = _shard_dtype(dim, n_label_cols)

@@ -382,10 +382,6 @@ def client_update(
             ntx_total += res.ntx
             n_batches += 1
     client.rng = rng
-    # a client's last-batch whitening caches would otherwise live until
-    # its next round: memory that grows with the client count
-    for st in whitening_states([client.encoder]):
-        st.drop_cache()
     return _upload(
         client,
         ce_total / n_batches if n_batches else 0.0,

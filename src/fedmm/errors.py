@@ -24,7 +24,7 @@ class BatchSizeError(FedmmError):
 
 
 class StateError(FedmmError):
-    """Operation requires state that has not been initialized or cached."""
+    """Operation requires state that has not been initialized."""
 
 
 class NumericError(FedmmError):

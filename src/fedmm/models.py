@@ -39,7 +39,8 @@ from .nncore import (
     activation_forward,
     as_tensor,
     batch_whitening_backward,
-    batch_whitening_forward,
+    batch_whitening_eval,
+    batch_whitening_train,
     dense_backward,
     dense_forward,
     is_symmetric,
@@ -224,24 +225,28 @@ def build_model(
 # ---------------------------------------------------------------------------
 
 
-def _forward(stages: list[Stage], x: Array, mode: str, cache=None) -> Array:
+def _forward(stages: list[Stage], x: Array, train: bool, cache=None) -> Array:
     """The one loop over encoder stages; ``cache`` (an :class:`EncodeCache`)
-    collects each stage's input and pre-activation. In eval mode, never-calibrated whitening
-    statistics (e.g. a freshly aggregated global model) give way to the
-    batch's own, instead of erroring out."""
+    records each stage. In eval mode, never-calibrated whitening statistics
+    (e.g. a freshly aggregated global model) give way to the batch's own,
+    instead of erroring out."""
     out = x
     for stage in stages:
-        if cache is not None:
-            cache.inputs.append(out)
         z = dense_forward(stage.dense, out)
         st = stage.whitening
+        whitened = None
         if st is not None:
-            if mode == "eval" and not st.stats_ready:
-                z = whiten_batch(z, st.gamma, st.beta, st.eps)
+            if train:
+                z, _, w, xhat = batch_whitening_train(z, st)
+                whitened = (w, xhat)
+            elif st.stats_ready:
+                z = batch_whitening_eval(z, st)
             else:
-                z = batch_whitening_forward(z, st, mode)
+                z = whiten_batch(z, st.gamma, st.beta, st.eps)
         if cache is not None:
+            cache.inputs.append(out)
             cache.preact.append(z)
+            cache.whitened.append(whitened)
         out = activation_forward(z, stage.activation) if stage.activation else z
     return out
 
@@ -257,32 +262,37 @@ def _check_input(encoder: Encoder, x: Array) -> None:
 
 
 def encode(encoder: Encoder, x: Array, mode: str) -> Array:
-    """Run ``x`` through adapter and body; whitening layers respect ``mode``."""
+    """Run ``x`` through adapter and body; ``mode`` is "train" or "eval",
+    anything else raises ConfigError."""
+    if mode not in ("train", "eval"):
+        raise ConfigError(f"unknown encode mode {mode!r}")
     _check_input(encoder, x)
-    return _forward(encoder.stages(), x, mode)
+    return _forward(encoder.stages(), x, mode == "train")
 
 
 @dataclass
 class EncodeCache:
-    """Per-stage inputs and pre-activation values from a train forward."""
+    """The one record of a train forward, per stage: input, pre-activation
+    and, if it whitens, the batch's (w, xhat), else None."""
 
     inputs: list[Array] = field(default_factory=list)
     preact: list[Array] = field(default_factory=list)
+    whitened: list[tuple[Array, Array] | None] = field(default_factory=list)
 
 
 def encode_train(encoder: Encoder, x: Array) -> tuple[Array, EncodeCache]:
-    """Train-mode forward that keeps the caches the backward pass needs."""
+    """Train-mode forward and its record, all the backward pass reads."""
     _check_input(encoder, x)
     cache = EncodeCache()
-    return _forward(encoder.stages(), x, "train", cache), cache
+    return _forward(encoder.stages(), x, True, cache), cache
 
 
 def encode_backward(
     encoder: Encoder, cache: EncodeCache, grad_out: Array, out: Array
 ) -> Array:
-    """Backprop through a cached train forward into ``out``, a vector laid
-    out like the encoder's ``params`` (:func:`flatten_params` order); each
-    stage's gradient is written into its slice. Returns ``out``."""
+    """Backprop through the train forward that made ``cache`` into ``out``,
+    a vector laid out like the encoder's ``params`` (:func:`flatten_params`
+    order); each stage's gradient is written into its slice. Returns ``out``."""
     stages = encoder.stages()
     end = out.size
     g = grad_out
@@ -292,7 +302,8 @@ def encode_backward(
             g = activation_backward(cache.preact[i], stage.activation, g)
         pieces = []
         if stage.whitening is not None:
-            g, grad_gamma, grad_beta = batch_whitening_backward(stage.whitening, g)
+            w, xhat = cache.whitened[i]
+            g, grad_gamma, grad_beta = batch_whitening_backward(stage.whitening.gamma, w, xhat, g)
             pieces = [grad_gamma, grad_beta]
         # nothing consumes the gradient wrt the encoder's own input
         g, grad_w, grad_b = dense_backward(stage.dense, cache.inputs[i], g, input_grad=i > 0)
@@ -342,7 +353,7 @@ def cross_encode(adapter_out: Array, global_other: Encoder) -> Array:
     and its parameters act as constants: no gradient ever reaches them.
     Bodies never whiten (see :class:`Encoder`).
     """
-    return _forward(global_other.body, adapter_out, "eval")
+    return _forward(global_other.body, adapter_out, False)
 
 
 # ---------------------------------------------------------------------------
@@ -437,22 +448,19 @@ def assign_params(part: Encoder | TaskHead, flat: Array) -> None:
 
 
 def _copy_stage(stage: Stage) -> Stage:
-    """Same structure, running statistics and ready flag, forward caches
-    dropped; the parameter arrays stay shared until the new part binds its
-    own buffer."""
+    """Same structure, running statistics and ready flag; the parameter
+    arrays stay shared until the new part binds its own buffer."""
     st = stage.whitening
     if st is not None:
         mean, cov, ready = st.running_mean.copy(), st.running_cov.copy(), st.stats_ready.copy()
         st = dataclasses.replace(st, running_mean=mean, running_cov=cov, stats_ready=ready)
-        st.drop_cache()
     return Stage(dataclasses.replace(stage.dense), st, stage.activation)
 
 
 def copy_part(template, buffer: Array | None = None):
     """A new encoder, head or model set with ``template``'s structure and
-    running statistics, forward caches dropped. Its parameters live in
-    ``buffer``, whose values it adopts, or in a copy of ``template.params``
-    when None."""
+    running statistics. Its parameters live in ``buffer``, whose values it
+    adopts, or in a copy of ``template.params`` when None."""
     if buffer is None:
         buffer = template.params.copy()
     if isinstance(template, GlobalModelSet):  # parts share its slices until bound to ``buffer``
@@ -468,8 +476,8 @@ def unflatten_params(flat: Array, template):
     """A new model part with ``template``'s structure and ``flat``'s parameters.
 
     Whitening running statistics are copied from ``template`` (they are
-    state, not parameters) and forward caches are dropped. The new part
-    owns a copy of ``flat``; NaN/Inf entries raise NumericError.
+    state, not parameters). The new part owns a copy of ``flat``; NaN/Inf
+    entries raise NumericError.
     """
     flat = as_tensor(flat)
     if flat.shape != template.params.shape:
@@ -591,6 +599,8 @@ def load_model(path) -> GlobalModelSet:
             raise FormatError(f"checkpoint declares {name} 0", offset=8 + 4 * i)
     if task_idx >= len(TASK_KINDS):
         raise FormatError(f"unknown task kind code {task_idx}", offset=reader.offset - 6)
+    if whiten_flag not in (0, 1):
+        raise FormatError(f"unknown whitening flag {whiten_flag}", offset=reader.offset - 5)
     # before the template, whose size grows with the square of the declared width
     floats = _payload_floats(input_dims, hidden_dim, feature_dim, n_labels, bool(whiten_flag))
     reader.need(8 * floats)

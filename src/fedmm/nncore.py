@@ -1,14 +1,12 @@
 """Minimal float64 numeric kernel: dense and batch-whitening layers with
 hand-coded gradients, and Adam.
 
-Everything works on C-contiguous float64 numpy arrays. Layers cache what
-their backward pass needs on the instance that ran the forward pass, so an
-instance serves one forward/backward pair at a time; parallel client
-updates run in forked worker processes, each with its own copy of every
-instance (see :mod:`fedmm.engine`). All state that a step writes (Adam's
+Everything works on C-contiguous float64 numpy arrays. Layers hold state
+only: a train forward returns what its backward needs and the caller hands
+it back (see ``models.EncodeCache``). All state that a step writes (Adam's
 moments and step count, the whitening running statistics and ready flag)
 is held in arrays and written in place, the two scalars as 0-d arrays, so
-it may live in memory a worker shares with its parent.
+it may live in memory a worker process shares with its parent.
 
 The per-step kernels are internal and keep only the checks that depend on
 values or state. Callers pass shapes checked once, at a boundary: the
@@ -194,12 +192,9 @@ def whiten_batch(x: Array, gamma: Array, beta: Array, eps: float) -> Array:
 
 @dataclass
 class WhiteningState:
-    """Learnable scale/shift plus running statistics for a whitening layer.
-
-    ``cache_*`` fields hold the batch artifacts from the last train-mode
-    forward (batch mean, whitening matrix, whitened activations) and feed
-    the stop-gradient backward pass. ``stats_ready``, set by the first
-    train-mode forward, is a 0-d bool array written in place.
+    """Learnable scale/shift plus running statistics for a whitening layer;
+    state only, no batch artifact. ``stats_ready``, set by the first train
+    forward, is a 0-d bool array written in place.
     """
 
     gamma: Array
@@ -209,9 +204,6 @@ class WhiteningState:
     eps: float = 1e-5
     momentum: float = 0.1
     stats_ready: Array = field(default_factory=lambda: np.zeros((), np.bool_))
-    cache_mean: Array | None = field(default=None, repr=False)
-    cache_w: Array | None = field(default=None, repr=False)
-    cache_xhat: Array | None = field(default=None, repr=False)
 
     def __post_init__(self):
         self.gamma = as_tensor(self.gamma)
@@ -248,52 +240,39 @@ class WhiteningState:
     def dim(self) -> int:
         return self.gamma.shape[0]
 
-    def drop_cache(self) -> None:
-        """Release the last train-mode forward's artifacts."""
-        self.cache_mean = self.cache_w = self.cache_xhat = None
+
+def batch_whitening_train(x: Array, state: WhiteningState):
+    """gamma * W(x - mu) + beta with the batch's own mean and whitening
+    matrix, folded into the running estimates by EMA: (out, mu, w, xhat)."""
+    if x.shape[0] < 2:
+        raise BatchSizeError(f"train-mode whitening needs at least 2 rows, got {x.shape[0]}")
+    out, mu, cov, w, xhat = _batch_whiten_core(x, state.gamma, state.beta, state.eps)
+    m = state.momentum
+    # (1 - m) * running + m * batch, written into the arrays the state
+    # holds, which may live in memory a worker process shares with its
+    # parent (see fedmm.engine); cov is this call's own scratch
+    state.running_mean *= 1.0 - m
+    state.running_mean += m * mu
+    state.running_cov *= 1.0 - m
+    state.running_cov += np.multiply(cov, m, out=cov)
+    state.stats_ready[...] = True
+    return out, mu, w, xhat
 
 
-def batch_whitening_forward(x: Array, state: WhiteningState, mode: str) -> Array:
-    """Apply gamma * W(x - mu) + beta.
-
-    Train mode computes mu and the whitening matrix from the batch, caches
-    them for backward, and folds them into the running estimates by EMA.
-    Eval mode recomputes the whitening matrix from the running covariance
-    on every call and never mutates the state.
-    """
-    if mode == "train":
-        if x.shape[0] < 2:
-            raise BatchSizeError(
-                f"train-mode whitening needs at least 2 rows, got {x.shape[0]}"
-            )
-        out, mu, cov, w, xhat = _batch_whiten_core(x, state.gamma, state.beta, state.eps)
-        m = state.momentum
-        # (1 - m) * running + m * batch, written into the arrays the state
-        # holds, which may live in memory a worker process shares with its
-        # parent (see fedmm.engine); cov is this call's own scratch
-        state.running_mean *= 1.0 - m
-        state.running_mean += m * mu
-        state.running_cov *= 1.0 - m
-        state.running_cov += np.multiply(cov, m, out=cov)
-        state.stats_ready[...] = True
-        state.cache_mean = mu
-        state.cache_w = w
-        state.cache_xhat = xhat
-        return out
-    if mode == "eval":
-        if not state.stats_ready:
-            raise StateError("eval-mode whitening called before any train step")
-        w = whitening_matrix(state.running_cov, state.eps)
-        return state.gamma * ((x - state.running_mean) @ w) + state.beta
-    raise ConfigError(f"unknown whitening mode {mode!r}")
+def batch_whitening_eval(x: Array, state: WhiteningState) -> Array:
+    """gamma * W(x - mu) + beta with the running statistics, W recomputed
+    on every call; the state is never written."""
+    if not state.stats_ready:
+        raise StateError("eval-mode whitening called before any train step")
+    w = whitening_matrix(state.running_cov, state.eps)
+    return state.gamma * ((x - state.running_mean) @ w) + state.beta
 
 
-def batch_whitening_backward(state: WhiteningState, grad_out: Array):
-    """Gradients wrt (input, gamma, beta) with frozen batch statistics."""
-    if state.cache_w is None or state.cache_xhat is None:
-        raise StateError("whitening backward called without a cached forward")
-    grad_x = (grad_out * state.gamma) @ state.cache_w
-    grad_gamma = np.add.reduce(grad_out * state.cache_xhat, axis=0)
+def batch_whitening_backward(gamma: Array, w: Array, xhat: Array, grad_out: Array):
+    """Gradients wrt (input, gamma, beta) with frozen batch statistics;
+    ``w`` and ``xhat`` come from the matching :func:`batch_whitening_train`."""
+    grad_x = (grad_out * gamma) @ w
+    grad_gamma = np.add.reduce(grad_out * xhat, axis=0)
     grad_beta = np.add.reduce(grad_out, axis=0)
     return grad_x, grad_gamma, grad_beta
 

@@ -61,7 +61,7 @@ from fedmm.nncore import (
     activation_forward,
     adam_step,
     batch_whitening_backward,
-    batch_whitening_forward,
+    batch_whitening_train,
     dense_backward,
     dense_forward,
     whitening_matrix,
@@ -126,9 +126,8 @@ def _check_whitening(rng):
     state = WhiteningState.create(d, eps=1e-3)
     state.gamma = rng.normal(size=d) + 2.0
     state.beta = rng.normal(size=d)
-    batch_whitening_forward(x0, state, "train")
-    mu, w = state.cache_mean, state.cache_w
-    gx, gg, gb = batch_whitening_backward(state, probe)
+    _, mu, w, xhat = batch_whitening_train(x0, state)
+    gx, gg, gb = batch_whitening_backward(state.gamma, w, xhat, probe)
     analytic = np.concatenate([gx.ravel(), gg, gb])
     n_x = b * d
 
@@ -301,7 +300,7 @@ def test_criterion_02_whitening_property():
         if np.linalg.matrix_rank(np.cov(x.T, bias=True)) < d:
             continue
         state = WhiteningState.create(d, eps=0.0)
-        out = batch_whitening_forward(x, state, "train")
+        out = batch_whitening_train(x, state)[0]
         worst_mean = max(worst_mean, float(np.abs(out.mean(axis=0)).max()))
         cov = out.T @ out / b
         worst_cov = max(worst_cov, float(np.abs(cov - np.eye(d)).max()))

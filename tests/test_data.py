@@ -1,6 +1,7 @@
 """Tests for synthetic data generation, scenarios, shard files, batching."""
 
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -383,6 +384,37 @@ class TestShardFiles:
         path = tmp_path / "bad.shard"
         with pytest.raises(ValidationError):
             save_shard(shard, path, n_labels=2)
+        assert not path.exists()
+
+    @pytest.mark.parametrize(
+        "name,offset,dim,n_labels",
+        [("feature dim", 13, 0, 4), ("label count", 17, 5, 0)],
+        ids=["dim", "labels"],
+    )
+    def test_zero_width_header_rejected_at_its_field(self, tmp_path, name, offset, dim, n_labels):
+        # a multi-label header of 3 samples whose payload fits the declared
+        # zero width, which would otherwise load as (3, 0) arrays
+        header = b"MFSH" + struct.pack("<HHBIII", 1, 0, 0, 3, dim, n_labels)
+        path = tmp_path / "zero.shard"
+        path.write_bytes(header + bytes(3 * 8 * (1 + dim + n_labels)))
+        with pytest.raises(FormatError, match=f"declares {name} 0") as info:
+            load_shard(path)
+        assert info.value.offset == offset
+
+    @pytest.mark.parametrize(
+        "features,labels", [((3, 0), (3, 2)), ((3, 2), (3, 0))], ids=["dim", "labels"]
+    )
+    def test_zero_width_shard_is_not_saved(self, tmp_path, features, labels):
+        shard = Shard(
+            modality_id=0,
+            task_kind="multi-label",
+            geo_keys=np.arange(3),
+            features=np.zeros(features),
+            labels=np.zeros(labels),
+        )
+        path = tmp_path / "zero.shard"
+        with pytest.raises(ValidationError, match="0$"):
+            save_shard(shard, path)
         assert not path.exists()
 
     def test_bad_magic(self, tmp_path):

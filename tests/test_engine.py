@@ -205,7 +205,6 @@ class TestClientUpdate:
         client_update(client, model, cfg)
         st = client.encoder.adapter.whitening
         assert st.stats_ready
-        assert st.cache_w is None and st.cache_xhat is None  # released per update
         snapshot = st.running_cov.tobytes()
         client_update(client, model, cfg)  # second broadcast
         st = client.encoder.adapter.whitening
@@ -932,6 +931,25 @@ class TestRunExperiment:
         run_experiment(single_label(golden_cfg(tmp_path)))
         digest = hashlib.sha256((tmp_path / "log.csv").read_bytes()).hexdigest()
         assert digest == "28289b2a82793eadbdcd916215f9c5d83e1379141c9cc27a18d179c0d4699358"
+
+    def test_acceptance_size_log_hash(self, tmp_path):
+        # the acceptance-size run: default dataset (2000 sites), group-skew,
+        # K=14, 40 rounds, all three modes scored every round, seed 0, as
+        # the benchmark's groupskew-full workload configures it; same build
+        # caveat as test_golden_log_hash
+        cfg = ExperimentConfig(
+            dataset=DatasetSpec(),
+            scenario=ScenarioSpec(kind="group-skew"),
+            k_clients=14,
+            rounds=40,
+            inference_modes=("both", "only-0", "only-1"),
+            eval_every=1,
+            seed=0,
+            output_dir=str(tmp_path),
+        )
+        run_experiment(cfg)
+        digest = hashlib.sha256((tmp_path / "log.csv").read_bytes()).hexdigest()
+        assert digest == "68d9f585fb2571bf6ba9a22bc3333c81beeb7c897caef53a69af79eb50716d4d"
 
     def test_parallel_matches_serial(self):
         assert_parallel_matches_serial(run_experiment)

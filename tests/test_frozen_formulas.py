@@ -18,7 +18,7 @@ from fedmm.nncore import (
     DenseLayer,
     WhiteningState,
     batch_whitening_backward,
-    batch_whitening_forward,
+    batch_whitening_train,
     dense_backward,
 )
 
@@ -202,15 +202,15 @@ def test_train_whitening_and_running_statistics(b):
     expected = frozen_whiten_train(
         x, state.gamma, state.beta, state.eps, state.running_mean, state.running_cov, 0.3
     )
-    out = batch_whitening_forward(x, state, "train")
-    got = (out, state.cache_mean, state.cache_w, state.cache_xhat)
+    out, mean, w, xhat = batch_whitening_train(x, state)
+    got = (out, mean, w, xhat)
     got += (state.running_mean, state.running_cov)
     for new, old in zip(got, expected):
         assert same_bits(new, old)
 
     grad_out = signed_zeros(rng.normal(size=(b, d)))
-    new = batch_whitening_backward(state, grad_out)
-    old = frozen_whitening_backward(state.gamma, state.cache_w, state.cache_xhat, grad_out)
+    new = batch_whitening_backward(state.gamma, w, xhat, grad_out)
+    old = frozen_whitening_backward(state.gamma, w, xhat, grad_out)
     for a, c in zip(new, old):
         assert same_bits(a, c)
 

@@ -120,6 +120,26 @@ class TestEncode:
         assert np.all(np.isfinite(out))
         assert not enc.adapter.whitening.stats_ready
 
+    @pytest.mark.parametrize("use_whitening", [False, True], ids=["plain", "whitening"])
+    def test_unknown_mode_rejected(self, use_whitening):
+        enc = build_encoder(0, 5, 6, 4, use_whitening, np.random.default_rng(0))
+        with pytest.raises(ConfigError, match="'predict'"):
+            encode(enc, np.zeros((4, 5)), "predict")
+
+    def test_interleaved_forwards_keep_their_own_record(self):
+        # a cache is the whole record of its forward: a second forward on
+        # the same encoder leaves the first one's backward bit for bit as
+        # a lone forward and backward on a twin encoder
+        enc, twin = (build_encoder(0, 5, 6, 4, True, np.random.default_rng(3)) for _ in range(2))
+        rng = np.random.default_rng(4)
+        x1, x2, g = rng.normal(size=(8, 5)), rng.normal(size=(8, 5)), rng.normal(size=(8, 4))
+        _, cache1 = encode_train(enc, x1)
+        encode_train(enc, x2)
+        grad = encode_backward(enc, cache1, g, np.empty(param_count(enc)))
+        _, twin_cache = encode_train(twin, x1)
+        expected = encode_backward(twin, twin_cache, g, np.empty(param_count(twin)))
+        assert grad.tobytes() == expected.tobytes()
+
 
 class TestFusion:
     def test_slot_zero(self):
@@ -453,6 +473,19 @@ class TestCheckpoint:
         path.write_bytes(bytes(data))
         expected = f"^checkpoint whitening {named} is out of range "
         with pytest.raises(FormatError, match=expected) as info:
+            load_model(path)
+        assert info.value.offset == offset
+
+    def test_unknown_whitening_flag_rejected_at_its_byte(self, tmp_path):
+        # the byte after the task kind, at 21 + 4 * P: 0 or 1, as saved
+        path = tmp_path / "model.ckpt"
+        save_model(small_model(use_whitening=True), path)
+        data = bytearray(path.read_bytes())
+        offset = 21 + 4 * 2
+        assert data[offset] == 1
+        data[offset] = 7
+        path.write_bytes(bytes(data))
+        with pytest.raises(FormatError, match="whitening flag 7") as info:
             load_model(path)
         assert info.value.offset == offset
 

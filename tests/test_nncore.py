@@ -22,7 +22,8 @@ from fedmm.nncore import (
     adam_step,
     as_tensor,
     batch_whitening_backward,
-    batch_whitening_forward,
+    batch_whitening_eval,
+    batch_whitening_train,
     dense_backward,
     dense_forward,
     whiten_batch,
@@ -196,7 +197,7 @@ class TestBatchWhiteningForward:
     def test_hand_zca_on_diagonal_covariance(self):
         x = np.array([[2.0, 0.0], [0.0, 2.0], [-2.0, 0.0], [0.0, -2.0]])
         state = WhiteningState.create(2, eps=0.0)
-        out = batch_whitening_forward(x, state, "train")
+        out = batch_whitening_train(x, state)[0]
         r2 = math.sqrt(2.0)
         np.testing.assert_allclose(
             out, [[r2, 0.0], [0.0, r2], [-r2, 0.0], [0.0, -r2]], atol=1e-12
@@ -209,15 +210,15 @@ class TestBatchWhiteningForward:
         state.gamma = np.zeros(3)
         state.beta = np.array([1.0, -2.0, 0.5])
         x = np.random.default_rng(0).normal(size=(8, 3))
-        out = batch_whitening_forward(x, state, "train")
+        out = batch_whitening_train(x, state)[0]
         np.testing.assert_allclose(out, np.tile(state.beta, (8, 1)), atol=1e-12)
 
     def test_train_then_eval_with_momentum_one(self):
         rng = np.random.default_rng(1)
         x = rng.normal(size=(10, 3))
         state = WhiteningState.create(3, eps=1e-5, momentum=1.0)
-        out_train = batch_whitening_forward(x, state, "train")
-        out_eval = batch_whitening_forward(x, state, "eval")
+        out_train = batch_whitening_train(x, state)[0]
+        out_eval = batch_whitening_eval(x, state)
         np.testing.assert_allclose(out_eval, out_train, atol=1e-9)
 
     def test_train_output_zero_mean_identity_covariance(self):
@@ -227,7 +228,7 @@ class TestBatchWhiteningForward:
             b = int(rng.integers(d + 1, d + 10))
             x = rng.normal(size=(b, d)) @ rng.normal(size=(d, d)) + rng.normal(size=d)
             state = WhiteningState.create(d, eps=0.0)
-            out = batch_whitening_forward(x, state, "train")
+            out = batch_whitening_train(x, state)[0]
             assert np.abs(out.mean(axis=0)).max() < 1e-9
             cov = out.T @ out / b
             assert np.abs(cov - np.eye(d)).max() < 1e-6
@@ -235,31 +236,26 @@ class TestBatchWhiteningForward:
     def test_small_batch_rejected_in_train_mode(self):
         state = WhiteningState.create(2)
         with pytest.raises(BatchSizeError):
-            batch_whitening_forward(np.zeros((1, 2)), state, "train")
+            batch_whitening_train(np.zeros((1, 2)), state)
 
     def test_eval_before_train_rejected(self):
         state = WhiteningState.create(2)
         with pytest.raises(StateError):
-            batch_whitening_forward(np.zeros((4, 2)), state, "eval")
-
-    def test_unknown_mode_rejected(self):
-        state = WhiteningState.create(2)
-        with pytest.raises(ConfigError):
-            batch_whitening_forward(np.zeros((4, 2)), state, "predict")
+            batch_whitening_eval(np.zeros((4, 2)), state)
 
     def test_rank_deficient_batch_absorbed_by_eps(self):
         # all rows identical in one coordinate: covariance is rank deficient
         x = np.ones((4, 3))
         x[:, 1] = [0.0, 1.0, 2.0, 3.0]
         state = WhiteningState.create(3, eps=1e-5)
-        out = batch_whitening_forward(x, state, "train")
+        out = batch_whitening_train(x, state)[0]
         assert np.all(np.isfinite(out))
 
     def test_stateless_helper_matches_train_forward(self):
         rng = np.random.default_rng(2)
         x = rng.normal(size=(6, 4))
         state = WhiteningState.create(4, eps=1e-5)
-        out_train = batch_whitening_forward(x, state, "train")
+        out_train = batch_whitening_train(x, state)[0]
         out_pure = whiten_batch(x, state.gamma, state.beta, state.eps)
         np.testing.assert_array_equal(out_pure, out_train)
 
@@ -267,25 +263,16 @@ class TestBatchWhiteningForward:
 class TestBatchWhiteningBackward:
     def test_zero_upstream(self):
         state = WhiteningState.create(3)
-        batch_whitening_forward(np.random.default_rng(0).normal(size=(5, 3)), state, "train")
-        gx, gg, gb = batch_whitening_backward(state, np.zeros((5, 3)))
+        _, _, w, xhat = batch_whitening_train(np.random.default_rng(0).normal(size=(5, 3)), state)
+        gx, gg, gb = batch_whitening_backward(state.gamma, w, xhat, np.zeros((5, 3)))
         assert not gx.any() and not gg.any() and not gb.any()
 
     def test_hand_chain_rule(self):
-        state = WhiteningState.create(1)
-        state.gamma = np.array([2.0])
-        state.cache_mean = np.array([0.0])
-        state.cache_w = np.array([[0.5]])
-        state.cache_xhat = np.array([[3.0]])
-        gx, gg, gb = batch_whitening_backward(state, np.array([[1.0]]))
+        gamma, w, xhat = np.array([2.0]), np.array([[0.5]]), np.array([[3.0]])
+        gx, gg, gb = batch_whitening_backward(gamma, w, xhat, np.array([[1.0]]))
         np.testing.assert_allclose(gx, [[1.0]])
         np.testing.assert_allclose(gg, [3.0])
         np.testing.assert_allclose(gb, [1.0])
-
-    def test_missing_cache_rejected(self):
-        state = WhiteningState.create(2)
-        with pytest.raises(StateError):
-            batch_whitening_backward(state, np.zeros((4, 2)))
 
     def test_matches_frozen_statistics_finite_differences(self):
         rng = np.random.default_rng(21)
@@ -295,9 +282,8 @@ class TestBatchWhiteningBackward:
         state = WhiteningState.create(d, eps=1e-5)
         state.gamma = rng.normal(size=d) + 2.0
         state.beta = rng.normal(size=d)
-        batch_whitening_forward(x0, state, "train")
-        mu, w = state.cache_mean, state.cache_w
-        gx, gg, gb = batch_whitening_backward(state, probe)
+        _, mu, w, xhat = batch_whitening_train(x0, state)
+        gx, gg, gb = batch_whitening_backward(state.gamma, w, xhat, probe)
 
         def f_input(theta):
             out = _frozen_whitening_forward(
