@@ -86,6 +86,10 @@ class ExperimentConfig:
             raise ConfigError("d_hidden and d_feature must be positive")
         if not self.inference_modes:
             raise ConfigError("inference_modes must not be empty")
+        modes = self.inference_modes
+        repeated = [m for m in dict.fromkeys(modes) if modes.count(m) > 1]
+        if repeated:
+            raise ConfigError(f"inference_modes repeats {', '.join(map(repr, repeated))}")
         with _as_config_error():
             for mode in self.inference_modes:
                 parse_mode(mode, self.dataset.n_modalities)

@@ -301,8 +301,9 @@ def check_scenario(spec: DatasetSpec, scenario: ScenarioSpec, k_clients: int) ->
     least 2 training rows: one client per modality (ValidationError), one
     group per client of a group-skew modality, and at least 2 rows per
     client both of the training split and of what a missing-modality
-    scenario keeps (DataError). A group-skew split can still leave a client
-    short, which only the split itself shows.
+    scenario keeps (DataError). A missing-modality scenario also needs the
+    modality it thins (DataError). A group-skew split can still leave a
+    client short, which only the split itself shows.
     """
     counts = clients_per_modality(k_clients, spec.n_modalities)
     if scenario.kind in ("group-skew", "group-skew-mixed") and spec.n_groups < max(counts):
@@ -317,7 +318,12 @@ def check_scenario(spec: DatasetSpec, scenario: ScenarioSpec, k_clients: int) ->
             f"client at k_clients={k_clients}"
         )
     dropped = DROPPED_MODALITY.get(scenario.kind)
-    if dropped is not None and dropped < spec.n_modalities:
+    if dropped is not None:
+        if dropped >= spec.n_modalities:
+            raise DataError(
+                f"scenario {scenario.kind!r} thins modality {dropped}, the dataset "
+                f"has {spec.n_modalities}"
+            )
         kept = n_train - int(n_train * scenario.missing_fraction)
         if kept // counts[dropped] < 2:
             raise DataError(

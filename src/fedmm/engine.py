@@ -67,8 +67,8 @@ from typing import BinaryIO, NoReturn
 import numpy as np
 
 from .config import ExperimentConfig, config_to_dict
-from .data import Shard, batches, build_scenario, gen_synthetic, label_mismatch
-from .errors import DataError, DimensionError, NumericError, ValidationError
+from .data import SCENARIO_KINDS, Shard, batches, build_scenario, gen_synthetic, label_mismatch
+from .errors import ConfigError, DataError, DimensionError, NumericError, ValidationError
 from .losses import LossConfig, local_objective
 from .metrics import MetricsReport, evaluate, score_modes
 from .models import (
@@ -921,9 +921,19 @@ def run_ablation(
 
     Every cell is the final-round fused-inference micro F1 of one run; all
     runs of a column share the identical dataset, shards, and RNG streams,
-    so rows are paired comparisons. Every cell's config is validated before
-    the first run, so a column that cannot run fails before any does.
+    so rows are paired comparisons. The scenario list (ConfigError when it
+    is empty or names an unknown or repeated kind) and every cell's config
+    are validated before the first run, so a column that cannot run fails
+    before any does.
     """
+    if not scenarios:
+        raise ConfigError("scenarios must name at least one scenario kind")
+    unknown = [s for s in scenarios if s not in SCENARIO_KINDS]
+    if unknown:
+        raise ConfigError(f"unknown scenario kind(s): {', '.join(unknown)}")
+    repeated = [s for s in dict.fromkeys(scenarios) if scenarios.count(s) > 1]
+    if repeated:
+        raise ConfigError(f"scenario kind(s) repeated: {', '.join(repeated)}")
     cells = {}
     for kind in scenarios:
         for name, use_fw, use_mim in ABLATION_ROWS:

@@ -19,7 +19,7 @@ from .models import Encoder, GlobalModelSet, TaskHead, encode, fuse_full, head_f
 from .nncore import Array
 
 MODE_BOTH = "both"
-_ONLY_RE = re.compile(r"^only-(\d+)$")
+_ONLY_RE = re.compile(r"only-(0|[1-9][0-9]*)")
 
 
 @dataclass
@@ -27,19 +27,16 @@ class MetricsReport:
     micro_f1: float
     macro_f1: float
     accuracy: float
-    per_label_precision: Array
-    per_label_recall: Array
     n_samples: int
 
 
-def _confusion_counts(preds: Array, labels: Array) -> tuple[Array, Array, Array]:
+def _confusion_counts(pred: Array, truth: Array) -> tuple[Array, Array, Array]:
     """Per-label integer true positive, false positive and false negative
-    counts of predictions and labels thresholded at 0.5."""
-    if preds.shape != labels.shape or preds.ndim != 2:
-        raise DimensionError(f"preds {preds.shape} vs labels {labels.shape}")
-    p = preds > 0.5
-    l = labels > 0.5
-    return np.sum(p & l, axis=0), np.sum(p & ~l, axis=0), np.sum(~p & l, axis=0)
+    counts of boolean (sample x label) predictions against truth."""
+    if pred.shape != truth.shape or pred.ndim != 2:
+        raise DimensionError(f"preds {pred.shape} vs labels {truth.shape}")
+    counts = (pred & truth, pred & ~truth, ~pred & truth)
+    return tuple(np.sum(c, axis=0) for c in counts)
 
 
 def _f1(tp: int, fp: int, fn: int) -> float:
@@ -48,19 +45,20 @@ def _f1(tp: int, fp: int, fn: int) -> float:
 
 
 def micro_f1(preds: Array, labels: Array) -> float:
-    """F1 over globally pooled true/false positives and false negatives.
+    """F1 over globally pooled true/false positives and false negatives of
+    predictions and labels thresholded at 0.5.
 
     Defined as 0 when there are no positives anywhere and none predicted.
     """
-    return _micro_f1(*_confusion_counts(preds, labels))
+    return _micro_f1(*_confusion_counts(preds > 0.5, labels > 0.5))
 
 
 def macro_f1(preds: Array, labels: Array) -> float:
-    """Unweighted mean of per-label F1.
+    """Unweighted mean of per-label F1, thresholded as :func:`micro_f1`.
 
     A label with no positives and no predictions contributes F1 = 0.
     """
-    return _macro_f1(*_confusion_counts(preds, labels))
+    return _macro_f1(*_confusion_counts(preds > 0.5, labels > 0.5))
 
 
 def _micro_f1(tp: Array, fp: Array, fn: Array) -> float:
@@ -72,51 +70,37 @@ def _macro_f1(tp: Array, fp: Array, fn: Array) -> float:
     return float(np.mean([_f1(t, p, n) for t, p, n in counts]))
 
 
-def _per_label_pr(tp: Array, fp: Array, fn: Array) -> tuple[Array, Array]:
-    tp, fp, fn = (c.astype(float) for c in (tp, fp, fn))
-    with np.errstate(invalid="ignore", divide="ignore"):
-        precision = np.where(tp + fp > 0, tp / (tp + fp), 0.0)
-        recall = np.where(tp + fn > 0, tp / (tp + fn), 0.0)
-    return precision, recall
-
-
-def _onehot(indices: Array, n_labels: int) -> Array:
-    out = np.zeros((indices.shape[0], n_labels))
-    out[np.arange(indices.shape[0]), indices] = 1.0
-    return out
-
-
 def report_from_predictions(
     probabilities: Array, labels: Array, task_kind: str
 ) -> MetricsReport:
-    """Threshold/argmax probabilities and assemble the full metric report."""
+    """Score probabilities against labels: a multi-label task thresholds
+    each label at 0.5, a single-label task takes the argmax class; both
+    F1s come from one count of the boolean (sample x label) arrays."""
     if task_kind == "multi-label":
-        preds = (probabilities >= 0.5).astype(float)
-        truth = labels
-        accuracy = float((preds == truth).mean())
+        pred, truth = probabilities >= 0.5, labels > 0.5
+        accuracy = float((pred == truth).mean())
     else:
-        n_labels = probabilities.shape[1]
-        pred_idx = np.argmax(probabilities, axis=1)
-        preds = _onehot(pred_idx, n_labels)
-        truth = _onehot(np.asarray(labels), n_labels)
-        accuracy = float((pred_idx == np.asarray(labels)).mean())
-    counts = _confusion_counts(preds, truth)
-    precision, recall = _per_label_pr(*counts)
+        pred_idx, labels = np.argmax(probabilities, axis=1), np.asarray(labels)
+        accuracy = float((pred_idx == labels).mean())
+        classes = np.arange(probabilities.shape[1])
+        pred, truth = pred_idx[:, None] == classes, labels[:, None] == classes
+    counts = _confusion_counts(pred, truth)
     return MetricsReport(
         micro_f1=_micro_f1(*counts),
         macro_f1=_macro_f1(*counts),
         accuracy=accuracy,
-        per_label_precision=precision,
-        per_label_recall=recall,
         n_samples=probabilities.shape[0],
     )
 
 
 def parse_mode(mode: str, n_modalities: int) -> int | None:
-    """Return the modality index for an ``only-m`` mode, None for ``both``."""
+    """Return the modality index for an ``only-m`` mode, None for ``both``.
+
+    ``m`` is written canonically: ``0``, or digits without a leading zero.
+    """
     if mode == MODE_BOTH:
         return None
-    match = _ONLY_RE.match(mode)
+    match = _ONLY_RE.fullmatch(mode)
     if not match:
         raise ValidationError(f"unknown inference mode {mode!r}")
     m = int(match.group(1))

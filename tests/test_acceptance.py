@@ -175,7 +175,7 @@ def _check_ntxent(rng, variant):
     return grad_check(f, rng.normal(size=12), h=1e-6)
 
 
-def _composite_point(seed):
+def _composite_point(seed, input_dims):
     """Draw a model/batch pair at which the combined objective is smooth.
 
     Points on the non-differentiable manifolds (relu kinks, zero-norm
@@ -185,7 +185,7 @@ def _composite_point(seed):
     for attempt in range(50):
         point_seed = seed + 7919 * attempt
         model = build_model(
-            input_dims=[3, 4],
+            input_dims=list(input_dims),
             hidden_dim=5,
             feature_dim=3,
             n_labels=2,
@@ -206,9 +206,12 @@ def _composite_point(seed):
     raise RuntimeError("no smooth test point found")
 
 
-def _check_composite(seed):
-    """Combined objective vs a frozen-statistics finite-difference oracle."""
-    model, x, y = _composite_point(seed)
+def _check_composite(seed, input_dims=(3, 4)):
+    """Combined objective vs a frozen-statistics finite-difference oracle,
+    for modality 0 of a model with one modality per input dim. The
+    alignment target is the mean of the other modalities' bodies applied
+    to modality 0's adapter output."""
+    model, x, y = _composite_point(seed, input_dims)
     cfg = LossConfig(tau=0.5, lambda_mim=1.0)
 
     work = clone_model(model)
@@ -218,7 +221,9 @@ def _check_composite(seed):
     n_enc = param_count(enc)
 
     _, theta0_cache = encode_train(clone_model(model).encoders[0], x)
-    f_global = cross_encode(theta0_cache.inputs[1], model.encoders[1])
+    f_global = np.mean(
+        [cross_encode(theta0_cache.inputs[1], enc) for enc in model.encoders[1:]], axis=0
+    )
     base = model.encoders[0]
     z1 = x @ base.adapter.dense.weight + base.adapter.dense.bias
     mu = z1.mean(axis=0)
@@ -249,7 +254,7 @@ def _check_composite(seed):
         s1, s2 = enc_t.body
         h = np.maximum(h @ s1.dense.weight + s1.dense.bias, 0.0)
         f_loc = h @ s2.dense.weight + s2.dense.bias
-        fused = np.concatenate([f_loc, np.zeros_like(f_loc)], axis=1)
+        fused = np.concatenate([f_loc] + [np.zeros_like(f_loc)] * len(model.encoders[1:]), axis=1)
         logits = fused @ head_t.layer.weight + head_t.layer.bias
         probs = _sigmoid(logits)
         ce = float(-(y * np.log(probs) + (1 - y) * np.log(1 - probs)).sum(axis=1).mean())
@@ -274,6 +279,9 @@ def test_criterion_01_gradient_suite():
             key = f"contrastive/{variant}"
             worst[key] = max(worst.get(key, 0.0), _check_ntxent(rng, variant))
         worst["composite"] = max(worst.get("composite", 0.0), _check_composite(200 + point))
+        worst["composite/P=3"] = max(
+            worst.get("composite/P=3", 0.0), _check_composite(300 + point, (3, 4, 5))
+        )
     elapsed = time.perf_counter() - started
     for name, err in worst.items():
         assert err < GRAD_TOL, f"{name}: max relative error {err:.2e}"

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from kernels import kernels_note
 
 from fedmm import engine
 from fedmm.cli import main, summarize_log
@@ -66,6 +67,18 @@ class TestExitCodes:
     def test_invalid_config_value(self, tmp_path, capsys):
         path = write_config(tmp_path, batch_size=1)
         assert main(["run", "--config", str(path)]) == 2
+
+    @pytest.mark.parametrize(
+        "modes,named",
+        [(["both", "only-0", "only-1", "both"], "'both'"), (["both", "only-01"], "only-01")],
+        ids=["repeated", "leading-zero"],
+    )
+    def test_bad_inference_modes(self, tmp_path, capsys, modes, named):
+        path = write_config(tmp_path, inference_modes=modes)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "override,named",
@@ -404,7 +417,38 @@ def test_gen_data_shard_bytes(tmp_path, capsys, kind):
     for split in ("train", "test", "clients"):
         for name in manifest["shards"][split]:
             digest.update((out / name).read_bytes())
-    assert digest.hexdigest() == GEN_DATA_DIGESTS[kind]
+    assert digest.hexdigest() == GEN_DATA_DIGESTS[kind], kernels_note()
+
+
+class TestMissingModalityNeedsItsModality:
+    """missing-B thins modality 1: a one-modality dataset has none to thin,
+    so every command refuses it rather than run the iid split."""
+
+    DATASET = {"n_sites": 80, "modality_dims": [4], "n_groups": 2}
+
+    @pytest.mark.parametrize("command", ["run", "baseline", "ablate"])
+    def test_training_commands_exit_2(self, tmp_path, capsys, command):
+        path = write_config(
+            tmp_path,
+            dataset=self.DATASET,
+            scenario={"kind": "missing-B"},
+            k_clients=2,
+            inference_modes=["both"],
+        )
+        out = tmp_path / "out"
+        flags = ["--scenarios", "missing-B"] if command == "ablate" else []
+        assert main([command, "--config", str(path), "--out", str(out), *flags]) == 2
+        assert "thins modality 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_gen_data_exits_2(self, tmp_path, capsys):
+        spec_path = tmp_path / "spec.json"
+        spec = {"dataset": {**self.DATASET, "seed": 1}, "scenario": {"kind": "missing-B"}}
+        spec_path.write_text(json.dumps({**spec, "k_clients": 2}))
+        out = tmp_path / "d"
+        assert main(["gen-data", "--spec", str(spec_path), "--out", str(out)]) == 2
+        assert "thins modality 1" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestAblate:
@@ -438,6 +482,17 @@ class TestAblate:
         args = ["ablate", "--config", str(cfg), "--out", str(out)]
         assert main(args + ["--scenarios", "iid,bogus"]) == 2
         assert "bogus" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_repeated_scenario_rejected_before_any_run(self, tmp_path, capsys, monkeypatch):
+        runs = []
+        monkeypatch.setattr(engine, "run_experiment", lambda cfg: runs.append(cfg))
+        cfg = write_config(tmp_path, rounds=1, inference_modes=["both"])
+        out = tmp_path / "ablate"
+        args = ["ablate", "--config", str(cfg), "--out", str(out)]
+        assert main(args + ["--scenarios", "iid,iid"]) == 2
+        assert "repeated: iid" in capsys.readouterr().err
+        assert runs == []
         assert not out.exists()
 
     def test_unrunnable_column_rejected_before_any_run(self, tmp_path, capsys, monkeypatch):

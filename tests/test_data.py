@@ -15,6 +15,7 @@ from fedmm.data import (
     Shard,
     batches,
     build_scenario,
+    check_scenario,
     clients_per_modality,
     gen_synthetic,
     kept_rows,
@@ -206,6 +207,14 @@ class TestScenarios:
         )
         assert sum(s.n for s in shards if s.modality_id == 0) == 60
         assert sum(s.n for s in shards if s.modality_id == 1) == 80
+
+    def test_missing_modality_scenario_needs_its_modality(self):
+        # missing-B thins modality 1; a one-modality dataset has no
+        # modality 1, and missing-A still thins its modality 0
+        spec = small_spec(modality_dims=(5,))
+        with pytest.raises(DataError, match="thins modality 1, the dataset has 1"):
+            check_scenario(spec, ScenarioSpec(kind="missing-B"), k_clients=2)
+        assert check_scenario(spec, ScenarioSpec(kind="missing-A"), k_clients=2) == [2]
 
     def test_scenario_conservation(self):
         ds = gen_synthetic(small_spec())

