@@ -43,7 +43,7 @@ from .errors import (
     ValidationError,
 )
 from .losses import LossConfig, local_objective
-from .metrics import MetricsReport, evaluate, macro_f1, micro_f1
+from .metrics import MetricsReport, evaluate
 from .models import (
     DenseLayer,
     Encoder,

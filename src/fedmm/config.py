@@ -19,7 +19,7 @@ from pathlib import Path
 from .data import DatasetSpec, ScenarioSpec, check_scenario
 from .errors import ConfigError, DataError, ValidationError
 from .losses import LossConfig
-from .metrics import parse_mode
+from .metrics import parse_modes
 
 
 @contextlib.contextmanager
@@ -84,15 +84,8 @@ class ExperimentConfig:
             raise ConfigError("eval_every must be at least 1")
         if self.d_hidden < 1 or self.d_feature < 1:
             raise ConfigError("d_hidden and d_feature must be positive")
-        if not self.inference_modes:
-            raise ConfigError("inference_modes must not be empty")
-        modes = self.inference_modes
-        repeated = [m for m in dict.fromkeys(modes) if modes.count(m) > 1]
-        if repeated:
-            raise ConfigError(f"inference_modes repeats {', '.join(map(repr, repeated))}")
         with _as_config_error():
-            for mode in self.inference_modes:
-                parse_mode(mode, self.dataset.n_modalities)
+            parse_modes(self.inference_modes, self.dataset.n_modalities)
 
 
 # JSON types a field takes, by its annotation: an integer where a float is

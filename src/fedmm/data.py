@@ -459,14 +459,12 @@ def label_mismatch(shard: Shard, task_kind: str, n_labels: int) -> str | None:
     return None if bad is None else bad[2]
 
 
-def save_shard(shard: Shard, path, n_labels: int | None = None) -> None:
+def save_shard(shard: Shard, path, n_labels: int) -> None:
     """Write the binary shard format (see :func:`load_shard`).
 
-    ``n_labels`` is the header's label count. It defaults to the label
-    columns stored for a multi-label shard and to the largest class id plus
-    one for a single-label shard (1 when it is empty). A multi-label shard
-    stores one column per label, so an ``n_labels`` that differs from its
-    column count raises ValidationError, as does a zero width or a label
+    ``n_labels`` is the header's label count. A multi-label shard stores
+    one column per label, so an ``n_labels`` that differs from its column
+    count raises ValidationError, as does a zero width or a label
     :func:`load_shard` would reject, so no file is written that it rejects.
     """
     if shard.dim == 0:
@@ -474,23 +472,20 @@ def save_shard(shard: Shard, path, n_labels: int | None = None) -> None:
     if shard.task_kind == "multi-label":
         n_label_cols = shard.labels.shape[1]
         lab = shard.labels
-        if n_labels is not None and n_labels != n_label_cols:
+        if n_labels != n_label_cols:
             raise ValidationError(
                 f"multi-label shard has {n_label_cols} label columns, n_labels={n_labels}"
             )
-        default_labels = n_label_cols
     else:
         n_label_cols = 1
         lab = shard.labels[:, None].astype(np.float64)
-        default_labels = int(shard.labels.max()) + 1 if shard.n else 1
-    declared_labels = n_labels if n_labels is not None else default_labels
-    bad = _bad_label(lab, shard.task_kind, declared_labels)
+    bad = _bad_label(lab, shard.task_kind, n_labels)
     if bad is not None:
         raise ValidationError(bad[2])
-    if declared_labels == 0:
+    if n_labels == 0:
         raise ValidationError("shard has label count 0")
-    if not 0 <= declared_labels < 2**32:
-        raise ValidationError(f"label count {declared_labels} does not fit the u32 header")
+    if not 0 <= n_labels < 2**32:
+        raise ValidationError(f"label count {n_labels} does not fit the u32 header")
     header = SHARD_MAGIC + struct.pack(
         "<HHBIII",
         SHARD_VERSION,
@@ -498,7 +493,7 @@ def save_shard(shard: Shard, path, n_labels: int | None = None) -> None:
         TASK_KINDS.index(shard.task_kind),
         shard.n,
         shard.dim,
-        declared_labels,
+        n_labels,
     )
     records = np.empty(shard.n, dtype=_shard_dtype(shard.dim, n_label_cols))
     records["geo"] = shard.geo_keys
@@ -517,7 +512,8 @@ def load_shard(path) -> Shard:
     u64 geo key, the features, and the labels as little-endian float64.
     Labels the header cannot describe raise FormatError at their byte: a
     multi-label entry other than 0 or 1, or a single-label value that is not
-    an integral class id in ``[0, label count)``; a zero width, at its field.
+    an integral class id in ``[0, label count)``; a zero width, or one
+    that makes a record too wide for numpy, at its field.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -538,6 +534,13 @@ def load_shard(path) -> Shard:
             raise FormatError(f"shard declares {name} 0", offset=offset)
     task_kind = TASK_KINDS[task_idx]
     n_label_cols = n_labels if task_kind == "multi-label" else 1
+    # numpy builds no record type of 2**31 bytes or more (8 per geo key,
+    # feature and label column); the wider of the two fields is at fault
+    if 8 * (1 + dim + n_label_cols) >= 2**31:
+        name, value, offset = (
+            ("feature dim", dim, 13) if dim >= n_label_cols else ("label count", n_labels, 17)
+        )
+        raise FormatError(f"shard declares {name} {value}, too wide a record", offset=offset)
     dtype = _shard_dtype(dim, n_label_cols)
     expected = count * dtype.itemsize
     body = data[header_size:]

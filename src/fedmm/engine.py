@@ -80,7 +80,6 @@ from .models import (
     build_model,
     copy_part,
     head_forward,
-    params_overlap,
     save_model,
     unflatten_params,
     whitening_states,
@@ -352,7 +351,8 @@ def client_update(
     """
     if client.shard.n == 0:
         raise DataError(f"client {client.client_id} has an empty shard")
-    if any(params_overlap(part, global_model) for part in (client.encoder, client.head)):
+    parts = (client.encoder, client.head)
+    if any(np.may_share_memory(part.params, global_model.params) for part in parts):
         raise ValidationError(
             f"client {client.client_id} parameters share memory with the global model"
         )

@@ -2,8 +2,8 @@
 
 Evaluation runs the whole test set as a single batch per encoder, so any
 whitening layer that falls back to batch statistics sees the statistics of
-the full evaluation set. Metrics are computed from a 0.5 probability
-threshold for multi-label tasks and argmax for single-label tasks.
+the full evaluation set. Metrics count a multi-label prediction at a
+probability of 0.5 or more and take the argmax class of a single-label one.
 """
 
 from __future__ import annotations
@@ -33,61 +33,42 @@ class MetricsReport:
 def _confusion_counts(pred: Array, truth: Array) -> tuple[Array, Array, Array]:
     """Per-label integer true positive, false positive and false negative
     counts of boolean (sample x label) predictions against truth."""
-    if pred.shape != truth.shape or pred.ndim != 2:
-        raise DimensionError(f"preds {pred.shape} vs labels {truth.shape}")
     counts = (pred & truth, pred & ~truth, ~pred & truth)
     return tuple(np.sum(c, axis=0) for c in counts)
 
 
 def _f1(tp: int, fp: int, fn: int) -> float:
+    """0 with no positives and none predicted."""
     denom = 2 * tp + fp + fn
     return 2.0 * tp / denom if denom else 0.0
-
-
-def micro_f1(preds: Array, labels: Array) -> float:
-    """F1 over globally pooled true/false positives and false negatives of
-    predictions and labels thresholded at 0.5.
-
-    Defined as 0 when there are no positives anywhere and none predicted.
-    """
-    return _micro_f1(*_confusion_counts(preds > 0.5, labels > 0.5))
-
-
-def macro_f1(preds: Array, labels: Array) -> float:
-    """Unweighted mean of per-label F1, thresholded as :func:`micro_f1`.
-
-    A label with no positives and no predictions contributes F1 = 0.
-    """
-    return _macro_f1(*_confusion_counts(preds > 0.5, labels > 0.5))
-
-
-def _micro_f1(tp: Array, fp: Array, fn: Array) -> float:
-    return _f1(int(tp.sum()), int(fp.sum()), int(fn.sum()))
-
-
-def _macro_f1(tp: Array, fp: Array, fn: Array) -> float:
-    counts = zip(tp.tolist(), fp.tolist(), fn.tolist())
-    return float(np.mean([_f1(t, p, n) for t, p, n in counts]))
 
 
 def report_from_predictions(
     probabilities: Array, labels: Array, task_kind: str
 ) -> MetricsReport:
-    """Score probabilities against labels: a multi-label task thresholds
-    each label at 0.5, a single-label task takes the argmax class; both
-    F1s come from one count of the boolean (sample x label) arrays."""
+    """Score (sample x label) probabilities against labels of the same
+    shape (multi-label) or one class id per sample (single-label), else
+    DimensionError. A multi-label task predicts each label whose probability
+    is 0.5 or more, a single-label task the argmax class. Micro F1 pools
+    one count of the boolean (sample x label) arrays, macro F1 averages
+    its per-label F1."""
+    labels = np.asarray(labels)
+    expected = probabilities.shape if task_kind == "multi-label" else probabilities.shape[:1]
+    if probabilities.ndim != 2 or labels.shape != expected:
+        raise DimensionError(f"probabilities {probabilities.shape} vs labels {labels.shape}")
     if task_kind == "multi-label":
         pred, truth = probabilities >= 0.5, labels > 0.5
         accuracy = float((pred == truth).mean())
     else:
-        pred_idx, labels = np.argmax(probabilities, axis=1), np.asarray(labels)
+        pred_idx = np.argmax(probabilities, axis=1)
         accuracy = float((pred_idx == labels).mean())
         classes = np.arange(probabilities.shape[1])
         pred, truth = pred_idx[:, None] == classes, labels[:, None] == classes
-    counts = _confusion_counts(pred, truth)
+    tp, fp, fn = _confusion_counts(pred, truth)
+    per_label = [_f1(t, p, n) for t, p, n in zip(tp.tolist(), fp.tolist(), fn.tolist())]
     return MetricsReport(
-        micro_f1=_micro_f1(*counts),
-        macro_f1=_macro_f1(*counts),
+        micro_f1=_f1(int(tp.sum()), int(fp.sum()), int(fn.sum())),
+        macro_f1=float(np.mean(per_label)),
         accuracy=accuracy,
         n_samples=probabilities.shape[0],
     )
@@ -111,23 +92,39 @@ def parse_mode(mode: str, n_modalities: int) -> int | None:
     return m
 
 
+def parse_modes(modes, n_modalities: int) -> dict[str, list[int]]:
+    """The slots each mode reads, by mode in the order given: every slot
+    for ``both``, slot m for ``only-m`` (:func:`parse_mode`). An empty
+    list, or a repeated, non-string or unknown mode, raises ValidationError."""
+    wanted: dict[str, list[int]] = {}
+    for mode in modes:
+        if not isinstance(mode, str):
+            raise ValidationError(f"inference mode {mode!r} is not a string")
+        if mode in wanted:
+            raise ValidationError(f"inference modes repeat {mode!r}")
+        m = parse_mode(mode, n_modalities)
+        wanted[mode] = list(range(n_modalities)) if m is None else [m]
+    if not wanted:
+        raise ValidationError("inference modes must not be empty")
+    return wanted
+
+
 def score_modes(
     encoders: list[Encoder], head: TaskHead, test_shards: list[Shard], modes, probabilities
 ) -> dict[str, MetricsReport]:
     """The one evaluation loop: a report per mode, in the order given.
 
-    Every mode is validated first (a bare mode string is rejected, since
-    none of its characters is a mode), then the test set: ValidationError
-    for an empty set or shard, a shard count other than one per encoder or
-    labels ``head`` cannot score, DimensionError for unaligned shards. Then
-    each modality some mode reads (all for ``both``, m for ``only-m``) is
-    encoded once, in eval mode, and ``probabilities(features, present)``,
+    Every mode is validated first (:func:`parse_modes`; a bare mode string
+    is rejected, since none of its characters is a mode), then the test
+    set: ValidationError for an empty set or shard, a shard count other
+    than one per encoder or labels ``head`` cannot score, DimensionError
+    for unaligned shards. Then each modality some mode reads is encoded
+    once, by the eval forward, and ``probabilities(features, present)``,
     the evaluator's fusion rule, gives each mode's class probabilities from
     the features by modality and the modalities that mode reads.
     """
     p = len(encoders)
-    only = {mode: parse_mode(mode, p) for mode in modes}
-    wanted = {mode: list(range(p)) if m is None else [m] for mode, m in only.items()}
+    wanted = parse_modes(modes, p)
     if not test_shards or any(s.n == 0 for s in test_shards):
         raise ValidationError("test set must be non-empty")
     if len(test_shards) != p:
@@ -140,7 +137,7 @@ def score_modes(
         if why is not None:
             raise ValidationError(f"test shard {m}: {why}")
     features = {
-        m: encode(encoders[m], test_shards[m].features, "eval")
+        m: encode(encoders[m], test_shards[m].features)
         for m in sorted(set().union(*wanted.values()))
     }
     return {

@@ -225,18 +225,20 @@ def build_model(
 # ---------------------------------------------------------------------------
 
 
-def _forward(stages: list[Stage], x: Array, train: bool, cache=None) -> Array:
-    """The one loop over encoder stages; ``cache`` (an :class:`EncodeCache`)
-    records each stage. In eval mode, never-calibrated whitening statistics
-    (e.g. a freshly aggregated global model) give way to the batch's own,
-    instead of erroring out."""
+def _forward(stages: list[Stage], x: Array, cache: EncodeCache | None = None) -> Array:
+    """The one loop over encoder stages. Handed ``cache``, it is the train
+    forward: a whitening stage uses the batch's statistics and folds them
+    into its running ones, and every stage is recorded. Without one it is
+    the eval forward and writes no state; never-calibrated whitening
+    statistics (e.g. a freshly aggregated global model) give way to the
+    batch's own, instead of erroring out."""
     out = x
     for stage in stages:
         z = dense_forward(stage.dense, out)
         st = stage.whitening
         whitened = None
         if st is not None:
-            if train:
+            if cache is not None:
                 z, _, w, xhat = batch_whitening_train(z, st)
                 whitened = (w, xhat)
             elif st.stats_ready:
@@ -261,13 +263,11 @@ def _check_input(encoder: Encoder, x: Array) -> None:
         raise ValidationError(f"modality {encoder.modality_id}: input has no rows")
 
 
-def encode(encoder: Encoder, x: Array, mode: str) -> Array:
-    """Run ``x`` through adapter and body; ``mode`` is "train" or "eval",
-    anything else raises ConfigError."""
-    if mode not in ("train", "eval"):
-        raise ConfigError(f"unknown encode mode {mode!r}")
+def encode(encoder: Encoder, x: Array) -> Array:
+    """The eval forward of ``x`` through adapter and body; no state of
+    ``encoder`` changes. :func:`encode_train` is the train forward."""
     _check_input(encoder, x)
-    return _forward(encoder.stages(), x, mode == "train")
+    return _forward(encoder.stages(), x)
 
 
 @dataclass
@@ -284,7 +284,7 @@ def encode_train(encoder: Encoder, x: Array) -> tuple[Array, EncodeCache]:
     """Train-mode forward and its record, all the backward pass reads."""
     _check_input(encoder, x)
     cache = EncodeCache()
-    return _forward(encoder.stages(), x, True, cache), cache
+    return _forward(encoder.stages(), x, cache), cache
 
 
 def encode_backward(
@@ -353,7 +353,7 @@ def cross_encode(adapter_out: Array, global_other: Encoder) -> Array:
     and its parameters act as constants: no gradient ever reaches them.
     Bodies never whiten (see :class:`Encoder`).
     """
-    return _forward(global_other.body, adapter_out, False)
+    return _forward(global_other.body, adapter_out)
 
 
 # ---------------------------------------------------------------------------
@@ -422,15 +422,6 @@ def flatten_params(part) -> Array:
     return part.params.copy()
 
 
-def param_count(part) -> int:
-    return part.params.size
-
-
-def params_overlap(a, b) -> bool:
-    """True when the parameter buffer of ``a`` may share memory with that of ``b``."""
-    return np.may_share_memory(a.params, b.params)
-
-
 def assign_params(part: Encoder | TaskHead, flat: Array) -> None:
     """Copy ``flat`` into the buffer ``part`` already owns.
 
@@ -457,12 +448,10 @@ def _copy_stage(stage: Stage) -> Stage:
     return Stage(dataclasses.replace(stage.dense), st, stage.activation)
 
 
-def copy_part(template, buffer: Array | None = None):
+def copy_part(template, buffer: Array):
     """A new encoder, head or model set with ``template``'s structure and
     running statistics. Its parameters live in ``buffer``, whose values it
-    adopts, or in a copy of ``template.params`` when None."""
-    if buffer is None:
-        buffer = template.params.copy()
+    adopts."""
     if isinstance(template, GlobalModelSet):  # parts share its slices until bound to ``buffer``
         *encoders, head = [copy_part(p, p.params) for p in template.encoders + [template.head]]
         return GlobalModelSet(encoders, head, template.round, buffer)
@@ -614,7 +603,7 @@ def load_model(path) -> GlobalModelSet:
         rngs=itertools.repeat(np.random.default_rng(0)),
     )
     template.round = round_idx
-    flat = reader.floats(param_count(template))
+    flat = reader.floats(template.params.size)
     if not np.all(np.isfinite(flat)):
         raise FormatError("checkpoint parameters contain non-finite values")
     model = unflatten_params(flat, template)

@@ -301,26 +301,6 @@ class AdamState:
     def __post_init__(self):
         self.step_count = np.asarray(self.step_count, np.int64)
 
-    @classmethod
-    def create(
-        cls,
-        n_params: int,
-        lr: float = 1e-3,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps_opt: float = 1e-8,
-        weight_decay: float = 0.0,
-    ) -> "AdamState":
-        return cls(
-            first_moment=np.zeros(n_params),
-            second_moment=np.zeros(n_params),
-            lr=lr,
-            beta1=beta1,
-            beta2=beta2,
-            eps_opt=eps_opt,
-            weight_decay=weight_decay,
-        )
-
 
 def adam_step(params: Array, grads: Array, state: AdamState) -> Array:
     """One optimizer step, in place: writes ``params`` and both moment

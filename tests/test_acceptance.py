@@ -49,7 +49,6 @@ from fedmm.models import (
     encode_train,
     flatten_params,
     load_model,
-    param_count,
     save_model,
     unflatten_params,
 )
@@ -218,7 +217,7 @@ def _check_composite(seed, input_dims=(3, 4)):
     enc, head = work.encoders[0], work.head
     res = local_objective(x, y, enc, head, work, cfg)
     analytic = res.grad
-    n_enc = param_count(enc)
+    n_enc = enc.params.size
 
     _, theta0_cache = encode_train(clone_model(model).encoders[0], x)
     f_global = np.mean(
@@ -347,8 +346,8 @@ def test_criterion_03_aggregation_oracle():
                     ClientUpdate(
                         client_id=cid,
                         modality_id=m,
-                        encoder_flat=rng.normal(size=param_count(enc)),
-                        head_flat=rng.normal(size=param_count(model.head)),
+                        encoder_flat=rng.normal(size=enc.params.size),
+                        head_flat=rng.normal(size=model.head.params.size),
                         n_samples=int(rng.integers(1, 100)),
                         mean_ce=0.0,
                         mean_ntx=0.0,
@@ -403,9 +402,10 @@ def test_criterion_04_single_client_reduction():
     shard = build_scenario(dataset, cfg.scenario, 1)[0]
     model = init_model(cfg)
     enc, head = model.encoders[0], model.head
-    n_enc = param_count(enc)
-    adam = AdamState.create(
-        n_enc + param_count(head), lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2,
+    n_enc = enc.params.size
+    n = n_enc + head.params.size
+    adam = AdamState(
+        np.zeros(n), np.zeros(n), lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2,
         weight_decay=cfg.weight_decay,
     )
     rng = client_rng(cfg.seed, 0)
@@ -619,9 +619,7 @@ def test_criterion_10_format_robustness(tmp_path):
         use_whitening=True,
         rngs=itertools.repeat(np.random.default_rng(4)),
     )
-    from fedmm.models import encode
-
-    encode(model.encoders[0], dataset.train[0].features[:16], "train")
+    encode_train(model.encoders[0], dataset.train[0].features[:16])
     ckpt_path = tmp_path / "model.ckpt"
     save_model(model, ckpt_path)
     reloaded = load_model(ckpt_path)

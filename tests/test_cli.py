@@ -12,7 +12,7 @@ from kernels import kernels_note
 
 from fedmm import engine
 from fedmm.cli import main, summarize_log
-from fedmm.config import config_from_dict, load_gen_spec
+from fedmm.config import ExperimentConfig, config_from_dict, load_gen_spec
 from fedmm.data import SCENARIO_KINDS, build_scenario, gen_synthetic, load_shard
 from fedmm.errors import ConfigError
 from fedmm.engine import CSV_COLUMNS
@@ -79,6 +79,13 @@ class TestExitCodes:
         assert main(["run", "--config", str(path), "--out", str(out)]) == 2
         assert named in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("modes", [(5,), ("both", None)], ids=["int", "none"])
+    def test_non_string_mode_is_a_config_error(self, modes):
+        # JSON configs reject it by type first; a config built in code
+        # reaches validate with it
+        with pytest.raises(ConfigError, match="not a string"):
+            ExperimentConfig(inference_modes=modes).validate()
 
     @pytest.mark.parametrize(
         "override,named",

@@ -292,34 +292,17 @@ class TestShardFiles:
         save_shard(ds.train[1], path, n_labels=3)
         assert shards_equal(load_shard(path), ds.train[1])
 
-    @pytest.mark.parametrize("labels,declared", [([0, 2, 1], 3), ([], 1)])
-    def test_single_label_count_defaults_to_largest_id_plus_one(
-        self, tmp_path, labels, declared
-    ):
-        shard = Shard(
-            modality_id=0,
-            task_kind="single-label",
-            geo_keys=np.arange(len(labels)),
-            features=np.zeros((len(labels), 2)),
-            labels=labels,
-        )
-        path = tmp_path / "single.shard"
-        save_shard(shard, path)
-        assert shards_equal(load_shard(path), shard)
-        # the header's label count is its last u32
-        assert int.from_bytes(path.read_bytes()[17:21], "little") == declared
-
     def test_label_count_beyond_the_header_is_not_saved(self, tmp_path):
         shard = Shard(
             modality_id=0,
             task_kind="single-label",
             geo_keys=np.arange(1),
             features=np.zeros((1, 2)),
-            labels=[2**32],  # the default count, 2**32 + 1, needs more than a u32
+            labels=[2**32],  # a count of 2**32 + 1 needs more than a u32
         )
         path = tmp_path / "big.shard"
         with pytest.raises(ValidationError, match="u32"):
-            save_shard(shard, path)
+            save_shard(shard, path, n_labels=2**32 + 1)
         assert not path.exists()
 
     def test_empty_shard_roundtrip(self, tmp_path):
@@ -411,6 +394,34 @@ class TestShardFiles:
         assert info.value.offset == offset
 
     @pytest.mark.parametrize(
+        "task_kind,offset,dim,n_labels",
+        [
+            ("multi-label", 13, 2**31, 4),
+            ("multi-label", 13, 2**28, 4),  # a record of 8 * (1 + 2**28 + 4) bytes
+            ("single-label", 13, 2**31, 4),
+            ("multi-label", 17, 5, 2**31),
+            ("multi-label", 17, 5, 2**32 - 1),
+        ],
+        ids=["dim-2^31", "dim-record", "dim-single-label", "labels-2^31", "labels-max"],
+    )
+    def test_width_numpy_cannot_hold_rejected_at_its_field(
+        self, tmp_path, task_kind, offset, dim, n_labels
+    ):
+        # even with no samples: the record type alone cannot be built
+        task_idx = 0 if task_kind == "multi-label" else 1
+        path = tmp_path / "wide.shard"
+        path.write_bytes(b"MFSH" + struct.pack("<HHBIII", 1, 0, task_idx, 0, dim, n_labels))
+        with pytest.raises(FormatError, match="too wide a record") as info:
+            load_shard(path)
+        assert info.value.offset == offset
+
+    def test_single_label_count_sets_no_record_width(self, tmp_path):
+        # a single-label record stores one class id, whatever the count
+        path = tmp_path / "many.shard"
+        path.write_bytes(b"MFSH" + struct.pack("<HHBIII", 1, 0, 1, 0, 3, 2**32 - 1))
+        assert load_shard(path).features.shape == (0, 3)
+
+    @pytest.mark.parametrize(
         "features,labels", [((3, 0), (3, 2)), ((3, 2), (3, 0))], ids=["dim", "labels"]
     )
     def test_zero_width_shard_is_not_saved(self, tmp_path, features, labels):
@@ -423,7 +434,7 @@ class TestShardFiles:
         )
         path = tmp_path / "zero.shard"
         with pytest.raises(ValidationError, match="0$"):
-            save_shard(shard, path)
+            save_shard(shard, path, n_labels=labels[1])
         assert not path.exists()
 
     def test_bad_magic(self, tmp_path):

@@ -1,6 +1,7 @@
 """Tests for the round-based engine: local updates, aggregation, experiment
 runs, the late-fusion baseline, and the ablation grid."""
 
+import ast
 import dataclasses
 import functools
 import gc
@@ -16,7 +17,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from kernels import cpu_has, kernels_note, runtime_kernels
+from kernels import (
+    CORE_NEEDS,
+    GOLDEN_LOG_SHA256,
+    cpu_has,
+    kernel_class,
+    kernels_note,
+    runtime_kernels,
+)
 from onevector import assert_one_vector
 
 from fedmm import engine, losses, metrics
@@ -37,7 +45,7 @@ from fedmm.engine import (
     timings_csv,
 )
 from fedmm.errors import ConfigError, DataError, DimensionError, NumericError, ValidationError
-from fedmm.models import flatten_params, param_count, params_overlap, unflatten_params
+from fedmm.models import flatten_params, unflatten_params
 
 
 ENTRY_POINTS = (run_experiment, baseline_fedavg_latefusion)
@@ -303,8 +311,8 @@ def _fake_updates(model, spec):
                 ClientUpdate(
                     client_id=cid,
                     modality_id=m,
-                    encoder_flat=rng.normal(size=param_count(enc)),
-                    head_flat=rng.normal(size=param_count(model.head)),
+                    encoder_flat=rng.normal(size=enc.params.size),
+                    head_flat=rng.normal(size=model.head.params.size),
                     n_samples=int(rng.integers(1, 50)),
                     mean_ce=0.0,
                     mean_ntx=0.0,
@@ -335,9 +343,9 @@ class TestAggregate:
             assert np.shares_memory(u.encoder_flat, c.params)
         merged = aggregate(updates, model)
         for c in clients:
-            assert not params_overlap(merged, c.encoder)
-            assert not params_overlap(merged, c.head)
-        assert not params_overlap(merged, model)
+            assert not np.may_share_memory(merged.params, c.encoder.params)
+            assert not np.may_share_memory(merged.params, c.head.params)
+        assert not np.may_share_memory(merged.params, model.params)
 
     @pytest.mark.parametrize("k_clients", [2, 4], ids=["K=P", "K>P"])
     def test_new_global_model_is_one_vector(self, k_clients):
@@ -362,10 +370,10 @@ class TestAggregate:
     def test_hand_weighted_mean(self):
         cfg = tiny_cfg()
         _, model, _ = _setup(cfg)
-        zero = unflatten_params(np.zeros(param_count(model)), model)
-        n_enc0 = param_count(model.encoders[0])
-        n_enc1 = param_count(model.encoders[1])
-        n_head = param_count(model.head)
+        zero = unflatten_params(np.zeros(model.params.size), model)
+        n_enc0 = model.encoders[0].params.size
+        n_enc1 = model.encoders[1].params.size
+        n_head = model.head.params.size
         updates = [
             ClientUpdate(0, 0, np.full(n_enc0, 1.0), np.full(n_head, 1.0), 1, 0, 0),
             ClientUpdate(1, 0, np.full(n_enc0, 3.0), np.full(n_head, 3.0), 3, 0, 0),
@@ -525,7 +533,7 @@ class TestRunRound:
         _, model, clients = _setup(cfg)
         _, log = run_round(model, clients, cfg)
         per_client = [
-            param_count(model.encoders[c.shard.modality_id]) + param_count(model.head)
+            model.encoders[c.shard.modality_id].params.size + model.head.params.size
             for c in clients
         ]
         assert log.bytes_exchanged == 2 * 8 * sum(per_client)
@@ -1000,6 +1008,41 @@ class TestRunExperiment:
         assert result.stdout.strip() == repr((version, targets, "Haswell"))
         assert f"OpenBLAS core: {core}" in kernels_note()
 
+    def test_golden_log_hash_per_kernel_class(self):
+        # numpy reads NPY_DISABLE_CPU_FEATURES and OpenBLAS reads
+        # OPENBLAS_CORETYPE when they load, so each class runs in a fresh
+        # interpreter; a class runs when this CPU has its features
+        default = kernel_class()
+        assert default in GOLDEN_LOG_SHA256, (
+            f"no golden log.csv hash for this machine's kernel class {default!r} "
+            f"({kernels_note()}); record it from an unchanged tree with: "
+            "cd tests && PYTHONPATH=../src python kernels.py"
+        )
+        tests_dir = Path(__file__).resolve().parent
+        env = {**os.environ, "PYTHONPATH": str(tests_dir.parent / "src")}
+        script = (
+            "from kernels import golden_log_sha256, kernel_class\n"
+            "print(repr((kernel_class(), golden_log_sha256())))"
+        )
+        seen = {}
+        for targets, core in GOLDEN_LOG_SHA256:
+            if not (set(targets) <= set(default[0]) and cpu_has(CORE_NEEDS[core])):
+                continue
+            disabled = ",".join(t for t in default[0] if t not in targets)
+            row_env = {**env, "OPENBLAS_CORETYPE": core, "NPY_DISABLE_CPU_FEATURES": disabled}
+            result = subprocess.run(
+                [sys.executable, "-c", script],
+                cwd=tests_dir,
+                env=row_env,
+                capture_output=True,
+                text=True,
+                timeout=300,
+            )
+            assert result.returncode == 0, result.stderr
+            seen[(targets, core)] = ast.literal_eval(result.stdout)
+        assert default in seen
+        assert seen == {key: (key, GOLDEN_LOG_SHA256[key]) for key in seen}
+
     def test_blas_thread_count_leaves_the_bits(self, tmp_path):
         # OpenBLAS reads OPENBLAS_NUM_THREADS when it loads, so each count
         # needs a fresh interpreter
@@ -1116,6 +1159,25 @@ def test_unknown_mode_rejected_before_the_test_set(late_fusion):
     # both evaluators validate in one order: every mode, then the test set
     with pytest.raises(ValidationError, match="^unknown inference mode 'none'$"):
         scorer(tiny_cfg(), late_fusion)([], ("both", "none"))
+
+
+@pytest.mark.parametrize("late_fusion", [False, True], ids=["evaluate", "evaluate_late_fusion"])
+@pytest.mark.parametrize(
+    "modes,named",
+    [
+        (("both", "both", "only-0"), "repeat 'both'"),
+        (("only-1", "only-1"), "repeat 'only-1'"),
+        ((), "must not be empty"),
+        (("both", 5), "5 is not a string"),
+    ],
+    ids=["repeated-both", "repeated-only", "empty", "non-string"],
+)
+def test_bad_mode_list_rejected(late_fusion, modes, named):
+    # a report per mode given: a repeat would fold into one report
+    cfg = tiny_cfg()
+    test = gen_synthetic(cfg.resolved_dataset()).test
+    with pytest.raises(ValidationError, match=named):
+        scorer(cfg, late_fusion)(test, modes)
 
 
 @pytest.mark.parametrize("late_fusion", [False, True], ids=["evaluate", "evaluate_late_fusion"])
@@ -1266,9 +1328,9 @@ class TestBaseline:
         encoded = []
         original = metrics.encode
 
-        def counting_encode(encoder, x, mode):
+        def counting_encode(encoder, x):
             encoded.append(x.shape)
-            return original(encoder, x, mode)
+            return original(encoder, x)
 
         monkeypatch.setattr(metrics, "encode", counting_encode)
         cfg = tiny_cfg(rounds=1)

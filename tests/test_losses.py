@@ -22,11 +22,9 @@ from fedmm.models import (
     build_encoder,
     build_model,
     cross_encode,
-    encode,
     encode_train,
     flatten_params,
     head_forward,
-    param_count,
     unflatten_params,
 )
 from fedmm.nncore import activation_forward, dense_forward, whitening_matrix
@@ -253,7 +251,7 @@ def test_public_entry_points_raise_dimension_error(call):
         return local_objective(x_, y_, encoder, head, model, LossConfig())
 
     calls = {
-        "encode-x": lambda: encode(enc, np.zeros((4, 4)), "train"),
+        "encode-x": lambda: encode_train(enc, np.zeros((4, 4)))[0],
         "head-z": lambda: head_forward(head, np.zeros((4, 5))),
         "head-z-1d": lambda: head_forward(head, np.zeros(6)),
         "local-x": lambda: objective(np.zeros((4, 4)), y),
@@ -295,8 +293,8 @@ class TestLocalObjective:
 
         grad_f = (grad_logits @ head.layer.weight.T)[:, :3]
         np.testing.assert_array_equal(
-            res.grad[: param_count(enc)],
-            encode_backward(enc, cache, grad_f, np.empty(param_count(enc))),
+            res.grad[: enc.params.size],
+            encode_backward(enc, cache, grad_f, np.empty(enc.params.size)),
         )
 
     def test_single_other_modality_equals_one_contrastive_call(self):
@@ -334,7 +332,7 @@ class TestLocalObjective:
         assert np.linalg.norm(probe_features, axis=1).min() > 1e-3
         res = local_objective(x, y, enc, head, work, cfg)
         analytic = res.grad
-        n_enc = param_count(enc)
+        n_enc = enc.params.size
 
         # constants of the stop-gradient semantics, captured at theta0
         _, theta0_cache = encode_train(clone_model(model).encoders[0], x)

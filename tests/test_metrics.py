@@ -1,6 +1,7 @@
 """Tests for F1 metrics and multi-mode evaluation."""
 
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -10,14 +11,8 @@ from hypothesis import strategies as st
 from fedmm import metrics, nncore
 from fedmm.data import DatasetSpec, gen_synthetic
 from fedmm.errors import DimensionError, ValidationError
-from fedmm.metrics import (
-    evaluate,
-    macro_f1,
-    micro_f1,
-    parse_mode,
-    report_from_predictions,
-)
-from fedmm.models import build_model, encode, head_forward
+from fedmm.metrics import evaluate, parse_mode, report_from_predictions
+from fedmm.models import build_model, encode, encode_train, head_forward
 
 
 def _f1_oracle(tp, fp, fn):
@@ -30,19 +25,21 @@ class TestMicroF1:
         # one sample, three labels: TP=1, FP=1, FN=0 -> 2/3
         preds = np.array([[1.0, 1.0, 0.0]])
         labels = np.array([[1.0, 0.0, 0.0]])
-        assert abs(micro_f1(preds, labels) - 2.0 / 3.0) < 1e-12
+        report = report_from_predictions(preds, labels, "multi-label")
+        assert abs(report.micro_f1 - 2.0 / 3.0) < 1e-12
 
     def test_perfect_prediction(self):
         labels = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-        assert micro_f1(labels.copy(), labels) == 1.0
+        assert report_from_predictions(labels.copy(), labels, "multi-label").micro_f1 == 1.0
 
     def test_all_zero_predictions(self):
         labels = np.array([[1.0, 0.0], [0.0, 1.0]])
-        assert micro_f1(np.zeros_like(labels), labels) == 0.0
+        report = report_from_predictions(np.zeros_like(labels), labels, "multi-label")
+        assert report.micro_f1 == 0.0
 
     def test_shape_mismatch(self):
         with pytest.raises(DimensionError):
-            micro_f1(np.zeros((2, 2)), np.zeros((2, 3)))
+            report_from_predictions(np.zeros((2, 2)), np.zeros((2, 3)), "multi-label")
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=100, deadline=None)
@@ -60,7 +57,8 @@ class TestMicroF1:
                     fp += 1
                 elif not preds[i, j] and labels[i, j]:
                     fn += 1
-        assert micro_f1(preds, labels) == _f1_oracle(tp, fp, fn)
+        report = report_from_predictions(preds, labels, "multi-label")
+        assert report.micro_f1 == _f1_oracle(tp, fp, fn)
 
 
 class TestMacroF1:
@@ -68,13 +66,14 @@ class TestMacroF1:
         # label 1 never occurs and is never predicted: its F1 counts as 0
         preds = np.array([[1.0, 0.0], [1.0, 0.0]])
         labels = np.array([[1.0, 0.0], [1.0, 0.0]])
-        assert macro_f1(preds, labels) == 0.5
+        assert report_from_predictions(preds, labels, "multi-label").macro_f1 == 0.5
 
     def test_averages_per_label_f1(self):
         preds = np.array([[1.0, 1.0], [0.0, 1.0]])
         labels = np.array([[1.0, 0.0], [1.0, 1.0]])
         # label 0: tp=1 fp=0 fn=1 -> 2/3; label 1: tp=1 fp=1 fn=0 -> 2/3
-        assert abs(macro_f1(preds, labels) - 2.0 / 3.0) < 1e-12
+        report = report_from_predictions(preds, labels, "multi-label")
+        assert abs(report.macro_f1 - 2.0 / 3.0) < 1e-12
 
 
 class TestReportFromPredictions:
@@ -121,8 +120,32 @@ class TestReportFromPredictions:
         )
         report = report_from_predictions(probs, labels, kind)
         assert len(calls) == 1
-        assert report.micro_f1 == micro_f1(preds, truth)
-        assert report.macro_f1 == macro_f1(preds, truth)
+        tp = [int(np.sum((preds[:, j] == 1) & (truth[:, j] == 1))) for j in range(4)]
+        fp = [int(np.sum((preds[:, j] == 1) & (truth[:, j] == 0))) for j in range(4)]
+        fn = [int(np.sum((preds[:, j] == 0) & (truth[:, j] == 1))) for j in range(4)]
+        assert report.micro_f1 == _f1_oracle(sum(tp), sum(fp), sum(fn))
+        assert report.macro_f1 == float(np.mean([_f1_oracle(*c) for c in zip(tp, fp, fn)]))
+
+    def test_probability_of_one_half_is_a_positive(self):
+        probs = np.array([[0.5, 0.2], [0.9, 0.5]])
+        labels = np.array([[1.0, 0.0], [1.0, 1.0]])
+        report = report_from_predictions(probs, labels, "multi-label")
+        assert (report.micro_f1, report.macro_f1, report.accuracy) == (1.0, 1.0, 1.0)
+
+    @pytest.mark.parametrize(
+        "kind,probs,labels",
+        [
+            ("multi-label", (2, 2), (2, 3)),
+            ("multi-label", (2, 2), (3, 2)),
+            ("multi-label", (2,), (2,)),
+            ("single-label", (2, 3), (3,)),
+            ("single-label", (2, 3), (2, 1)),
+        ],
+        ids=["ml-labels", "ml-samples", "ml-1d", "sl-samples", "sl-2d"],
+    )
+    def test_shape_mismatch_is_a_dimension_error(self, kind, probs, labels):
+        with pytest.raises(DimensionError, match=re.escape(f"vs labels {labels}")):
+            report_from_predictions(np.full(probs, 0.4), np.zeros(labels), kind)
 
 
 def _fixture_model_and_data(use_whitening=True):
@@ -151,7 +174,7 @@ class TestEvaluate:
     def test_only_mode_matches_zeroed_other_features(self):
         model, ds = _fixture_model_and_data()
         only = evaluate(model, ds.test, ("only-1",))["only-1"]
-        feats = encode(model.encoders[1], ds.test[1].features, "eval")
+        feats = encode(model.encoders[1], ds.test[1].features)
         fused = np.concatenate([np.zeros_like(feats), feats], axis=1)
         probs = head_forward(model.head, fused)
         direct = report_from_predictions(probs, ds.test[1].labels, "multi-label")
@@ -167,7 +190,7 @@ class TestEvaluate:
     def test_never_mutates_model_state(self):
         model, ds = _fixture_model_and_data(use_whitening=True)
         # populate one encoder's statistics to cover the calibrated path too
-        encode(model.encoders[0], ds.train[0].features[:16], "train")
+        encode_train(model.encoders[0], ds.train[0].features[:16])
         snapshots = []
         for enc in model.encoders:
             st = enc.adapter.whitening

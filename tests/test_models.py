@@ -27,7 +27,6 @@ from fedmm.models import (
     fuse_full,
     head_forward,
     load_model,
-    param_count,
     save_model,
     unflatten_params,
 )
@@ -54,18 +53,18 @@ class TestEncode:
         enc = Encoder(modality_id=0, adapter=adapter, body=body)
         x = rng.normal(size=(5, 3))
         adapter_out = np.maximum(x @ adapter.dense.weight, 0.0)
-        np.testing.assert_array_equal(encode(enc, x, "train"), adapter_out)
+        np.testing.assert_array_equal(encode_train(enc, x)[0], adapter_out)
 
     def test_deterministic_across_calls(self):
         x = np.random.default_rng(5).normal(size=(2, 5))
         e1 = build_encoder(0, 5, 6, 4, False, np.random.default_rng(0))
         e2 = build_encoder(0, 5, 6, 4, False, np.random.default_rng(0))
-        np.testing.assert_array_equal(encode(e1, x, "train"), encode(e2, x, "train"))
+        np.testing.assert_array_equal(encode_train(e1, x)[0], encode_train(e2, x)[0])
 
     @pytest.mark.parametrize("batch", [2, 3, 9])
     def test_output_shape(self, batch):
         enc = build_encoder(1, 7, 6, 4, True, np.random.default_rng(1))
-        out = encode(enc, np.random.default_rng(2).normal(size=(batch, 7)), "train")
+        out = encode_train(enc, np.random.default_rng(2).normal(size=(batch, 7)))[0]
         assert out.shape == (batch, 4)
 
     @pytest.mark.parametrize(
@@ -94,37 +93,31 @@ class TestEncode:
     def test_dimension_error_names_modality(self):
         enc = build_encoder(1, 7, 6, 4, False, np.random.default_rng(1))
         with pytest.raises(DimensionError, match="modality 1"):
-            encode(enc, np.zeros((2, 9)), "train")
+            encode_train(enc, np.zeros((2, 9)))
 
     def test_zero_row_input_rejected(self):
         # a never-calibrated whitening encoder would whiten an empty batch
         # with the statistics of no rows
         enc = build_encoder(1, 7, 6, 4, True, np.random.default_rng(1))
         with pytest.raises(ValidationError, match="modality 1"):
-            encode(enc, np.zeros((0, 7)), "eval")
+            encode(enc, np.zeros((0, 7)))
 
     def test_eval_mode_never_mutates_state(self):
         enc = build_encoder(0, 5, 6, 4, True, np.random.default_rng(3))
         rng = np.random.default_rng(4)
-        encode(enc, rng.normal(size=(8, 5)), "train")  # populate statistics
+        encode_train(enc, rng.normal(size=(8, 5)))  # populate statistics
         st = enc.adapter.whitening
         before = (st.running_mean.tobytes(), st.running_cov.tobytes(), bool(st.stats_ready))
-        encode(enc, rng.normal(size=(6, 5)), "eval")
+        encode(enc, rng.normal(size=(6, 5)))
         after = (st.running_mean.tobytes(), st.running_cov.tobytes(), bool(st.stats_ready))
         assert before == after
 
     def test_eval_without_calibrated_stats_uses_batch_statistics(self):
         enc = build_encoder(0, 5, 6, 4, True, np.random.default_rng(3))
         x = np.random.default_rng(4).normal(size=(8, 5))
-        out = encode(enc, x, "eval")  # stats never populated: must not raise
+        out = encode(enc, x)  # stats never populated: must not raise
         assert np.all(np.isfinite(out))
         assert not enc.adapter.whitening.stats_ready
-
-    @pytest.mark.parametrize("use_whitening", [False, True], ids=["plain", "whitening"])
-    def test_unknown_mode_rejected(self, use_whitening):
-        enc = build_encoder(0, 5, 6, 4, use_whitening, np.random.default_rng(0))
-        with pytest.raises(ConfigError, match="'predict'"):
-            encode(enc, np.zeros((4, 5)), "predict")
 
     def test_interleaved_forwards_keep_their_own_record(self):
         # a cache is the whole record of its forward: a second forward on
@@ -135,9 +128,9 @@ class TestEncode:
         x1, x2, g = rng.normal(size=(8, 5)), rng.normal(size=(8, 5)), rng.normal(size=(8, 4))
         _, cache1 = encode_train(enc, x1)
         encode_train(enc, x2)
-        grad = encode_backward(enc, cache1, g, np.empty(param_count(enc)))
+        grad = encode_backward(enc, cache1, g, np.empty(enc.params.size))
         _, twin_cache = encode_train(twin, x1)
-        expected = encode_backward(twin, twin_cache, g, np.empty(param_count(twin)))
+        expected = encode_backward(twin, twin_cache, g, np.empty(twin.params.size))
         assert grad.tobytes() == expected.tobytes()
 
 
@@ -219,7 +212,7 @@ class TestCrossEncode:
         twin = Encoder(1, adapter=copy.encoders[1].adapter, body=copy.encoders[0].body)
         _, cache = encode_train(local, x)
         out_cross = cross_encode(cache.inputs[1], twin)
-        out_plain = encode(local, x, "train")
+        out_plain = encode_train(local, x)[0]
         np.testing.assert_array_equal(out_cross, out_plain)
 
     def test_zero_adapter_gives_constant_rows(self):
@@ -292,7 +285,7 @@ class TestFlattening:
     def test_roundtrip_is_bitwise_identity(self):
         model = small_model(use_whitening=True, seed=11)
         # give the running statistics non-trivial values
-        encode(model.encoders[0], np.random.default_rng(0).normal(size=(8, 5)), "train")
+        encode_train(model.encoders[0], np.random.default_rng(0).normal(size=(8, 5)))
         rebuilt = unflatten_params(flatten_params(model), model)
         assert flatten_params(rebuilt).tobytes() == flatten_params(model).tobytes()
         st_old = model.encoders[0].adapter.whitening
@@ -302,20 +295,20 @@ class TestFlattening:
 
     def test_zero_encoder_flattens_to_zero_vector(self):
         enc = build_encoder(0, 5, 6, 4, False, np.random.default_rng(0))
-        zeros = unflatten_params(np.zeros(param_count(enc)), enc)
+        zeros = unflatten_params(np.zeros(enc.params.size), enc)
         flat = flatten_params(zeros)
-        assert flat.shape == (param_count(enc),)
+        assert flat.shape == (enc.params.size,)
         assert not flat.any()
 
     def test_same_topology_same_length(self):
         e1 = build_encoder(0, 5, 6, 4, True, np.random.default_rng(0))
         e2 = build_encoder(1, 5, 6, 4, True, np.random.default_rng(9))
-        assert param_count(e1) == param_count(e2)
+        assert e1.params.size == e2.params.size
 
     def test_length_mismatch_rejected(self):
         enc = build_encoder(0, 5, 6, 4, False, np.random.default_rng(0))
         with pytest.raises(DimensionError):
-            unflatten_params(np.zeros(param_count(enc) + 1), enc)
+            unflatten_params(np.zeros(enc.params.size + 1), enc)
 
     def test_assign_writes_in_place_without_aliasing(self):
         enc = small_model(use_whitening=True, seed=11).encoders[0]
@@ -334,7 +327,7 @@ class TestFlattening:
 
     def test_layers_are_views_of_the_buffer(self):
         enc = build_encoder(0, 5, 6, 4, True, np.random.default_rng(0))
-        enc.params[...] = np.arange(param_count(enc), dtype=np.float64)
+        enc.params[...] = np.arange(enc.params.size, dtype=np.float64)
         assert enc.adapter.dense.weight[0, 1] == 1.0
         assert enc.adapter.whitening.beta[0] == 5 * 6 + 6 + 6
         assert flatten_params(enc).tobytes() == enc.params.tobytes()
@@ -360,19 +353,19 @@ class TestFlattening:
         with pytest.raises(NumericError):
             unflatten_params(flat, model)
         with pytest.raises(NumericError):
-            unflatten_params(flat[: param_count(model.encoders[0])], model.encoders[0])
+            unflatten_params(flat[: model.encoders[0].params.size], model.encoders[0])
 
     def test_assign_length_mismatch_rejected(self):
         enc = build_encoder(0, 5, 6, 4, False, np.random.default_rng(0))
         with pytest.raises(DimensionError):
-            assign_params(enc, np.zeros(param_count(enc) - 1))
+            assign_params(enc, np.zeros(enc.params.size - 1))
 
     def test_encode_backward_alignment(self):
         # the flat gradient must line up with the flat parameter layout
         enc = build_encoder(0, 4, 5, 3, True, np.random.default_rng(13))
         x = np.random.default_rng(14).normal(size=(6, 4))
         out, cache = encode_train(enc, x)
-        buffer = np.full(param_count(enc), np.nan)
+        buffer = np.full(enc.params.size, np.nan)
         grad = encode_backward(enc, cache, np.ones_like(out), buffer)
         assert grad is buffer
         assert np.isfinite(grad).all()  # every slice written
@@ -383,7 +376,7 @@ class TestFlattening:
 class TestCheckpoint:
     def test_roundtrip_bit_exact(self, tmp_path):
         model = small_model(use_whitening=True, seed=21)
-        encode(model.encoders[1], np.random.default_rng(1).normal(size=(9, 7)), "train")
+        encode_train(model.encoders[1], np.random.default_rng(1).normal(size=(9, 7)))
         model.round = 17
         path = tmp_path / "model.ckpt"
         save_model(model, path)

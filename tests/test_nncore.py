@@ -307,7 +307,7 @@ class TestBatchWhiteningBackward:
 class TestAdam:
     def test_zero_gradients_leave_params_unchanged(self):
         params = np.array([1.0, -2.0, 0.0])
-        state = AdamState.create(3, weight_decay=0.0)
+        state = AdamState(np.zeros(3), np.zeros(3), weight_decay=0.0)
         for _ in range(3):
             params = adam_step(params, np.zeros(3), state)
             np.testing.assert_array_equal(params, [1.0, -2.0, 0.0])
@@ -335,8 +335,8 @@ class TestAdam:
         rng = np.random.default_rng(5)
         params = rng.normal(size=257)
         expected = params.copy()
-        state = AdamState.create(257, lr=3e-3, weight_decay=weight_decay)
-        oracle = AdamState.create(257, lr=3e-3, weight_decay=weight_decay)
+        state = AdamState(np.zeros(257), np.zeros(257), lr=3e-3, weight_decay=weight_decay)
+        oracle = AdamState(np.zeros(257), np.zeros(257), lr=3e-3, weight_decay=weight_decay)
         moments = (state.first_moment, state.second_moment)
         for t in range(1, 13):
             grads = rng.normal(size=257) * rng.uniform(1e-3, 10.0)
@@ -351,7 +351,7 @@ class TestAdam:
 
     def test_first_step_closed_form(self):
         # m_hat = v_hat = 1 on the first step, so the update is -lr / (1 + eps)
-        state = AdamState.create(1, lr=1e-3)
+        state = AdamState(np.zeros(1), np.zeros(1), lr=1e-3)
         w = adam_step(np.array([0.0]), np.array([1.0]), state)
         assert abs(w[0] + 1e-3) < 1e-8
 
@@ -359,15 +359,15 @@ class TestAdam:
         rng = np.random.default_rng(13)
         params = rng.normal(size=10)
         grads = rng.normal(size=10)
-        s1 = AdamState.create(10, lr=3e-4, weight_decay=0.01)
-        s2 = AdamState.create(10, lr=3e-4, weight_decay=0.01)
+        s1 = AdamState(np.zeros(10), np.zeros(10), lr=3e-4, weight_decay=0.01)
+        s2 = AdamState(np.zeros(10), np.zeros(10), lr=3e-4, weight_decay=0.01)
         out1 = adam_step(params.copy(), grads.copy(), s1)
         out2 = adam_step(params.copy(), grads.copy(), s2)
         assert out1.tobytes() == out2.tobytes()
         assert s1.first_moment.tobytes() == s2.first_moment.tobytes()
 
     def test_decoupled_weight_decay(self):
-        state = AdamState.create(1, lr=0.1, weight_decay=0.5)
+        state = AdamState(np.zeros(1), np.zeros(1), lr=0.1, weight_decay=0.5)
         w = adam_step(np.array([2.0]), np.array([0.0]), state)
         # zero gradient: only the decay term acts
         np.testing.assert_allclose(w, [2.0 - 0.1 * 0.5 * 2.0])
