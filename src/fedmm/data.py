@@ -425,6 +425,16 @@ def _shard_dtype(dim: int, n_label_cols: int) -> np.dtype:
     )
 
 
+def _too_wide(dim: int, n_label_cols: int, n_labels: int) -> tuple[str, int, int] | None:
+    """(name, value, header offset) of the field at fault when a record of
+    ``dim`` features and ``n_label_cols`` label columns is too wide for
+    numpy, which builds no record type of 2**31 bytes or more (8 per geo
+    key, feature and label column): the wider of the two. None otherwise."""
+    if 8 * (1 + dim + n_label_cols) < 2**31:
+        return None
+    return ("feature dim", dim, 13) if dim >= n_label_cols else ("label count", n_labels, 17)
+
+
 def _bad_label(
     label_cols: Array, task_kind: str, n_labels: int
 ) -> tuple[int, int, str] | None:
@@ -464,8 +474,9 @@ def save_shard(shard: Shard, path, n_labels: int) -> None:
 
     ``n_labels`` is the header's label count. A multi-label shard stores
     one column per label, so an ``n_labels`` that differs from its column
-    count raises ValidationError, as does a zero width or a label
-    :func:`load_shard` would reject, so no file is written that it rejects.
+    count raises ValidationError, as does a zero width, a record too wide
+    for numpy (naming the wider field) or a label :func:`load_shard` would
+    reject, so no file is written that it rejects.
     """
     if shard.dim == 0:
         raise ValidationError("shard has feature dim 0")
@@ -486,6 +497,9 @@ def save_shard(shard: Shard, path, n_labels: int) -> None:
         raise ValidationError("shard has label count 0")
     if not 0 <= n_labels < 2**32:
         raise ValidationError(f"label count {n_labels} does not fit the u32 header")
+    wide = _too_wide(shard.dim, n_label_cols, n_labels)
+    if wide is not None:
+        raise ValidationError(f"shard has {wide[0]} {wide[1]}, too wide a record")
     header = SHARD_MAGIC + struct.pack(
         "<HHBIII",
         SHARD_VERSION,
@@ -534,12 +548,9 @@ def load_shard(path) -> Shard:
             raise FormatError(f"shard declares {name} 0", offset=offset)
     task_kind = TASK_KINDS[task_idx]
     n_label_cols = n_labels if task_kind == "multi-label" else 1
-    # numpy builds no record type of 2**31 bytes or more (8 per geo key,
-    # feature and label column); the wider of the two fields is at fault
-    if 8 * (1 + dim + n_label_cols) >= 2**31:
-        name, value, offset = (
-            ("feature dim", dim, 13) if dim >= n_label_cols else ("label count", n_labels, 17)
-        )
+    wide = _too_wide(dim, n_label_cols, n_labels)
+    if wide is not None:
+        name, value, offset = wide
         raise FormatError(f"shard declares {name} {value}, too wide a record", offset=offset)
     dtype = _shard_dtype(dim, n_label_cols)
     expected = count * dtype.itemsize

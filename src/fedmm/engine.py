@@ -5,26 +5,25 @@ client's local update, aggregate per-modality encoders and the shared head.
 One loop (:func:`_federate`) drives the rounds and the evaluation schedule
 for the framework, one federation, and for the late-fusion baseline, one
 single-modality federation per modality side by side, merging their round
-logs. With ``parallel`` it opens one worker per usable CPU (never more than
-a federation has clients; inline when that is one or when the platform has
-no ``os.fork``): processes forked once, at the first round, and kept until
-the last (:class:`_ClientPool`). Worker g keeps ``clients[g::workers]``,
-and this process updates the last group itself. Everything a local update
-writes (parameters, Adam moments and step count, whitening running
-statistics and ready flags, the RNG state) lives from :func:`make_client`
-on in one anonymous shared mapping per client, serial runs included; a
-worker forked later writes it for this process too, so this process's
-clients stay authoritative between rounds and the pool moves nothing
-before it forks. A round sends each worker the global parameters and
-takes back only each client's two mean losses. From the
-first fork until every worker is reaped, evaluation between rounds
-included, the BLAS numpy loaded is capped to one thread, so workers times
-BLAS threads stay within the usable cores. Results are identical either
-way because each client owns its state and RNG stream and the global
-snapshot is read-only. A failed local update re-raises its exception, in
-the parent too, with ``round r: client k:`` prepended to the message; a
-worker that dies without reporting raises ChildProcessError naming the
-round.
+logs. With ``parallel`` it opens a :class:`~fedmm.workers.Pool` of one
+worker per usable CPU (never more than a federation has clients; inline
+when that is one or when the platform has no ``os.fork``): processes forked
+once, at the first round, and kept until the last, with numpy's BLAS capped
+to one thread meanwhile. :mod:`fedmm.workers` does the forking, piping and
+reaping; this module holds the client side (:func:`_run_updates`,
+:func:`_serve`). Worker g keeps ``clients[g::workers]``, and this process
+updates the last group itself. Everything a local update writes
+(parameters, Adam moments and step count, whitening running statistics and
+ready flags, the RNG state) lives from :func:`make_client` on in one
+anonymous shared mapping per client, serial runs included; a worker forked
+later writes it for this process too, so this process's clients stay
+authoritative between rounds and the pool moves nothing before it forks. A
+round sends each worker the global parameters and takes back only each
+client's two mean losses. Results are identical either way because each
+client owns its state and RNG stream and the global snapshot is read-only.
+A failed local update re-raises its exception, in the parent too, with
+``round r: client k:`` prepended to the message; a worker that dies
+without reporting raises ChildProcessError naming the round.
 
 Aggregation accumulates client deltas around the broadcast reference in
 ascending client-id order, which makes "all clients returned the broadcast
@@ -51,21 +50,17 @@ through :func:`~fedmm.metrics.score_modes`, each with its own fusion rule.
 from __future__ import annotations
 
 import contextlib
-import ctypes
 import dataclasses
 import functools
 import itertools
 import json
-import mmap
-import os
-import pickle
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import BinaryIO, NoReturn
 
 import numpy as np
 
+from . import workers
 from .config import ExperimentConfig, config_to_dict
 from .data import SCENARIO_KINDS, Shard, batches, build_scenario, gen_synthetic, label_mismatch
 from .errors import ConfigError, DataError, DimensionError, NumericError, ValidationError
@@ -268,14 +263,15 @@ def make_client(
     and a label the head cannot score ValidationError.
 
     Everything :func:`client_update` writes is allocated here, once, in one
-    anonymous shared mapping. A header of 8-byte words comes first: Adam's
-    step count, the stream's PCG64 state (``rng_words``) and one word per
-    whitening layer whose first byte is its ready flag. Then come
-    [parameters | Adam first moment | Adam second moment | each whitening
-    layer's running mean and running covariance]. Each piece is its own
-    array over its bytes, so every layer view's ``.base`` is ``params``,
-    and each scalar a 0-d view. A process forked afterwards (a
-    :class:`_ClientPool` worker) writes them for this one too."""
+    anonymous shared mapping (:func:`~fedmm.workers.shared_block`). A header
+    of 8-byte words comes first: Adam's step count, the stream's PCG64 state
+    (``rng_words``) and one word per whitening layer whose first byte is its
+    ready flag. Then come [parameters | Adam first moment | Adam second
+    moment | each whitening layer's running mean and running covariance].
+    Each piece is its own array over its bytes, so every layer view's
+    ``.base`` is ``params``, and each scalar a 0-d view. A process forked
+    afterwards (a :class:`~fedmm.workers.Pool` worker) writes them for this
+    one too."""
     if shard.n == 0:
         raise DataError(f"client {client_id} has an empty shard")
     if shard.dim != encoder_template.input_dim:
@@ -293,7 +289,7 @@ def make_client(
     n = encoder.params.size + head.params.size
     sizes = [n, n, n] + [size for st in states for size in (st.dim, st.dim * st.dim)]
     # zero-filled, as Adam's moments and step count start
-    block = mmap.mmap(-1, 8 * (n_words + sum(sizes)))
+    block = workers.shared_block(8 * (n_words + sum(sizes)))
     words = np.frombuffer(block, np.uint64, n_words)
     ready = words[1 + _PCG64_WORDS :].view(np.bool_)[::8]
     params, first_moment, second_moment, *stats = (
@@ -470,51 +466,6 @@ def _average(
         raise NumericError(f"{what} parameters are not finite")
 
 
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-@functools.cache
-def _blas_thread_calls():
-    """(get, set) thread-count functions of the OpenBLAS numpy loaded, or None.
-
-    Looked up through numpy's LAPACK extension, whose dependencies include
-    the BLAS library; other BLAS builds export none of these names.
-    """
-    lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
-    for prefix, suffix in (("", ""), ("scipy_", "64_"), ("", "64_")):
-        setter = getattr(lib, f"{prefix}openblas_set_num_threads{suffix}", None)
-        getter = getattr(lib, f"{prefix}openblas_get_num_threads{suffix}", None)
-        if setter is not None and getter is not None:
-            setter.argtypes, setter.restype = [ctypes.c_int], None
-            getter.argtypes, getter.restype = [], ctypes.c_int
-            return getter, setter
-    return None
-
-
-@contextlib.contextmanager
-def _single_threaded_blas():
-    """Cap numpy's BLAS to one thread for the block, then restore its count.
-
-    BLAS thread count changes no result bits, so without a known setter the
-    block simply runs uncapped.
-    """
-    calls = _blas_thread_calls()
-    if calls is None:
-        yield
-        return
-    get_threads, set_threads = calls
-    before = get_threads()
-    set_threads(1)
-    try:
-        yield
-    finally:
-        set_threads(before)
-
-
 def _update(
     client: ClientState,
     model: GlobalModelSet,
@@ -529,206 +480,72 @@ def _update(
         raise
 
 
-def _send(out: BinaryIO, value) -> None:
-    """Write ``value`` pickled, after its 8-byte length, and flush."""
-    payload = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
-    out.write(len(payload).to_bytes(8, "little"))
-    out.write(payload)
-    out.flush()
+def _serve(federations, cfg: ExperimentConfig, g: int, request) -> list:
+    """Worker g's part of one round (:func:`_run_updates`): write the
+    broadcast parameters into this process's copy of the federation's
+    global model, update group g and reply each client's
+    ``(mean_ce, mean_ntx)``; the rest of a client's state is already in
+    the memory it shares with the parent (:func:`make_client`)."""
+    key, k, round_done, params = request
+    model, clients = federations[key]
+    model.round = round_done
+    model.params[...] = params
+    updates = [_update(c, model, cfg) for c in clients[g::k]]
+    return [(u.mean_ce, u.mean_ntx) for u in updates]
 
 
-def _receive(src: BinaryIO):
-    """The next value :func:`_send` wrote; EOFError when the writer closed
-    before a whole one."""
-    head = src.read(8)
-    if len(head) < 8:
-        raise EOFError
-    size = int.from_bytes(head, "little")
-    payload = src.read(size)
-    if len(payload) < size:
-        raise EOFError
-    return pickle.loads(payload)  # written by this program's own processes
-
-
-@dataclass
-class _Worker:
-    pid: int | None  # None once reaped
-    requests: BinaryIO  # write end of the pipe the worker reads rounds from
-    reports: BinaryIO  # read end of the pipe the worker answers on
-
-
-class _ClientPool:
-    """Forked workers that keep their clients from the first round to close.
-
-    ``federations`` are (global model, clients) pairs that train side by
-    side: one for a framework run, one per modality for the late-fusion
-    baseline. A federation of n clients is dealt by stride into
-    ``k = min(workers, n)`` groups, group g being ``clients[g::k]``; worker
-    g updates group g every round and this process the last group. Every
-    client's whole state already lives in shared memory
-    (:func:`make_client`), so the pool only deals the groups and forks,
-    moving and rebinding nothing; a round sends a worker only the global
-    parameters and gets back only each client's ``(mean_ce, mean_ntx)``,
-    from which this process builds the upload (:func:`_upload`).
-
-    Fork rather than spawn: a worker needs this process's clients, shards
-    and models as they are, which a spawned worker would have to be sent.
-    fedmm starts no threads of its own; the caller caps numpy's BLAS to
-    one thread before the pool forks and until it closes.
-    """
-
-    def __init__(self, federations, workers: int, cfg: ExperimentConfig):
-        self._cfg = cfg
-        self._federations = {}  # first client id -> (model, groups)
-        for model, clients in federations:
-            k = min(workers, len(clients))
-            self._federations[clients[0].client_id] = (
-                model,
-                [clients[g::k] for g in range(k)],
-            )
-        self._workers: list[_Worker] = []
-        try:
-            for g in range(workers - 1):
-                self._fork(g)
-        except BaseException:
-            self.close()
-            raise
-
-    def _fork(self, g: int) -> None:
-        request_r, request_w = os.pipe()
-        report_r, report_w = os.pipe()
-        pid = os.fork()
-        if pid:
-            os.close(request_r)
-            os.close(report_w)
-            self._workers.append(
-                _Worker(pid, os.fdopen(request_w, "wb"), os.fdopen(report_r, "rb"))
-            )
-            return
-        status = 1
-        try:
-            os.close(request_w)
-            os.close(report_r)
-            # hold no other worker's pipe ends, so that this process closing
-            # them reaches that worker (EOF, broken pipe) whatever it sends
-            for other in self._workers:
-                other.requests.close()
-                other.reports.close()
-            with os.fdopen(request_r, "rb") as requests, os.fdopen(report_w, "wb") as reports:
-                self._serve(g, requests, reports)
-            status = 0
-        finally:
-            os._exit(status)
-
-    def _serve(self, g: int, requests: BinaryIO, reports: BinaryIO) -> None:
-        """Worker g: per request, write the global parameters into this
-        process's copy of the federation's model, update group g and send
-        each client's ``(mean_ce, mean_ntx)``, or the first failure; return
-        at EOF."""
-        while True:
-            try:
-                key, round_done, params = _receive(requests)
-            except EOFError:
-                return
-            model, groups = self._federations[key]
-            model.round = round_done
-            model.params[...] = params
-            try:
-                updates = [_update(c, model, self._cfg) for c in groups[g]]
-                outcome = [(u.mean_ce, u.mean_ntx) for u in updates]
-            except Exception as exc:  # sent to the parent, which re-raises it
-                outcome = exc
-            _send(reports, outcome)
-
-    def updates(self, model: GlobalModelSet, clients: list[ClientState]) -> list[ClientUpdate]:
-        """Every client's update this round, in client order; ``clients``
-        must be one of the pool's federations and ``model`` its global
-        model. A worker that dies raises ChildProcessError naming the
-        round and its clients."""
-        key = clients[0].client_id
-        *worker_groups, own = self._federations[key][1]
-        workers = self._workers[: len(worker_groups)]
-        for worker, group in zip(workers, worker_groups):
-            try:
-                _send(worker.requests, (key, model.round, model.params))
-            except BrokenPipeError:
-                self._died(worker, model, group)
-        updates = {c.client_id: _update(c, model, self._cfg) for c in own}
-        for worker, group in zip(workers, worker_groups):
-            try:
-                outcome = _receive(worker.reports)
-            except EOFError:
-                self._died(worker, model, group)
-            if isinstance(outcome, Exception):
-                raise outcome
-            for client, losses in zip(group, outcome):
-                updates[client.client_id] = _upload(client, *losses)
-        return [updates[c.client_id] for c in clients]
-
-    def _died(self, worker: _Worker, model: GlobalModelSet, group: list[ClientState]) -> NoReturn:
-        _, status = os.waitpid(worker.pid, 0)
-        worker.pid = None
-        raise ChildProcessError(
-            f"round {model.round + 1}: the worker updating clients "
-            f"{[c.client_id for c in group]} exited with status "
-            f"{os.waitstatus_to_exitcode(status)} without reporting"
-        )
-
-    def close(self) -> None:
-        """End every worker and reap it. A worker waiting for a round sees
-        EOF; one still sending gets a broken pipe; either exits."""
-        for worker in self._workers:
-            worker.reports.close()
-            with contextlib.suppress(BrokenPipeError):  # the rest of a failed send
-                worker.requests.close()
-        for worker in self._workers:
-            if worker.pid is not None:
-                os.waitpid(worker.pid, 0)
-                worker.pid = None
-
-
-@contextlib.contextmanager
-def _client_pool(federations, cfg: ExperimentConfig, parallel: bool):
-    """An open :class:`_ClientPool` over ``federations``, or None.
-
-    With ``parallel`` the pool has one worker per usable CPU, but no more
-    than the largest federation has clients; with one worker, or where the
-    platform has no ``os.fork``, there is no pool (None) and clients run
-    inline. numpy's BLAS is capped to one thread from before the first
-    fork until every worker is reaped, evaluation between rounds included.
-    """
-    workers = 1
-    if parallel and hasattr(os, "fork"):
-        workers = min(_usable_cpus(), max(len(clients) for _, clients in federations))
-    if workers <= 1:
-        yield None
-        return
-    with _single_threaded_blas():
-        pool = _ClientPool(federations, workers, cfg)
-        try:
-            yield pool
-        finally:
-            pool.close()
+def _pool_for(federations, cfg: ExperimentConfig, parallel: bool):
+    """With ``parallel``, a :class:`~fedmm.workers.Pool` over
+    ``federations`` of one worker per usable CPU, but no more than the
+    largest federation has clients (:func:`~fedmm.workers.usable_cpus`);
+    otherwise, or at one worker, a context that yields None."""
+    width = min(workers.usable_cpus(), max(len(c) for _, c in federations)) if parallel else 1
+    if width <= 1:
+        return contextlib.nullcontext()
+    by_key = {clients[0].client_id: (model, clients) for model, clients in federations}
+    return workers.Pool(width, functools.partial(_serve, by_key, cfg))
 
 
 def _run_updates(
     clients: list[ClientState],
     model: GlobalModelSet,
     cfg: ExperimentConfig,
-    pool: _ClientPool | None = None,
+    pool: workers.Pool | None = None,
 ) -> list[ClientUpdate]:
-    """Every client's local update, in client order: through ``pool`` when
-    one is open, inline otherwise."""
+    """Every client's local update, in client order: inline without
+    ``pool``; with one, dealt by stride into ``k = min(pool.width,
+    len(clients))`` groups ``clients[g::k]``, child g of the pool updating
+    group g (:func:`_serve`) and this process the last. Each upload is
+    built here from the client's shared state and its reported losses
+    (:func:`_upload`). A child that exits without reporting raises
+    ChildProcessError naming the round and its clients."""
     if pool is None:
         return [_update(c, model, cfg) for c in clients]
-    return pool.updates(model, clients)
+    k = min(pool.width, len(clients))
+    *groups, own = (clients[g::k] for g in range(k))
+    # the federation is named by its first client's id
+    request = (clients[0].client_id, k, model.round, model.params)
+    try:
+        for g in range(len(groups)):
+            pool.send(g, request)
+        updates = {c.client_id: _update(c, model, cfg) for c in own}
+        for g, group in enumerate(groups):
+            for client, losses in zip(group, pool.receive(g)):
+                updates[client.client_id] = _upload(client, *losses)
+    except workers.WorkerExited as exc:
+        g, status = exc.args
+        raise ChildProcessError(
+            f"round {model.round + 1}: the worker updating clients "
+            f"{[c.client_id for c in groups[g]]} exited with status {status} without reporting"
+        ) from None
+    return [updates[c.client_id] for c in clients]
 
 
 def run_round(
     model: GlobalModelSet,
     clients: list[ClientState],
     cfg: ExperimentConfig,
-    pool: _ClientPool | None = None,
+    pool: workers.Pool | None = None,
 ) -> tuple[GlobalModelSet, RoundLog]:
     """One round: local updates (through ``pool`` when the caller holds
     one open, inline otherwise), aggregation and the round log. Each
@@ -761,14 +578,14 @@ def _federate(
     merges their logs: client losses united, seconds and bytes summed.
     ``score(models)`` reports on the current global models at set-up and
     after every ``eval_every``-th and the last round. With ``parallel``
-    one :func:`_client_pool` over every federation serves all the rounds;
+    one pool over every federation (:func:`_pool_for`) serves all the rounds;
     the set-up evaluation runs before it opens. Returns the set-up reports,
     the round logs and the final global models.
     """
     models = [model for model, _ in federations]
     initial = score(models)
     rounds: list[RoundLog] = []
-    with _client_pool(federations, cfg, parallel and cfg.rounds > 0) as pool:
+    with _pool_for(federations, cfg, parallel and cfg.rounds > 0) as pool:
         for r in range(1, cfg.rounds + 1):
             logs = []
             for i, (_, clients) in enumerate(federations):

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import os
 import tempfile
 from pathlib import Path
 
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from kernels import kernels_note
 
-from fedmm import engine
+from fedmm import engine, workers
 from fedmm.cli import main, summarize_log
 from fedmm.config import ExperimentConfig, config_from_dict, load_gen_spec
 from fedmm.data import SCENARIO_KINDS, build_scenario, gen_synthetic, load_shard
@@ -193,6 +194,29 @@ class TestRun:
         assert main(["baseline", "--config", str(cfg), "--out", str(out)]) == 0
         assert (out / "baseline_m0.ckpt").exists()
         assert (out / "baseline_m1.ckpt").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "baseline"])
+def test_parallel_writes_the_serial_log(tmp_path, monkeypatch, capsys, command):
+    # two usable CPUs: one forked worker beside this process
+    monkeypatch.setattr(workers, "usable_cpus", lambda: 2)
+    forks = []
+    original_fork = os.fork
+
+    def recording_fork():
+        pid = original_fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    cfg = write_config(tmp_path)
+    serial, parallel = tmp_path / "serial", tmp_path / "parallel"
+    assert main([command, "--config", str(cfg), "--out", str(serial)]) == 0
+    assert forks == []
+    assert main([command, "--config", str(cfg), "--out", str(parallel), "--parallel"]) == 0
+    assert len(forks) == 1
+    assert (serial / "log.csv").read_bytes() == (parallel / "log.csv").read_bytes()
 
 
 class TestReport:

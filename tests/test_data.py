@@ -415,6 +415,31 @@ class TestShardFiles:
             load_shard(path)
         assert info.value.offset == offset
 
+    @pytest.mark.parametrize(
+        "task_kind,dim,n_labels,field",
+        [
+            ("multi-label", 2**28, 4, "feature dim 268435456"),
+            ("single-label", 2**28, 4, "feature dim 268435456"),
+            ("multi-label", 5, 2**28, "label count 268435456"),
+        ],
+        ids=["dim", "dim-single-label", "labels"],
+    )
+    def test_width_numpy_cannot_hold_not_saved(self, tmp_path, task_kind, dim, n_labels, field):
+        # the save-side twin: an empty shard reaches any width, and the
+        # record type is never built, so no file is written
+        labels = np.zeros((0, n_labels)) if task_kind == "multi-label" else np.zeros(0)
+        shard = Shard(
+            modality_id=0,
+            task_kind=task_kind,
+            geo_keys=np.arange(0),
+            features=np.zeros((0, dim)),
+            labels=labels,
+        )
+        path = tmp_path / "wide.shard"
+        with pytest.raises(ValidationError, match=f"^shard has {field}, too wide a record$"):
+            save_shard(shard, path, n_labels=n_labels)
+        assert not path.exists()
+
     def test_single_label_count_sets_no_record_width(self, tmp_path):
         # a single-label record stores one class id, whatever the count
         path = tmp_path / "many.shard"

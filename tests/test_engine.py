@@ -7,6 +7,7 @@ import functools
 import gc
 import hashlib
 import os
+import pickle
 import subprocess
 import sys
 import textwrap
@@ -27,7 +28,7 @@ from kernels import (
 )
 from onevector import assert_one_vector
 
-from fedmm import engine, losses, metrics
+from fedmm import engine, losses, metrics, workers
 from fedmm.config import ExperimentConfig
 from fedmm.data import SCENARIO_KINDS, DatasetSpec, ScenarioSpec, build_scenario, gen_synthetic
 from fedmm.engine import (
@@ -579,7 +580,7 @@ def fake_blas(monkeypatch, threads=2):
         history.append(n)
 
     calls = (lambda: state["threads"], set_threads)
-    monkeypatch.setattr(engine, "_blas_thread_calls", lambda: calls)
+    monkeypatch.setattr(workers, "blas_thread_calls", lambda: calls)
     return state, history
 
 
@@ -601,7 +602,7 @@ def recording_forks(monkeypatch):
 def pooled_round(model, clients, cfg, parallel=True):
     """:func:`run_round` through a worker pool opened for this round alone,
     or inline when ``parallel`` is off or the pool would have one worker."""
-    with engine._client_pool([(model, clients)], cfg, parallel) as pool:
+    with engine._pool_for([(model, clients)], cfg, parallel) as pool:
         return run_round(model, clients, cfg, pool)
 
 
@@ -668,7 +669,7 @@ class TestClientPool:
         runs = []
         for parallel in (False, True):
             _, model, clients = _setup(cfg)
-            with engine._client_pool([(model, clients)], cfg, parallel) as pool:
+            with engine._pool_for([(model, clients)], cfg, parallel) as pool:
                 assert (pool is not None) == parallel
                 states = []
                 for _ in range(3):
@@ -681,17 +682,15 @@ class TestClientPool:
         # a worker's clients write their whole state into shared memory, so
         # its per-round report holds each client's (mean_ce, mean_ntx) alone
         reports = []
-        original = engine._receive
+        original = workers.Pool.receive
 
-        def recording_receive(src):
-            value = original(src)
-            if os.getpid() == parent:  # the worker's requests stay in the worker
-                reports.append(value)
+        def recording_receive(pool, g):
+            value = original(pool, g)
+            reports.append(value)
             return value
 
-        parent = os.getpid()
         usable_cpus(monkeypatch, 2)
-        monkeypatch.setattr(engine, "_receive", recording_receive)
+        monkeypatch.setattr(workers.Pool, "receive", recording_receive)
         run_experiment(tiny_cfg(use_fw=True, use_mim=True, rounds=2), parallel=True)
         assert len(reports) == 2  # one per round from the one worker
         for report in reports:
@@ -797,6 +796,41 @@ class TestClientPool:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
+    def test_truncated_reply_is_a_dead_worker(self, monkeypatch):
+        # a worker that writes part of its reply and exits: pickle reads
+        # that as UnpicklingError, not EOFError, and it must still raise
+        # naming the round, with the worker reaped
+        parent = os.getpid()
+        original_dump, original_load, failures = pickle.dump, pickle.load, []
+
+        def truncating_dump(value, file, *args):
+            if os.getpid() == parent:
+                return original_dump(value, file, *args)
+            payload = pickle.dumps(value, *args)
+            file.write(payload[: len(payload) // 2])
+            file.flush()
+            os._exit(0)
+
+        def recording_load(file):
+            try:
+                return original_load(file)
+            except Exception as exc:
+                failures.append(type(exc))
+                raise
+
+        usable_cpus(monkeypatch, 2)
+        monkeypatch.setattr(pickle, "dump", truncating_dump)
+        monkeypatch.setattr(pickle, "load", recording_load)
+        with pytest.raises(
+            ChildProcessError,
+            match=r"^round 1: the worker updating clients \[0, 2\] exited with status 0 "
+            r"without reporting$",
+        ):
+            run_experiment(tiny_cfg(rounds=2), parallel=True)
+        assert failures == [pickle.UnpicklingError]
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
     def test_one_usable_cpu_runs_inline(self, monkeypatch):
         serial = run_experiment(tiny_cfg())
         threads = set()
@@ -881,7 +915,7 @@ class TestClientPool:
         assert history == []
 
     def test_real_blas_thread_count_restored(self, monkeypatch):
-        calls = engine._blas_thread_calls()
+        calls = workers.blas_thread_calls()
         if calls is None:
             pytest.skip("numpy's BLAS exports no OpenBLAS thread-count calls")
         get_threads, set_threads = calls
@@ -899,7 +933,7 @@ class TestClientPool:
     def test_missing_blas_setter_matches_serial(self, monkeypatch):
         serial = run_experiment(tiny_cfg())
         usable_cpus(monkeypatch, 2)
-        monkeypatch.setattr(engine, "_blas_thread_calls", lambda: None)
+        monkeypatch.setattr(workers, "blas_thread_calls", lambda: None)
         parallel = run_experiment(tiny_cfg(), parallel=True)
         assert experiment_csv(parallel) == experiment_csv(serial)
         assert final_params(parallel) == final_params(serial)
@@ -1046,19 +1080,19 @@ class TestRunExperiment:
     def test_blas_thread_count_leaves_the_bits(self, tmp_path):
         # OpenBLAS reads OPENBLAS_NUM_THREADS when it loads, so each count
         # needs a fresh interpreter
-        if engine._blas_thread_calls() is None or engine._usable_cpus() < 2:
+        if workers.blas_thread_calls() is None or workers.usable_cpus() < 2:
             pytest.skip("needs OpenBLAS and 2 usable CPUs")
         script = textwrap.dedent(
             """
             import sys
 
             from fedmm import ExperimentConfig, ScenarioSpec, run_experiment
-            from fedmm.engine import _blas_thread_calls
+            from fedmm.workers import blas_thread_calls
 
             run_experiment(ExperimentConfig(
                 scenario=ScenarioSpec(kind="group-skew"), rounds=2, output_dir=sys.argv[1]
             ))
-            get_threads, _ = _blas_thread_calls()
+            get_threads, _ = blas_thread_calls()
             print(get_threads())
             """
         )
