@@ -1,5 +1,5 @@
 """Synthetic paired multi-modal datasets, decentralization scenarios,
-binary shard serialization, and deterministic batching.
+deterministic batching, shard files and the one binary file reader.
 
 Every site draws a latent vector from a group-shifted Gaussian; modality 0
 observes a linear projection of it and modality 1 a tanh-squashed one, so
@@ -415,13 +415,81 @@ def batches(n_samples: int, batch_size: int, rng: np.random.Generator):
 
 
 # ---------------------------------------------------------------------------
-# shard files and manifests
+# binary files, shards and manifests
 # ---------------------------------------------------------------------------
+
+
+def write_binary(path, magic: bytes, version: int, *chunks: bytes) -> None:
+    """Write ``magic``, the u16 ``version`` and then ``chunks``: the header
+    and body of a file :class:`ByteReader` reads."""
+    with open(path, "wb") as fh:
+        fh.write(magic + struct.pack("<H", version))
+        for chunk in chunks:
+            fh.write(chunk)
+
+
+class ByteReader:
+    """The one reader of fedmm's binary files, shards and checkpoints.
+    Opening checks the 4-byte ``magic`` and u16 ``version`` of format
+    ``name``; then a read past the end, bytes after the payload
+    (:meth:`expect_end`) or a non-finite float (:meth:`array`) raises
+    FormatError at its byte."""
+
+    def __init__(self, path, magic: bytes, version: int, name: str):
+        with open(path, "rb") as fh:
+            self.data = fh.read()
+        if self.data[:4] != magic:
+            raise FormatError(f"bad magic, not a {name} file", offset=0)
+        self.offset = 4
+        (found,) = self.unpack("<H")
+        if found != version:
+            raise FormatError(f"unsupported {name} version {found}", offset=4)
+
+    def need(self, n: int) -> None:
+        if self.offset + n > len(self.data):
+            raise FormatError(f"file truncated: needed {n} more bytes", offset=self.offset)
+
+    def take(self, n: int) -> bytes:
+        self.need(n)
+        chunk = self.data[self.offset : self.offset + n]
+        self.offset += n
+        return chunk
+
+    def unpack(self, fmt: str) -> tuple:
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
+
+    def array(self, dtype, count: int, what: str) -> Array:
+        """The next ``count`` items of ``dtype``, a read-only view of the
+        file's bytes. A NaN or Inf in a float field raises FormatError at the
+        first byte of the first one, naming it as ``what``'s item and, in a
+        record, its field and column."""
+        dtype = np.dtype(dtype)
+        start = self.offset
+        items = np.frombuffer(self.take(count * dtype.itemsize), dtype=dtype)
+        faults = []
+        for name in dtype.names or (None,):
+            column = items if name is None else items[name]
+            if column.dtype.kind != "f" or np.isfinite(column).all():
+                continue
+            rows = column.reshape(count, -1)
+            row, col = (int(i) for i in np.argwhere(~np.isfinite(rows))[0])
+            at = 0 if name is None else dtype.fields[name][1]
+            where = f"{what} {row}" + (f" {name} {col}" if name else "")
+            offset = start + row * dtype.itemsize + at + col * column.itemsize
+            faults.append((offset, f"{where} is {float(rows[row, col])!r}, not finite"))
+        if faults:
+            offset, message = min(faults)
+            raise FormatError(message, offset=offset)
+        return items
+
+    def expect_end(self) -> None:
+        if self.offset != len(self.data):
+            raise FormatError("trailing bytes after payload", offset=self.offset)
 
 
 def _shard_dtype(dim: int, n_label_cols: int) -> np.dtype:
     return np.dtype(
-        [("geo", "<u8"), ("feat", "<f8", (dim,)), ("lab", "<f8", (n_label_cols,))]
+        [("geo", "<u8"), ("feature", "<f8", (dim,)), ("label", "<f8", (n_label_cols,))]
     )
 
 
@@ -474,9 +542,10 @@ def save_shard(shard: Shard, path, n_labels: int) -> None:
 
     ``n_labels`` is the header's label count. A multi-label shard stores
     one column per label, so an ``n_labels`` that differs from its column
-    count raises ValidationError, as does a zero width, a record too wide
-    for numpy (naming the wider field) or a label :func:`load_shard` would
-    reject, so no file is written that it rejects.
+    count raises ValidationError, as does a zero width, a modality id or
+    label count its header field cannot hold, a record too wide for numpy
+    (naming the wider field) or a label :func:`load_shard` would reject, so
+    no file is written that it rejects.
     """
     if shard.dim == 0:
         raise ValidationError("shard has feature dim 0")
@@ -497,25 +566,18 @@ def save_shard(shard: Shard, path, n_labels: int) -> None:
         raise ValidationError("shard has label count 0")
     if not 0 <= n_labels < 2**32:
         raise ValidationError(f"label count {n_labels} does not fit the u32 header")
+    if not 0 <= shard.modality_id < 2**16:
+        raise ValidationError(f"modality id {shard.modality_id} does not fit the u16 header")
     wide = _too_wide(shard.dim, n_label_cols, n_labels)
     if wide is not None:
         raise ValidationError(f"shard has {wide[0]} {wide[1]}, too wide a record")
-    header = SHARD_MAGIC + struct.pack(
-        "<HHBIII",
-        SHARD_VERSION,
-        shard.modality_id,
-        TASK_KINDS.index(shard.task_kind),
-        shard.n,
-        shard.dim,
-        n_labels,
-    )
     records = np.empty(shard.n, dtype=_shard_dtype(shard.dim, n_label_cols))
     records["geo"] = shard.geo_keys
-    records["feat"] = shard.features
-    records["lab"] = lab
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(records.tobytes())
+    records["feature"] = shard.features
+    records["label"] = lab
+    task_idx = TASK_KINDS.index(shard.task_kind)
+    header = struct.pack("<HBIII", shard.modality_id, task_idx, shard.n, shard.dim, n_labels)
+    write_binary(path, SHARD_MAGIC, SHARD_VERSION, header, records.tobytes())
 
 
 def load_shard(path) -> Shard:
@@ -524,23 +586,14 @@ def load_shard(path) -> Shard:
     Layout: magic ``MFSH``, u16 version, u16 modality id, u8 task kind,
     u32 sample count, u32 feature dim, u32 label count, then per sample a
     u64 geo key, the features, and the labels as little-endian float64.
-    Labels the header cannot describe raise FormatError at their byte: a
+    The file is read through :class:`ByteReader`, so a NaN or Inf raises
+    FormatError at its byte. So do labels the header cannot describe: a
     multi-label entry other than 0 or 1, or a single-label value that is not
     an integral class id in ``[0, label count)``; a zero width, or one
     that makes a record too wide for numpy, at its field.
     """
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if len(data) < 4 or data[:4] != SHARD_MAGIC:
-        raise FormatError("bad magic, not a shard file", offset=0)
-    header_size = 4 + struct.calcsize("<HHBIII")
-    if len(data) < header_size:
-        raise FormatError("file truncated inside header", offset=len(data))
-    version, modality_id, task_idx, count, dim, n_labels = struct.unpack(
-        "<HHBIII", data[4:header_size]
-    )
-    if version != SHARD_VERSION:
-        raise FormatError(f"unsupported shard version {version}", offset=4)
+    reader = ByteReader(path, SHARD_MAGIC, SHARD_VERSION, "shard")
+    modality_id, task_idx, count, dim, n_labels = reader.unpack("<HBIII")
     if task_idx >= len(TASK_KINDS):
         raise FormatError(f"unknown task kind code {task_idx}", offset=8)
     for name, value, offset in (("feature dim", dim, 13), ("label count", n_labels, 17)):
@@ -553,36 +606,22 @@ def load_shard(path) -> Shard:
         name, value, offset = wide
         raise FormatError(f"shard declares {name} {value}, too wide a record", offset=offset)
     dtype = _shard_dtype(dim, n_label_cols)
-    expected = count * dtype.itemsize
-    body = data[header_size:]
-    if len(body) != expected:
-        raise FormatError(
-            f"payload is {len(body)} bytes, expected {expected}",
-            offset=header_size + min(len(body), expected),
-        )
-    records = np.frombuffer(body, dtype=dtype)
-    geo = records["geo"].astype(np.int64)
-    feats = records["feat"].reshape(count, dim).copy()
-    raw_labels = records["lab"].reshape(count, n_label_cols)
-    if count and not (np.all(np.isfinite(feats)) and np.all(np.isfinite(raw_labels))):
-        raise FormatError("shard payload contains non-finite values", offset=header_size)
-    bad = _bad_label(raw_labels, task_kind, n_labels)
+    start = reader.offset
+    records = reader.array(dtype, count, "shard sample")
+    reader.expect_end()
+    bad = _bad_label(records["label"], task_kind, n_labels)
     if bad is not None:
         row, col, message = bad
         raise FormatError(
-            message,
-            offset=header_size + row * dtype.itemsize + dtype.fields["lab"][1] + 8 * col,
+            message, offset=start + row * dtype.itemsize + dtype.fields["label"][1] + 8 * col
         )
-    if task_kind == "multi-label":
-        labels = raw_labels.copy()
-    else:
-        labels = raw_labels[:, 0].astype(np.int64)
+    labels = records["label"]
     return Shard(
         modality_id=modality_id,
         task_kind=task_kind,
-        geo_keys=geo,
-        features=feats,
-        labels=labels,
+        geo_keys=records["geo"].astype(np.int64),
+        features=records["feature"].copy(),
+        labels=labels.copy() if task_kind == "multi-label" else labels[:, 0].astype(np.int64),
     )
 
 

@@ -405,8 +405,10 @@ def aggregate(updates: list[ClientUpdate], model: GlobalModelSet) -> GlobalModel
     Encoders average within their modality group with renormalized
     data-proportional weights; the head averages over all clients. Each
     upload must name one of the model's slots and be finite and as long as
-    the part it updates, and every slot needs an upload; every error names
-    the round (``model.round + 1``), and the client where one is at fault.
+    the part it updates, with a positive integer sample count and its own
+    client id, and every slot needs an upload, all checked before anything
+    is averaged; every error names the round (``model.round + 1``), and the
+    client where one is at fault.
     Sums run in ascending client-id order over deltas from the broadcast
     parameters; a single-member group copies its update verbatim.
 
@@ -419,7 +421,12 @@ def aggregate(updates: list[ClientUpdate], model: GlobalModelSet) -> GlobalModel
     if not updates:
         raise DataError(f"{where} aggregation needs at least one client update")
     updates = sorted(updates, key=lambda u: u.client_id)
-    for u in updates:
+    for prev, u in zip([None] + updates, updates):
+        n = u.n_samples
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+            raise ValidationError(f"{where} client {u.client_id} has {n!r} samples")
+        if prev is not None and prev.client_id == u.client_id:
+            raise ValidationError(f"{where} client {u.client_id} uploaded twice")
         if not 0 <= u.modality_id < model.n_modalities:
             raise DimensionError(
                 f"{where} client {u.client_id} uploaded for slot "

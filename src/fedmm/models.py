@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import TASK_KINDS
+from .data import TASK_KINDS, ByteReader, write_binary
 from .errors import ConfigError, DimensionError, FormatError, ValidationError
 from .nncore import (
     ACTIVATION_KINDS,
@@ -481,35 +481,6 @@ def unflatten_params(flat: Array, template):
 # ---------------------------------------------------------------------------
 
 
-class _ByteReader:
-    def __init__(self, data: bytes):
-        self.data = data
-        self.offset = 0
-
-    def need(self, n: int) -> None:
-        if self.offset + n > len(self.data):
-            raise FormatError(
-                f"file truncated: needed {n} more bytes", offset=self.offset
-            )
-
-    def take(self, n: int) -> bytes:
-        self.need(n)
-        chunk = self.data[self.offset : self.offset + n]
-        self.offset += n
-        return chunk
-
-    def unpack(self, fmt: str):
-        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
-
-    def floats(self, n: int) -> Array:
-        raw = self.take(8 * n)
-        return np.frombuffer(raw, dtype="<f8").copy()
-
-    def expect_end(self):
-        if self.offset != len(self.data):
-            raise FormatError("trailing bytes after payload", offset=self.offset)
-
-
 def whitening_states(encoders: list[Encoder]) -> list[WhiteningState]:
     """Every whitening layer of ``encoders``, in encoder and stage order."""
     return [s.whitening for enc in encoders for s in enc.stages() if s.whitening is not None]
@@ -532,13 +503,11 @@ def save_model(model: GlobalModelSet, path) -> None:
     """Write the checkpoint: header, flat parameters, running statistics."""
     enc0 = model.encoders[0]
     uses_whitening = any(s.whitening is not None for s in enc0.stages())
-    header = CHECKPOINT_MAGIC
-    header += struct.pack("<H", CHECKPOINT_VERSION)
-    header += struct.pack("<H", model.n_modalities)
-    for enc in model.encoders:
-        header += struct.pack("<I", enc.input_dim)
-    header += struct.pack(
-        "<IIIBBI",
+    dims = [enc.input_dim for enc in model.encoders]
+    header = struct.pack(
+        f"<H{len(dims)}IIIIBBI",
+        len(dims),
+        *dims,
         enc0.hidden_dim,
         model.feature_dim,
         model.head.n_labels,
@@ -556,26 +525,16 @@ def save_model(model: GlobalModelSet, path) -> None:
             ]
         )
         payload.append(stats.astype("<f8").tobytes())
-    with open(path, "wb") as fh:
-        fh.write(header)
-        for chunk in payload:
-            fh.write(chunk)
+    write_binary(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, header, *payload)
 
 
 def load_model(path) -> GlobalModelSet:
-    with open(path, "rb") as fh:
-        reader = _ByteReader(fh.read())
-    if reader.take(4) != CHECKPOINT_MAGIC:
-        raise FormatError("bad magic, not a model checkpoint", offset=0)
-    (version,) = reader.unpack("<H")
-    if version != CHECKPOINT_VERSION:
-        raise FormatError(f"unsupported checkpoint version {version}", offset=4)
+    reader = ByteReader(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, "checkpoint")
     (n_modalities,) = reader.unpack("<H")
     if n_modalities < 1:
         raise FormatError("checkpoint declares zero modalities", offset=6)
-    input_dims = [reader.unpack("<I")[0] for _ in range(n_modalities)]
-    hidden_dim, feature_dim, n_labels, task_idx, whiten_flag, round_idx = reader.unpack(
-        "<IIIBBI"
+    *input_dims, hidden_dim, feature_dim, n_labels, task_idx, whiten_flag, round_idx = (
+        reader.unpack(f"<{n_modalities}IIIIBBI")
     )
     # the input dims, both widths and the label count: 4-byte fields from byte 8
     widths = [(f"modality {m} input dim", d) for m, d in enumerate(input_dims)] + [
@@ -590,10 +549,10 @@ def load_model(path) -> GlobalModelSet:
         raise FormatError(f"unknown task kind code {task_idx}", offset=reader.offset - 6)
     if whiten_flag not in (0, 1):
         raise FormatError(f"unknown whitening flag {whiten_flag}", offset=reader.offset - 5)
-    # before the template, whose size grows with the square of the declared width
+    # before the model is built: its size grows with the square of the declared width
     floats = _payload_floats(input_dims, hidden_dim, feature_dim, n_labels, bool(whiten_flag))
     reader.need(8 * floats)
-    template = build_model(
+    model = build_model(
         input_dims=input_dims,
         hidden_dim=hidden_dim,
         feature_dim=feature_dim,
@@ -602,23 +561,15 @@ def load_model(path) -> GlobalModelSet:
         use_whitening=bool(whiten_flag),
         rngs=itertools.repeat(np.random.default_rng(0)),
     )
-    template.round = round_idx
-    flat = reader.floats(template.params.size)
-    if not np.all(np.isfinite(flat)):
-        raise FormatError("checkpoint parameters contain non-finite values")
-    model = unflatten_params(flat, template)
-    for st in whitening_states(model.encoders):
+    model.round = round_idx
+    model.params[...] = reader.array("<f8", model.params.size, "checkpoint parameter")
+    for layer, st in enumerate(whitening_states(model.encoders)):
+        name = f"checkpoint whitening layer {layer}"
         offset = reader.offset
-        header = reader.floats(3)
-        mean = reader.floats(st.dim)
+        header = reader.array("<f8", 3, f"{name} setting")
+        mean = reader.array("<f8", st.dim, f"{name} running mean")
         cov_offset = reader.offset
-        cov = reader.floats(st.dim * st.dim).reshape(st.dim, st.dim)
-        stats = np.concatenate([header, mean, cov.ravel()])
-        if not np.all(np.isfinite(stats)):
-            raise FormatError(
-                "checkpoint running statistics contain non-finite values",
-                offset=offset,
-            )
+        cov = reader.array("<f8", st.dim**2, f"{name} running covariance").reshape(st.dim, -1)
         if not is_symmetric(cov, 1e-12):
             raise FormatError(
                 "checkpoint running covariance is not symmetric within 1e-12",
@@ -634,7 +585,7 @@ def load_model(path) -> GlobalModelSet:
         st.stats_ready[...] = bool(ready)
         st.eps = eps
         st.momentum = momentum
-        st.running_mean = mean
-        st.running_cov = cov
+        st.running_mean[...] = mean
+        st.running_cov[...] = cov
     reader.expect_end()
     return model

@@ -305,6 +305,20 @@ class TestShardFiles:
             save_shard(shard, path, n_labels=2**32 + 1)
         assert not path.exists()
 
+    @pytest.mark.parametrize("modality_id", [-1, 2**16, 70000])
+    def test_modality_id_beyond_the_header_is_not_saved(self, tmp_path, modality_id):
+        shard = Shard(
+            modality_id=modality_id,
+            task_kind="single-label",
+            geo_keys=np.arange(1),
+            features=np.zeros((1, 2)),
+            labels=[0],
+        )
+        path = tmp_path / "far.shard"
+        with pytest.raises(ValidationError, match=f"^modality id {modality_id} .* u16"):
+            save_shard(shard, path, n_labels=2)
+        assert not path.exists()
+
     def test_empty_shard_roundtrip(self, tmp_path):
         empty = Shard(
             modality_id=0,
@@ -360,6 +374,43 @@ class TestShardFiles:
         with pytest.raises(FormatError, match=f"sample 5 is {value!r}") as info:
             load_shard(path)
         assert info.value.offset == offset
+
+    @pytest.mark.parametrize("task_kind", ["multi-label", "single-label"])
+    @pytest.mark.parametrize("field,column", [("feature", 0), ("feature", 3), ("label", 0)])
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])
+    def test_non_finite_value_rejected_at_its_byte(
+        self, tmp_path, task_kind, field, column, value
+    ):
+        shard = gen_synthetic(small_spec(task_kind=task_kind, n_labels=3)).train[0]
+        path = tmp_path / "m0.shard"
+        save_shard(shard, path, n_labels=3)
+        # a 21-byte header, then per sample a u64 geo key, the features, the labels
+        record = 8 * (1 + shard.dim + (3 if task_kind == "multi-label" else 1))
+        within = 8 + (0 if field == "feature" else 8 * shard.dim) + 8 * column
+        offset = 21 + 5 * record + within
+        data = bytearray(path.read_bytes())
+        data[offset : offset + 8] = np.float64(value).tobytes()
+        path.write_bytes(bytes(data))
+        expected = f"^shard sample 5 {field} {column} is {value!r}, not finite "
+        with pytest.raises(FormatError, match=expected) as info:
+            load_shard(path)
+        assert info.value.offset == offset
+
+    def test_first_non_finite_value_in_file_order_is_reported(self, tmp_path):
+        # the label of sample 2 lies before the features of sample 4
+        shard = gen_synthetic(small_spec(n_labels=3)).train[0]
+        path = tmp_path / "m0.shard"
+        save_shard(shard, path, n_labels=3)
+        record = 8 * (1 + shard.dim + 3)
+        feature = 21 + 4 * record + 8
+        label = 21 + 2 * record + 8 + 8 * shard.dim
+        data = bytearray(path.read_bytes())
+        for offset in (feature, label):
+            data[offset : offset + 8] = np.float64(np.nan).tobytes()
+        path.write_bytes(bytes(data))
+        with pytest.raises(FormatError, match="^shard sample 2 label 0 is nan") as info:
+            load_shard(path)
+        assert info.value.offset == label
 
     @pytest.mark.parametrize(
         "task_kind,labels",

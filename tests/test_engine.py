@@ -46,7 +46,7 @@ from fedmm.engine import (
     timings_csv,
 )
 from fedmm.errors import ConfigError, DataError, DimensionError, NumericError, ValidationError
-from fedmm.models import flatten_params, unflatten_params
+from fedmm.models import flatten_params, load_model, unflatten_params
 
 
 ENTRY_POINTS = (run_experiment, baseline_fedavg_latefusion)
@@ -487,6 +487,31 @@ class TestAggregate:
         n = model.encoders[0].params.size
         expected = rf"^round 5: client 0 encoder has \(3,\), expected \({n},\)$"
         with pytest.raises(DimensionError, match=expected):
+            aggregate(updates, model)
+
+    @pytest.mark.parametrize(
+        "count", [0, -3, 2.5, True], ids=["zero", "negative", "float", "bool"]
+    )
+    def test_sample_count_that_is_not_a_positive_integer_names_the_round_and_client(
+        self, count
+    ):
+        # one client per modality: a count of 0 there would divide by zero
+        _, model, _ = _setup(tiny_cfg(k_clients=2))
+        model.round = 4
+        updates = [
+            ClientUpdate(m, m, model.encoders[m].params, model.head.params, 5, 0.0, 0.0)
+            for m in range(2)
+        ]
+        updates[1] = dataclasses.replace(updates[1], n_samples=count)
+        with pytest.raises(ValidationError, match=rf"^round 5: client 1 has {count!r} samples$"):
+            aggregate(updates, model)
+
+    def test_repeated_client_id_names_the_round_and_client(self):
+        _, model, _ = _setup(tiny_cfg())
+        model.round = 4
+        updates = _fake_updates(model, 6)
+        updates.append(dataclasses.replace(updates[0]))
+        with pytest.raises(ValidationError, match="^round 5: client 0 uploaded twice$"):
             aggregate(updates, model)
 
     def test_non_finite_average_names_the_round(self):
@@ -1133,6 +1158,39 @@ class TestRunExperiment:
         assert_phase_timings(out / "timings.csv", rounds=1)
         assert (out / "model.ckpt").exists()
         assert (out / "config.json").exists()
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS, ids=["run", "baseline"])
+    def test_checkpoints_read_back_as_the_final_model(self, tmp_path, entry):
+        # every checkpoint a run writes loads as its final model, which
+        # scores the run's test split as the last round of log.csv says
+        cfg = tiny_cfg(
+            scenario=ScenarioSpec(kind="group-skew"), rounds=3, output_dir=str(tmp_path)
+        )
+        log = entry(cfg)
+        if entry is run_experiment:
+            names, models = ["model.ckpt"], [log.model]
+        else:
+            models = log.baseline_models
+            names = [f"baseline_m{m}.ckpt" for m in range(len(models))]
+        loaded = [load_model(tmp_path / name) for name in names]
+        for model, back in zip(models, loaded):
+            assert flatten_params(back).tobytes() == flatten_params(model).tobytes()
+            assert back.round == model.round == cfg.rounds
+        test = gen_synthetic(cfg.resolved_dataset()).test
+        modes = cfg.inference_modes
+        if entry is run_experiment:
+            reports = metrics.evaluate(loaded[0], test, modes)
+        else:
+            reports = evaluate_late_fusion(loaded, test, modes)
+        rows = (tmp_path / "log.csv").read_text().splitlines()[-len(modes) :]
+        for row in rows:
+            _, mode, micro, macro, accuracy = row.split(",")[:5]
+            report = reports[mode]
+            assert [micro, macro, accuracy] == [
+                repr(float(report.micro_f1)),
+                repr(float(report.macro_f1)),
+                repr(float(report.accuracy)),
+            ]
 
     @pytest.mark.parametrize("entry", ENTRY_POINTS, ids=["run", "baseline"])
     def test_evaluation_never_mutates_training_state(self, entry):

@@ -469,6 +469,35 @@ class TestCheckpoint:
             load_model(path)
         assert info.value.offset == offset
 
+    @pytest.mark.parametrize(
+        "block,index,named",
+        [
+            ("parameter", 0, "checkpoint parameter 0"),
+            ("parameter", 40, "checkpoint parameter 40"),
+            ("mean", 2, "checkpoint whitening layer 1 running mean 2"),
+            ("cov", 7, "checkpoint whitening layer 1 running covariance 7"),
+        ],
+        ids=["first-parameter", "parameter", "running-mean", "running-cov"],
+    )
+    @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_value_rejected_at_its_float(self, tmp_path, block, index, named, value):
+        # the header takes 26 + 4 * P bytes, then the parameters and, per
+        # whitening layer, its (ready flag, eps, momentum), mean and covariance
+        model = small_model(use_whitening=True)
+        path = tmp_path / "model.ckpt"
+        save_model(model, path)
+        dim = model.encoders[0].adapter.whitening.dim
+        params_at = 26 + 4 * model.n_modalities
+        layer_at = params_at + 8 * (model.params.size + 3 + dim + dim * dim)  # after layer 0
+        start = {"parameter": params_at, "mean": layer_at + 24, "cov": layer_at + 8 * (3 + dim)}
+        offset = start[block] + 8 * index
+        data = bytearray(path.read_bytes())
+        data[offset : offset + 8] = struct.pack("<d", value)
+        path.write_bytes(bytes(data))
+        with pytest.raises(FormatError, match=f"^{named} is {value!r}, not finite ") as info:
+            load_model(path)
+        assert info.value.offset == offset
+
     def test_unknown_whitening_flag_rejected_at_its_byte(self, tmp_path):
         # the byte after the task kind, at 21 + 4 * P: 0 or 1, as saved
         path = tmp_path / "model.ckpt"
