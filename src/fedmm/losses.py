@@ -190,10 +190,7 @@ def local_objective(
     fused = fuse_full([f_local if m == slot else None for m in range(n_mod)], n_mod, d)
     task_loss = bce_multilabel if head.task_kind == "multi-label" else ce_singlelabel
     ce, grad_logits = task_loss(head_forward(head, fused), y)
-    grad_fused, grad_head_w, grad_head_b = dense_backward(head.layer, fused, grad_logits)
-    n_head_w = grad_head_w.size
-    grad[n_enc : n_enc + n_head_w] = grad_head_w.reshape(-1)
-    grad[n_enc + n_head_w :] = grad_head_b
+    grad_fused = dense_backward(head.layer, fused, grad_logits, grad[n_enc:])
     grad_f_local = grad_fused[:, slot * d : (slot + 1) * d]
 
     ntx = 0.0

@@ -300,16 +300,15 @@ def encode_backward(
         stage = stages[i]
         if stage.activation is not None:
             g = activation_backward(cache.preact[i], stage.activation, g)
-        pieces = []
         if stage.whitening is not None:
             w, xhat = cache.whitened[i]
-            g, grad_gamma, grad_beta = batch_whitening_backward(stage.whitening.gamma, w, xhat, g)
-            pieces = [grad_gamma, grad_beta]
+            start = end - 2 * stage.whitening.dim
+            g = batch_whitening_backward(stage.whitening.gamma, w, xhat, g, out[start:end])
+            end = start
+        start = end - stage.dense.weight.size - stage.dense.bias.size
         # nothing consumes the gradient wrt the encoder's own input
-        g, grad_w, grad_b = dense_backward(stage.dense, cache.inputs[i], g, input_grad=i > 0)
-        for piece in reversed([grad_w, grad_b] + pieces):
-            out[end - piece.size : end] = piece.reshape(-1)
-            end -= piece.size
+        g = dense_backward(stage.dense, cache.inputs[i], g, out[start:end], input_grad=i > 0)
+        end = start
     return out
 
 

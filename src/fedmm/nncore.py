@@ -3,10 +3,12 @@ hand-coded gradients, and Adam.
 
 Everything works on C-contiguous float64 numpy arrays. Layers hold state
 only: a train forward returns what its backward needs and the caller hands
-it back (see ``models.EncodeCache``). All state that a step writes (Adam's
-moments and step count, the whitening running statistics and ready flag)
-is held in arrays and written in place, the two scalars as 0-d arrays, so
-it may live in memory a worker process shares with its parent.
+it back (see ``models.EncodeCache``). A backward returns the input gradient
+and writes the parameter gradient into ``out``, its slot of the step's flat
+gradient. All state that a step writes (Adam's moments and step count, the
+whitening running statistics and ready flag) is held in arrays and written
+in place, the two scalars as 0-d arrays, so it may live in memory a worker
+process shares with its parent.
 
 The per-step kernels are internal and keep only the checks that depend on
 values or state. Callers pass shapes checked once, at a boundary: the
@@ -83,17 +85,18 @@ def dense_forward(layer: DenseLayer, x: Array) -> Array:
     return x @ layer.weight + layer.bias
 
 
-def dense_backward(layer: DenseLayer, x: Array, grad_out: Array, input_grad: bool = True):
-    """Gradients of an upstream scalar wrt (input, weight, bias).
+def dense_backward(
+    layer: DenseLayer, x: Array, grad_out: Array, out: Array, input_grad: bool = True
+):
+    """Write the ``[weight | bias]`` gradient into ``out``; return the input one.
 
     ``x`` must be the array passed to the matching forward call. With
     ``input_grad=False`` the input gradient, a (B x out) @ (out x in)
     product, is skipped and returned as None.
     """
-    grad_x = grad_out @ layer.weight.T if input_grad else None
-    grad_w = x.T @ grad_out
-    grad_b = np.add.reduce(grad_out, axis=0)
-    return grad_x, grad_w, grad_b
+    np.matmul(x.T, grad_out, out=out[: layer.weight.size].reshape(layer.weight.shape))
+    np.add.reduce(grad_out, axis=0, out=out[layer.weight.size :])
+    return grad_out @ layer.weight.T if input_grad else None
 
 
 # ---------------------------------------------------------------------------
@@ -109,7 +112,7 @@ def _sigmoid(x: Array) -> Array:
     # otherwise) computes, with the same operands, so the bits are equal
     ex = np.exp(-np.abs(x))
     denom = 1.0 + ex
-    return np.where(x >= 0, 1.0 / denom, ex / denom)
+    return np.where(x >= 0, 1.0, ex) / denom
 
 
 def _softmax_rows(x: Array) -> Array:
@@ -268,13 +271,13 @@ def batch_whitening_eval(x: Array, state: WhiteningState) -> Array:
     return state.gamma * ((x - state.running_mean) @ w) + state.beta
 
 
-def batch_whitening_backward(gamma: Array, w: Array, xhat: Array, grad_out: Array):
-    """Gradients wrt (input, gamma, beta) with frozen batch statistics;
-    ``w`` and ``xhat`` come from the matching :func:`batch_whitening_train`."""
-    grad_x = (grad_out * gamma) @ w
-    grad_gamma = np.add.reduce(grad_out * xhat, axis=0)
-    grad_beta = np.add.reduce(grad_out, axis=0)
-    return grad_x, grad_gamma, grad_beta
+def batch_whitening_backward(gamma: Array, w: Array, xhat: Array, grad_out: Array, out: Array):
+    """Write the ``[gamma | beta]`` gradient into ``out``; return the input one.
+    Batch statistics are frozen: ``w`` and ``xhat`` come from the matching
+    :func:`batch_whitening_train`."""
+    np.add.reduce(grad_out * xhat, axis=0, out=out[: gamma.size])
+    np.add.reduce(grad_out, axis=0, out=out[gamma.size :])
+    return (grad_out * gamma) @ w
 
 
 # ---------------------------------------------------------------------------

@@ -99,8 +99,9 @@ def _check_dense(rng):
     def f(theta):
         layer = DenseLayer(weight=theta[:15].reshape(3, 5), bias=theta[15:])
         out = dense_forward(layer, x)
-        _, gw, gb = dense_backward(layer, x, probe)
-        return float((out * probe).sum()), np.concatenate([gw.ravel(), gb])
+        grad = np.empty(20)
+        dense_backward(layer, x, probe, grad)
+        return float((out * probe).sum()), grad
 
     return grad_check(f, rng.normal(size=20), h=1e-5)
 
@@ -126,7 +127,9 @@ def _check_whitening(rng):
     state.gamma = rng.normal(size=d) + 2.0
     state.beta = rng.normal(size=d)
     _, mu, w, xhat = batch_whitening_train(x0, state)
-    gx, gg, gb = batch_whitening_backward(state.gamma, w, xhat, probe)
+    out = np.empty(2 * d)
+    gx = batch_whitening_backward(state.gamma, w, xhat, probe, out)
+    gg, gb = out[:d], out[d:]
     analytic = np.concatenate([gx.ravel(), gg, gb])
     n_x = b * d
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from modelclone import clone_model
 from onevector import assert_one_vector
+from test_frozen_formulas import frozen_dense_backward, frozen_whitening_backward
 
 from fedmm import models
 from fedmm.errors import ConfigError, DimensionError, FormatError, NumericError, ValidationError
@@ -30,7 +31,13 @@ from fedmm.models import (
     save_model,
     unflatten_params,
 )
-from fedmm.nncore import DenseLayer, WhiteningState, dense_forward, whiten_batch
+from fedmm.nncore import (
+    DenseLayer,
+    WhiteningState,
+    activation_backward,
+    dense_forward,
+    whiten_batch,
+)
 
 
 def small_model(use_whitening=True, task_kind="multi-label", seed=0):
@@ -371,6 +378,31 @@ class TestFlattening:
         assert np.isfinite(grad).all()  # every slice written
         # the last stage has no activation: its bias gradient is the column sum
         np.testing.assert_array_equal(grad[-3:], np.full(3, 6.0))
+
+    @pytest.mark.parametrize("use_whitening", [True, False])
+    def test_encode_backward_fills_every_slot(self, use_whitening):
+        # each stage writes its whole slot, with the bits of the frozen
+        # formulas' pieces concatenated in flatten order
+        enc = build_encoder(0, 4, 5, 3, use_whitening, np.random.default_rng(15))
+        rng = np.random.default_rng(16)
+        out, cache = encode_train(enc, rng.normal(size=(6, 4)))
+        grad_out = rng.normal(size=out.shape)
+        grad = encode_backward(enc, cache, grad_out, np.full(enc.params.size, np.nan))
+        assert not np.isnan(grad).any()
+        pieces, g = [], grad_out
+        for i, stage in reversed(list(enumerate(enc.stages()))):
+            if stage.activation is not None:
+                g = activation_backward(cache.preact[i], stage.activation, g)
+            whitening = []
+            if stage.whitening is not None:
+                w, xhat = cache.whitened[i]
+                g, grad_gamma, grad_beta = frozen_whitening_backward(
+                    stage.whitening.gamma, w, xhat, g
+                )
+                whitening = [grad_gamma, grad_beta]
+            g, grad_w, grad_b = frozen_dense_backward(stage.dense.weight, cache.inputs[i], g)
+            pieces = [grad_w.ravel(), grad_b] + whitening + pieces
+        assert grad.tobytes() == np.concatenate(pieces).tobytes()
 
 
 class TestCheckpoint:

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from gradcheck import grad_check
+from test_frozen_formulas import frozen_dense_backward, frozen_whitening_backward
 
 from fedmm.errors import (
     BatchSizeError,
@@ -58,13 +59,17 @@ class TestDense:
     def test_backward_zero_upstream(self):
         layer = DenseLayer(weight=np.ones((2, 1)), bias=np.zeros(1))
         x = np.array([[1.0, 2.0]])
-        gx, gw, gb = dense_backward(layer, x, np.zeros((1, 1)))
+        out = np.empty(3)
+        gx = dense_backward(layer, x, np.zeros((1, 1)), out)
+        gw, gb = out[:2], out[2:]
         assert not gx.any() and not gw.any() and not gb.any()
 
     def test_backward_hand_computed(self):
         layer = DenseLayer(weight=np.array([[1.0], [1.0]]), bias=np.zeros(1))
         x = np.array([[1.0, 2.0]])
-        gx, gw, gb = dense_backward(layer, x, np.array([[1.0]]))
+        out = np.empty(3)
+        gx = dense_backward(layer, x, np.array([[1.0]]), out)
+        gw, gb = out[:2].reshape(2, 1), out[2:]
         np.testing.assert_array_equal(gw, [[1.0], [2.0]])
         np.testing.assert_array_equal(gb, [1.0])
         np.testing.assert_array_equal(gx, [[1.0, 1.0]])
@@ -73,10 +78,28 @@ class TestDense:
         rng = np.random.default_rng(8)
         layer = DenseLayer(weight=rng.normal(size=(3, 4)), bias=np.zeros(4))
         x, probe = rng.normal(size=(5, 3)), rng.normal(size=(5, 4))
-        _, gw, gb = dense_backward(layer, x, probe)
-        gx, gw_only, gb_only = dense_backward(layer, x, probe, input_grad=False)
+        out, out_only = np.empty(16), np.empty(16)
+        dense_backward(layer, x, probe, out)
+        gx = dense_backward(layer, x, probe, out_only, input_grad=False)
+        gw, gb, gw_only, gb_only = out[:12], out[12:], out_only[:12], out_only[12:]
         assert gx is None
         assert gw_only.tobytes() == gw.tobytes() and gb_only.tobytes() == gb.tobytes()
+
+    @pytest.mark.parametrize("input_grad", [True, False])
+    def test_backward_fills_its_slot(self, input_grad):
+        # every entry of [weight | bias] is written, with the frozen formulas' bits
+        rng = np.random.default_rng(9)
+        layer = DenseLayer(weight=rng.normal(size=(3, 4)), bias=rng.normal(size=4))
+        x, probe = rng.normal(size=(5, 3)), rng.normal(size=(5, 4))
+        out = np.full(16, np.nan)
+        gx = dense_backward(layer, x, probe, out, input_grad=input_grad)
+        assert not np.isnan(out).any()
+        fx, fw, fb = frozen_dense_backward(layer.weight, x, probe)
+        assert out.tobytes() == np.concatenate([fw.ravel(), fb]).tobytes()
+        if input_grad:
+            assert gx.tobytes() == fx.tobytes()
+        else:
+            assert gx is None
 
     def test_backward_matches_finite_differences(self):
         rng = np.random.default_rng(7)
@@ -88,8 +111,9 @@ class TestDense:
             b = theta[12:]
             layer = DenseLayer(weight=w, bias=b)
             out = dense_forward(layer, x)
-            _, gw, gb = dense_backward(layer, x, probe)
-            return float((out * probe).sum()), np.concatenate([gw.ravel(), gb])
+            grad = np.empty(16)
+            dense_backward(layer, x, probe, grad)
+            return float((out * probe).sum()), grad
 
         theta0 = rng.normal(size=16)
         assert grad_check(f, theta0, h=1e-5) < 1e-6
@@ -264,15 +288,33 @@ class TestBatchWhiteningBackward:
     def test_zero_upstream(self):
         state = WhiteningState.create(3)
         _, _, w, xhat = batch_whitening_train(np.random.default_rng(0).normal(size=(5, 3)), state)
-        gx, gg, gb = batch_whitening_backward(state.gamma, w, xhat, np.zeros((5, 3)))
+        out = np.empty(6)
+        gx = batch_whitening_backward(state.gamma, w, xhat, np.zeros((5, 3)), out)
+        gg, gb = out[:3], out[3:]
         assert not gx.any() and not gg.any() and not gb.any()
 
     def test_hand_chain_rule(self):
         gamma, w, xhat = np.array([2.0]), np.array([[0.5]]), np.array([[3.0]])
-        gx, gg, gb = batch_whitening_backward(gamma, w, xhat, np.array([[1.0]]))
+        out = np.empty(2)
+        gx = batch_whitening_backward(gamma, w, xhat, np.array([[1.0]]), out)
+        gg, gb = out[:1], out[1:]
         np.testing.assert_allclose(gx, [[1.0]])
         np.testing.assert_allclose(gg, [3.0])
         np.testing.assert_allclose(gb, [1.0])
+
+    def test_fills_its_slot(self):
+        # every entry of [gamma | beta] is written, with the frozen formulas' bits
+        rng = np.random.default_rng(22)
+        state = WhiteningState.create(3)
+        state.gamma = rng.normal(size=3)
+        _, _, w, xhat = batch_whitening_train(rng.normal(size=(6, 3)), state)
+        probe = rng.normal(size=(6, 3))
+        out = np.full(6, np.nan)
+        gx = batch_whitening_backward(state.gamma, w, xhat, probe, out)
+        assert not np.isnan(out).any()
+        fx, fg, fb = frozen_whitening_backward(state.gamma, w, xhat, probe)
+        assert out.tobytes() == np.concatenate([fg, fb]).tobytes()
+        assert gx.tobytes() == fx.tobytes()
 
     def test_matches_frozen_statistics_finite_differences(self):
         rng = np.random.default_rng(21)
@@ -283,7 +325,9 @@ class TestBatchWhiteningBackward:
         state.gamma = rng.normal(size=d) + 2.0
         state.beta = rng.normal(size=d)
         _, mu, w, xhat = batch_whitening_train(x0, state)
-        gx, gg, gb = batch_whitening_backward(state.gamma, w, xhat, probe)
+        slot = np.empty(2 * d)
+        gx = batch_whitening_backward(state.gamma, w, xhat, probe, slot)
+        gg, gb = slot[:d], slot[d:]
 
         def f_input(theta):
             out = _frozen_whitening_forward(
