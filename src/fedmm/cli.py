@@ -217,7 +217,8 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except FedmmError as exc:
+    # a dead --parallel worker is a ChildProcessError, which is an OSError
+    except (FedmmError, ChildProcessError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

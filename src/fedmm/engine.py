@@ -1,11 +1,13 @@
 """Synchronous round-based federated training.
 
-Each round (:func:`run_round`): broadcast the global parameters, run every
-client's local update, aggregate per-modality encoders and the shared head.
-One loop (:func:`_federate`) drives the rounds and the evaluation schedule
-for the framework, one federation, and for the late-fusion baseline, one
-single-modality federation per modality side by side, merging their round
-logs. With ``parallel`` it opens a :class:`~fedmm.workers.Pool` of one
+A run trains one or more (global model, clients) federations: the
+framework one, the late-fusion baseline one single-modality federation per
+modality. Each round is one :func:`run_round` call over all of them: for
+each federation in order, broadcast its global parameters, run every
+client's local update, aggregate per-modality encoders and the shared
+head; then one :class:`RoundLog` from every upload of the round. One loop
+(:func:`_federate`) drives the rounds and the evaluation schedule for both
+entry points. With ``parallel`` it opens a :class:`~fedmm.workers.Pool` of one
 worker per usable CPU (never more than a federation has clients; inline
 when that is one or when the platform has no ``os.fork``): processes forked
 once, at the first round, and kept until the last, with numpy's BLAS capped
@@ -220,12 +222,11 @@ class RoundLog:
     round_index: int
     client_ce: dict[int, float]
     client_ntx: dict[int, float]
-    seconds: float  # local training plus aggregation
     bytes_exchanged: int
     evals: dict[str, MetricsReport] = field(default_factory=dict)
     train_s: float = 0.0  # every client's local update, waiting for workers included
     aggregate_s: float = 0.0
-    eval_s: float = 0.0  # scheduled evaluation after the round, outside ``seconds``
+    eval_s: float = 0.0  # scheduled evaluation after the round
 
     @property
     def mean_ce(self) -> float:
@@ -549,70 +550,65 @@ def _run_updates(
 
 
 def run_round(
-    model: GlobalModelSet,
-    clients: list[ClientState],
+    federations: list[tuple[GlobalModelSet, list[ClientState]]],
     cfg: ExperimentConfig,
     pool: workers.Pool | None = None,
-) -> tuple[GlobalModelSet, RoundLog]:
-    """One round: local updates (through ``pool`` when the caller holds
-    one open, inline otherwise), aggregation and the round log. Each
-    client's loss settings come from ``cfg`` (:func:`client_update`)."""
-    started = time.perf_counter()
-    updates = _run_updates(clients, model, cfg, pool)
-    trained = time.perf_counter()
-    new_model = aggregate(updates, model)
-    aggregated = time.perf_counter()
-    payload = sum(u.encoder_flat.size + u.head_flat.size for u in updates)
+) -> tuple[list[tuple[GlobalModelSet, list[ClientState]]], RoundLog]:
+    """One round of every (global model, clients) federation of a run: for
+    each, in order, its clients' local updates (through ``pool`` when the
+    caller holds one open, inline otherwise) and then its aggregation.
+    Returns the federations with their new global models and the round's
+    one log, built from every upload: client losses in client order, the
+    bytes of all of them, and the train and aggregate seconds summed over
+    the federations. Each client's loss settings come from ``cfg``
+    (:func:`client_update`)."""
+    uploads: list[ClientUpdate] = []
+    advanced = []
+    train_s = aggregate_s = 0.0
+    for model, clients in federations:
+        started = time.perf_counter()
+        updates = _run_updates(clients, model, cfg, pool)
+        trained = time.perf_counter()
+        advanced.append((aggregate(updates, model), clients))
+        train_s += trained - started
+        aggregate_s += time.perf_counter() - trained
+        uploads += updates
+    payload = sum(u.encoder_flat.size + u.head_flat.size for u in uploads)
     log = RoundLog(
-        round_index=new_model.round,
-        client_ce={u.client_id: u.mean_ce for u in updates},
-        client_ntx={u.client_id: u.mean_ntx for u in updates},
-        seconds=time.perf_counter() - started,
+        round_index=advanced[0][0].round,
+        client_ce={u.client_id: u.mean_ce for u in uploads},
+        client_ntx={u.client_id: u.mean_ntx for u in uploads},
         bytes_exchanged=2 * 8 * payload,  # broadcast + upload of float64 payloads
-        train_s=trained - started,
-        aggregate_s=aggregated - trained,
+        train_s=train_s,
+        aggregate_s=aggregate_s,
     )
-    return new_model, log
+    return advanced, log
 
 
 def _federate(
     cfg: ExperimentConfig, federations, score, parallel: bool
 ) -> tuple[dict[str, MetricsReport], list[RoundLog], list[GlobalModelSet]]:
     """Train (global model, clients) ``federations`` side by side for
-    ``cfg.rounds`` rounds; the one round loop of every run.
+    ``cfg.rounds`` rounds, one :func:`run_round` call each; the one round
+    loop of every run.
 
-    Each round calls :func:`run_round` once per federation, in order, and
-    merges their logs: client losses united, seconds and bytes summed.
     ``score(models)`` reports on the current global models at set-up and
     after every ``eval_every``-th and the last round. With ``parallel``
     one pool over every federation (:func:`_pool_for`) serves all the rounds;
     the set-up evaluation runs before it opens. Returns the set-up reports,
     the round logs and the final global models.
     """
-    models = [model for model, _ in federations]
-    initial = score(models)
+    initial = score([model for model, _ in federations])
     rounds: list[RoundLog] = []
     with _pool_for(federations, cfg, parallel and cfg.rounds > 0) as pool:
         for r in range(1, cfg.rounds + 1):
-            logs = []
-            for i, (_, clients) in enumerate(federations):
-                models[i], mlog = run_round(models[i], clients, cfg, pool)
-                logs.append(mlog)
-            rlog = RoundLog(
-                round_index=r,
-                client_ce={k: v for mlog in logs for k, v in mlog.client_ce.items()},
-                client_ntx={k: v for mlog in logs for k, v in mlog.client_ntx.items()},
-                seconds=sum(mlog.seconds for mlog in logs),
-                bytes_exchanged=sum(mlog.bytes_exchanged for mlog in logs),
-                train_s=sum(mlog.train_s for mlog in logs),
-                aggregate_s=sum(mlog.aggregate_s for mlog in logs),
-            )
+            federations, rlog = run_round(federations, cfg, pool)
             if r % cfg.eval_every == 0 or r == cfg.rounds:
                 started = time.perf_counter()
-                rlog.evals = score(models)
+                rlog.evals = score([model for model, _ in federations])
                 rlog.eval_s = time.perf_counter() - started
             rounds.append(rlog)
-    return initial, rounds, models
+    return initial, rounds, [model for model, _ in federations]
 
 
 def _client_shards(cfg: ExperimentConfig) -> tuple[list[Shard], list[Shard]]:
@@ -682,9 +678,9 @@ def baseline_fedavg_latefusion(
     labels out) with plain weighted averaging; no whitening, and no
     contrastive term, since a one-modality submodel has no other modality
     to align with. The P single-modality federations train side by side
-    through :func:`_federate`, one :func:`run_round` each per round in
-    modality order. Inference averages the per-modality probabilities;
-    single-modality modes use that modality's model alone.
+    through :func:`_federate`, whose one :func:`run_round` call per round
+    advances them in modality order. Inference averages the per-modality
+    probabilities; single-modality modes use that modality's model alone.
     """
     cfg.validate()
     shards, test = _client_shards(cfg)
@@ -743,7 +739,8 @@ def run_ablation(
 ) -> AblationTable:
     """Run the module on/off grid with shared seeds across rows.
 
-    Every cell is the final-round fused-inference micro F1 of one run; all
+    Every cell is the final-round fused-inference micro F1 of one run,
+    which scores the ``both`` mode alone, whatever modes ``cfg`` lists; all
     runs of a column share the identical dataset, shards, and RNG streams,
     so rows are paired comparisons. The scenario list (ConfigError when it
     is empty or names an unknown or repeated kind) and every cell's config
@@ -766,6 +763,7 @@ def run_ablation(
                 scenario=dataclasses.replace(cfg.scenario, kind=kind),
                 use_fw=use_fw,
                 use_mim=use_mim,
+                inference_modes=("both",),
                 output_dir=None,
             )
             run_cfg.validate()
@@ -781,52 +779,33 @@ def run_ablation(
 # ---------------------------------------------------------------------------
 
 
-def _csv_row(round_index, mode, report, mean_ce, mean_ntx, bytes_exchanged) -> str:
-    return ",".join(
-        [
-            str(round_index),
-            mode,
-            repr(float(report.micro_f1)),
-            repr(float(report.macro_f1)),
-            repr(float(report.accuracy)),
-            repr(float(mean_ce)),
-            repr(float(mean_ntx)),
-            str(bytes_exchanged),
-        ]
-    )
-
-
 def experiment_csv(log: ExperimentLog) -> str:
-    """Deterministic per-round, per-mode metric rows (no wall-clock columns)."""
+    """Deterministic per-round, per-mode metric rows (no wall-clock columns).
+    The set-up evaluation is round 0's record: no clients and no bytes."""
+    setup = RoundLog(0, {}, {}, 0, log.initial_evals)
     lines = [",".join(CSV_COLUMNS)]
-    for mode in log.config.inference_modes:
-        lines.append(_csv_row(0, mode, log.initial_evals[mode], 0.0, 0.0, 0))
-    for rlog in log.rounds:
+    for rlog in [setup, *log.rounds]:
         for mode in log.config.inference_modes:
             if mode in rlog.evals:
-                lines.append(
-                    _csv_row(
-                        rlog.round_index,
-                        mode,
-                        rlog.evals[mode],
-                        rlog.mean_ce,
-                        rlog.mean_ntx,
-                        rlog.bytes_exchanged,
-                    )
-                )
+                report = rlog.evals[mode]
+                scores = (report.micro_f1, report.macro_f1, report.accuracy)
+                floats = [repr(float(v)) for v in (*scores, rlog.mean_ce, rlog.mean_ntx)]
+                row = [str(rlog.round_index), mode, *floats, str(rlog.bytes_exchanged)]
+                lines.append(",".join(row))
     return "\n".join(lines) + "\n"
 
 
 def timings_csv(log: ExperimentLog) -> str:
     """Wall-clock sidecar; kept out of the main log to keep it reproducible.
 
-    One row per round: ``seconds`` (local training plus aggregation), then
-    its ``train_s`` and ``aggregate_s`` parts, then ``eval_s``, the
-    evaluation after the round (0 in a round that is not evaluated)."""
+    One row per round: ``seconds``, its local training plus aggregation
+    (``train_s + aggregate_s``), then those two parts, then ``eval_s``,
+    the evaluation after the round (0 in a round that is not evaluated)."""
     lines = ["round,seconds,train_s,aggregate_s,eval_s"]
     for rlog in log.rounds:
+        seconds = rlog.train_s + rlog.aggregate_s
         lines.append(
-            f"{rlog.round_index},{rlog.seconds:.6f},{rlog.train_s:.6f},"
+            f"{rlog.round_index},{seconds:.6f},{rlog.train_s:.6f},"
             f"{rlog.aggregate_s:.6f},{rlog.eval_s:.6f}"
         )
     return "\n".join(lines) + "\n"

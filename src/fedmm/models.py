@@ -498,11 +498,38 @@ def _payload_floats(
     return sum(d * h + per_encoder for d in input_dims) + (len(input_dims) * f + 1) * n_labels
 
 
+def _stage_layouts(encoder: Encoder) -> list[tuple]:
+    """Each stage's (weight shape, activation, whitens) in stage order."""
+    stages = encoder.stages()
+    return [(s.dense.weight.shape, s.activation, s.whitening is not None) for s in stages]
+
+
 def save_model(model: GlobalModelSet, path) -> None:
-    """Write the checkpoint: header, flat parameters, running statistics."""
+    """Write the checkpoint: header, flat parameters, running statistics.
+
+    The header declares the :func:`build_model` layout that
+    :func:`load_model` rebuilds, so a model whose encoder stages differ
+    from it in weight shape, activation or whitening raises
+    ValidationError and no file is written."""
     enc0 = model.encoders[0]
     uses_whitening = any(s.whitening is not None for s in enc0.stages())
     dims = [enc.input_dim for enc in model.encoders]
+    template = build_model(
+        dims,
+        enc0.hidden_dim,
+        model.feature_dim,
+        model.head.n_labels,
+        model.head.task_kind,
+        uses_whitening,
+        itertools.repeat(np.random.default_rng(0)),
+    )
+    for m, (enc, built) in enumerate(zip(model.encoders, template.encoders)):
+        got, declared = _stage_layouts(enc), _stage_layouts(built)
+        if got != declared:
+            raise ValidationError(
+                f"encoder {m} stages (weight shape, activation, whitens) are {got}; "
+                f"a checkpoint header describes {declared}"
+            )
     header = struct.pack(
         f"<H{len(dims)}IIIIBBI",
         len(dims),

@@ -219,6 +219,29 @@ def test_parallel_writes_the_serial_log(tmp_path, monkeypatch, capsys, command):
     assert (serial / "log.csv").read_bytes() == (parallel / "log.csv").read_bytes()
 
 
+def test_parallel_dead_worker_is_an_error(tmp_path, monkeypatch, capsys):
+    # a forked worker that exits without reporting is a runtime failure of
+    # the run, not an I/O error, though ChildProcessError is an OSError
+    monkeypatch.setattr(workers, "usable_cpus", lambda: 2)
+    parent = os.getpid()
+    original = engine.client_update
+
+    def dying_update(*args):
+        if os.getpid() != parent:
+            os._exit(3)
+        return original(*args)
+
+    monkeypatch.setattr(engine, "client_update", dying_update)
+    cfg = write_config(tmp_path)
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "run"), "--parallel"]) == 1
+    assert capsys.readouterr().err == (
+        "error: round 1: the worker updating clients [0, 2] exited with status 3 "
+        "without reporting\n"
+    )
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 class TestReport:
     def test_report_final_row_matches_csv(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
@@ -506,6 +529,17 @@ class TestAblate:
             "MF+FW",
             "MF+FW+MIM",
         ]
+
+    def test_grid_without_both_mode(self, tmp_path, capsys):
+        # every cell reads the fused mode alone, listed in the config or not
+        tables = []
+        for modes in (["both", "only-0"], ["only-0"]):
+            cfg = write_config(tmp_path, rounds=1, inference_modes=modes)
+            out = tmp_path / "-".join(modes)
+            args = ["ablate", "--config", str(cfg), "--out", str(out), "--scenarios", "iid"]
+            assert main(args) == 0
+            tables.append((out / "ablation.csv").read_bytes())
+        assert tables[0] == tables[1]
 
     def test_unknown_scenario_rejected_before_any_run(self, tmp_path, capsys):
         cfg = write_config(tmp_path, rounds=1, inference_modes=["both"])

@@ -551,6 +551,32 @@ class TestCheckpoint:
         assert flatten_params(loaded).tobytes() == flatten_params(model).tobytes()
         assert loaded.encoders[0].adapter.whitening is None
 
+    @pytest.mark.parametrize("whitened", [(True, False), (False, True)], ids=["0", "1"])
+    def test_encoders_disagreeing_on_whitening_not_saved(self, tmp_path, whitened):
+        # the header's one whitening flag cannot describe both encoders
+        rng = np.random.default_rng(0)
+        encoders = [
+            build_encoder(m, d, 6, 4, w, rng) for m, (d, w) in enumerate(zip([5, 7], whitened))
+        ]
+        head = TaskHead(models.init_dense(rng, 8, 3, 1.0), "multi-label")
+        path = tmp_path / "model.ckpt"
+        with pytest.raises(ValidationError, match="^encoder 1 stages "):
+            save_model(GlobalModelSet(encoders, head), path)
+        assert not path.exists()
+
+    def test_activation_a_header_cannot_describe_not_saved(self, tmp_path):
+        # load_model would rebuild the middle stage with relu: the same
+        # parameters, different features
+        model = small_model(use_whitening=False)
+        enc = model.encoders[1]
+        mid, out = enc.body
+        body = [Stage(mid.dense, None, "sigmoid"), out]
+        encoders = [model.encoders[0], Encoder(1, enc.adapter, body)]
+        path = tmp_path / "model.ckpt"
+        with pytest.raises(ValidationError, match=r"^encoder 1 stages .*'sigmoid'"):
+            save_model(GlobalModelSet(encoders, model.head), path)
+        assert not path.exists()
+
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.ckpt"
         path.write_bytes(b"NOPE" + b"\x00" * 64)
