@@ -3,9 +3,10 @@ parsing, and validation.
 
 Config files use exactly the field names below; unknown keys are rejected
 so typos fail fast instead of silently falling back to defaults, and so is
-a value of the wrong JSON type, which would otherwise fail deep in a run. The
-experiment seed drives model initialization and the per-client streams;
-the dataset seed defaults to it when left unset.
+a value of the wrong JSON type or a number that is not finite, which would
+otherwise fail deep in a run. The experiment seed drives model
+initialization and the per-client streams; the dataset seed defaults to it
+when left unset.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -114,8 +116,10 @@ def _wrong_json_type(annotation: str, value) -> bool:
 
 
 def _build_section(cls, payload, section: str):
-    """``cls`` from one JSON object; an unknown key or a value of the wrong
-    JSON type raises ConfigError naming the section and the key."""
+    """``cls`` from one JSON object; an unknown key, a value of the wrong
+    JSON type or a non-finite number (``NaN``, ``Infinity``, or a literal
+    such as ``1e400`` that overflows to it) raises ConfigError naming the
+    section and the key."""
     if not isinstance(payload, dict):
         raise ConfigError(f"{section} section must be a JSON object")
     allowed = {f.name for f in dataclasses.fields(cls)}
@@ -125,11 +129,14 @@ def _build_section(cls, payload, section: str):
             f"unknown {section} key(s): {', '.join(sorted(unknown))}"
         )
     for f in dataclasses.fields(cls):
-        if f.name in payload and _wrong_json_type(f.type, payload[f.name]):
-            raise ConfigError(
-                f"{section} key {f.name!r} is {json.dumps(payload[f.name])}, "
-                f"expected {f.type}"
-            )
+        value = payload.get(f.name)
+        if f.name in payload and _wrong_json_type(f.type, value):
+            expected = f.type
+        elif isinstance(value, float) and not math.isfinite(value):
+            expected = "a finite number"
+        else:
+            continue
+        raise ConfigError(f"{section} key {f.name!r} is {json.dumps(value)}, expected {expected}")
     try:
         return cls(**payload)
     except (ValidationError, TypeError) as exc:

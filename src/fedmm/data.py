@@ -544,11 +544,17 @@ def save_shard(shard: Shard, path, n_labels: int) -> None:
     one column per label, so an ``n_labels`` that differs from its column
     count raises ValidationError, as does a zero width, a modality id or
     label count its header field cannot hold, a record too wide for numpy
-    (naming the wider field) or a label :func:`load_shard` would reject, so
-    no file is written that it rejects.
+    (naming the wider field), a feature that is not finite (in the words
+    :func:`load_shard` uses) or a label it would reject, so no file is
+    written that it rejects.
     """
     if shard.dim == 0:
         raise ValidationError("shard has feature dim 0")
+    non_finite = np.argwhere(~np.isfinite(shard.features))
+    if non_finite.size:
+        row, col = (int(i) for i in non_finite[0])
+        value = float(shard.features[row, col])
+        raise ValidationError(f"shard sample {row} feature {col} is {value!r}, not finite")
     if shard.task_kind == "multi-label":
         n_label_cols = shard.labels.shape[1]
         lab = shard.labels

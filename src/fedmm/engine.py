@@ -14,10 +14,12 @@ once, at the first round, and kept until the last, with numpy's BLAS capped
 to one thread meanwhile. :mod:`fedmm.workers` does the forking, piping and
 reaping; this module holds the client side (:func:`_run_updates`,
 :func:`_serve`). Worker g keeps ``clients[g::workers]``, and this process
-updates the last group itself. Everything a local update writes
-(parameters, Adam moments and step count, whitening running statistics and
-ready flags, the RNG state) lives from :func:`make_client` on in one
-anonymous shared mapping per client, serial runs included; a worker forked
+updates the last group itself through the same :func:`_serve`; a serial
+round is the one-group case, so every upload of every round is built from
+its group's reply. Everything a local update writes (parameters, Adam
+moments and step count, whitening running statistics and ready flags, the
+RNG state) lives from :func:`make_client` on in one anonymous shared
+mapping per client, serial runs included; a worker forked
 later writes it for this process too, so this process's clients stay
 authoritative between rounds and the pool moves nothing before it forks. A
 round sends each worker the global parameters and takes back only each
@@ -474,32 +476,29 @@ def _average(
         raise NumericError(f"{what} parameters are not finite")
 
 
-def _update(
-    client: ClientState,
-    model: GlobalModelSet,
-    cfg: ExperimentConfig,
-) -> ClientUpdate:
-    """:func:`client_update`; a failure keeps its class and gains the round
-    and the client at the front of its message."""
-    try:
-        return client_update(client, model, cfg)
-    except Exception as exc:
-        exc.args = (f"round {model.round + 1}: client {client.client_id}: {exc}",)
-        raise
-
-
 def _serve(federations, cfg: ExperimentConfig, g: int, request) -> list:
-    """Worker g's part of one round (:func:`_run_updates`): write the
-    broadcast parameters into this process's copy of the federation's
-    global model, update group g and reply each client's
-    ``(mean_ce, mean_ntx)``; the rest of a client's state is already in
-    the memory it shares with the parent (:func:`make_client`)."""
-    key, k, round_done, params = request
-    model, clients = federations[key]
+    """Group g's part of one round (:func:`_run_updates`), run by child g of
+    the pool or, for the last group, by this process: write the broadcast
+    parameters into this process's copy of federation f's global model (in
+    this process its own vector, which numpy does not copy onto itself),
+    update ``clients[g::k]`` in order and reply each client's ``(mean_ce,
+    mean_ntx)``; the rest of a client's state is already in the memory every
+    process shares (:func:`make_client`). A failed :func:`client_update`
+    keeps its class and gains the round and the client at the front of its
+    message."""
+    f, k, round_done, params = request
+    model, clients = federations[f]
     model.round = round_done
     model.params[...] = params
-    updates = [_update(c, model, cfg) for c in clients[g::k]]
-    return [(u.mean_ce, u.mean_ntx) for u in updates]
+    losses = []
+    for client in clients[g::k]:
+        try:
+            update = client_update(client, model, cfg)
+        except Exception as exc:
+            exc.args = (f"round {round_done + 1}: client {client.client_id}: {exc}",)
+            raise
+        losses.append((update.mean_ce, update.mean_ntx))
+    return losses
 
 
 def _pool_for(federations, cfg: ExperimentConfig, parallel: bool):
@@ -510,43 +509,38 @@ def _pool_for(federations, cfg: ExperimentConfig, parallel: bool):
     width = min(workers.usable_cpus(), max(len(c) for _, c in federations)) if parallel else 1
     if width <= 1:
         return contextlib.nullcontext()
-    by_key = {clients[0].client_id: (model, clients) for model, clients in federations}
-    return workers.Pool(width, functools.partial(_serve, by_key, cfg))
+    return workers.Pool(width, functools.partial(_serve, federations, cfg))
 
 
 def _run_updates(
-    clients: list[ClientState],
-    model: GlobalModelSet,
+    federations: list[tuple[GlobalModelSet, list[ClientState]]],
+    f: int,
     cfg: ExperimentConfig,
     pool: workers.Pool | None = None,
 ) -> list[ClientUpdate]:
-    """Every client's local update, in client order: inline without
-    ``pool``; with one, dealt by stride into ``k = min(pool.width,
-    len(clients))`` groups ``clients[g::k]``, child g of the pool updating
-    group g (:func:`_serve`) and this process the last. Each upload is
-    built here from the client's shared state and its reported losses
-    (:func:`_upload`). A child that exits without reporting raises
-    ChildProcessError naming the round and its clients."""
-    if pool is None:
-        return [_update(c, model, cfg) for c in clients]
-    k = min(pool.width, len(clients))
-    *groups, own = (clients[g::k] for g in range(k))
-    # the federation is named by its first client's id
-    request = (clients[0].client_id, k, model.round, model.params)
+    """Every local update of federation ``f`` in one round, in client order.
+    Its clients are dealt by stride into ``k`` groups ``clients[g::k]``, one
+    without ``pool`` (a serial round is the one-group case) and else ``k =
+    min(pool.width, len(clients))``; child g of the pool serves group g and
+    this process the last, each through :func:`_serve`. Every upload is
+    built here from its group's reply (:func:`_upload`). A child that exits
+    without reporting raises ChildProcessError naming the round and its
+    clients."""
+    model, clients = federations[f]
+    k = 1 if pool is None else min(pool.width, len(clients))
+    request = (f, k, model.round, model.params)
     try:
-        for g in range(len(groups)):
+        for g in range(k - 1):
             pool.send(g, request)
-        updates = {c.client_id: _update(c, model, cfg) for c in own}
-        for g, group in enumerate(groups):
-            for client, losses in zip(group, pool.receive(g)):
-                updates[client.client_id] = _upload(client, *losses)
+        own = _serve(federations, cfg, k - 1, request)
+        replies = [pool.receive(g) for g in range(k - 1)] + [own]
     except workers.WorkerExited as exc:
         g, status = exc.args
         raise ChildProcessError(
             f"round {model.round + 1}: the worker updating clients "
-            f"{[c.client_id for c in groups[g]]} exited with status {status} without reporting"
+            f"{[c.client_id for c in clients[g::k]]} exited with status {status} without reporting"
         ) from None
-    return [updates[c.client_id] for c in clients]
+    return [_upload(c, *replies[i % k][i // k]) for i, c in enumerate(clients)]
 
 
 def run_round(
@@ -555,8 +549,9 @@ def run_round(
     pool: workers.Pool | None = None,
 ) -> tuple[list[tuple[GlobalModelSet, list[ClientState]]], RoundLog]:
     """One round of every (global model, clients) federation of a run: for
-    each, in order, its clients' local updates (through ``pool`` when the
-    caller holds one open, inline otherwise) and then its aggregation.
+    each, in order, its clients' local updates (:func:`_run_updates`,
+    through ``pool`` when the caller holds one open) and then its
+    aggregation.
     Returns the federations with their new global models and the round's
     one log, built from every upload: client losses in client order, the
     bytes of all of them, and the train and aggregate seconds summed over
@@ -565,9 +560,9 @@ def run_round(
     uploads: list[ClientUpdate] = []
     advanced = []
     train_s = aggregate_s = 0.0
-    for model, clients in federations:
+    for f, (model, clients) in enumerate(federations):
         started = time.perf_counter()
-        updates = _run_updates(clients, model, cfg, pool)
+        updates = _run_updates(federations, f, cfg, pool)
         trained = time.perf_counter()
         advanced.append((aggregate(updates, model), clients))
         train_s += trained - started

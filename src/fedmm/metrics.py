@@ -118,10 +118,12 @@ def score_modes(
     is rejected, since none of its characters is a mode), then the test
     set: ValidationError for an empty set or shard, a shard count other
     than one per encoder or labels ``head`` cannot score, DimensionError
-    for unaligned shards. Then each modality some mode reads is encoded
-    once, by the eval forward, and ``probabilities(features, present)``,
-    the evaluator's fusion rule, gives each mode's class probabilities from
-    the features by modality and the modalities that mode reads.
+    for unaligned shards: each must hold shard 0's geo keys and labels, row
+    for row, since every mode takes row i of each shard it reads as one
+    sample. Then each modality some mode reads is encoded once, by the eval
+    forward, and ``probabilities(features, present)``, the evaluator's
+    fusion rule, gives each mode's class probabilities from the features by
+    modality and the modalities that mode reads.
     """
     p = len(encoders)
     wanted = parse_modes(modes, p)
@@ -136,6 +138,15 @@ def score_modes(
         why = label_mismatch(shard, head.task_kind, head.n_labels)
         if why is not None:
             raise ValidationError(f"test shard {m}: {why}")
+    first = test_shards[0]
+    for m, shard in enumerate(test_shards[1:], 1):
+        labels_differ = (shard.labels != first.labels).reshape(first.n, -1).any(axis=1)
+        differs = np.flatnonzero((shard.geo_keys != first.geo_keys) | labels_differ)
+        if differs.size:
+            raise DimensionError(
+                f"test shards disagree on rows: row {differs[0]} of shard {m} has another "
+                "geo key or labels than shard 0"
+            )
     features = {
         m: encode(encoders[m], test_shards[m].features)
         for m in sorted(set().union(*wanted.values()))

@@ -134,7 +134,9 @@ class TaskHead:
 class GlobalModelSet:
     """Per-modality encoders plus the shared head; the unit of aggregation.
     Its parts are bound to consecutive slices of ``params``, head last,
-    as an :class:`Encoder`'s stages are to its own (see :func:`bind_parts`)."""
+    as an :class:`Encoder`'s stages are to its own (see :func:`bind_parts`).
+    Slot m holds the encoder of modality m, which is how a client finds its
+    encoder's slot and how a checkpoint, which stores no id, reads it back."""
 
     encoders: list[Encoder]
     head: TaskHead
@@ -142,6 +144,9 @@ class GlobalModelSet:
     params: Array | None = field(default=None, repr=False)
 
     def __post_init__(self):
+        for m, enc in enumerate(self.encoders):
+            if enc.modality_id != m:
+                raise ValidationError(f"slot {m} holds the encoder of modality {enc.modality_id}")
         # one hidden width, so cross-encoding fits any adapter to any body
         dims = {(enc.hidden_dim, enc.feature_dim) for enc in self.encoders}
         if len(dims) != 1:

@@ -90,8 +90,13 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "override,named",
-        [({"dataset": 5}, "dataset"), ({"k_clients": "4"}, "k_clients")],
-        ids=["section-not-object", "string-for-int"],
+        [
+            ({"dataset": 5}, "dataset"),
+            ({"k_clients": "4"}, "k_clients"),
+            ({"lr": float("nan")}, "'lr' is NaN"),
+            ({"scenario": {"kind": "iid", "jitter": float("inf")}}, "'jitter' is Infinity"),
+        ],
+        ids=["section-not-object", "string-for-int", "nan", "infinity"],
     )
     def test_wrong_json_type_is_a_config_error(self, tmp_path, capsys, override, named):
         path = write_config(tmp_path, **override)
@@ -331,8 +336,10 @@ class TestGenData:
         [
             ({"dataset": 5}, "dataset"),
             ({"dataset": {"seed": 1}, "scenario": {"kind": "iid"}, "k_clients": "4"}, "k_clients"),
+            ({"dataset": {"seed": 1, "noise_sigma": float("nan")}}, "'noise_sigma' is NaN"),
+            ({"dataset": {"seed": 1, "group_shift": float("inf")}}, "'group_shift' is Infinity"),
         ],
-        ids=["section-not-object", "string-for-int"],
+        ids=["section-not-object", "string-for-int", "nan", "infinity"],
     )
     def test_gen_data_wrong_json_type_is_a_config_error(self, tmp_path, capsys, spec, named):
         spec_path = tmp_path / "spec.json"

@@ -429,6 +429,18 @@ class TestShardFiles:
             save_shard(shard, path, n_labels=2)
         assert not path.exists()
 
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])
+    def test_non_finite_feature_is_not_saved(self, tmp_path, value):
+        features = np.zeros((3, 2))
+        features[1, 1] = value
+        shard = Shard(0, "single-label", np.arange(3), features, [0, 1, 0])
+        path = tmp_path / "bad.shard"
+        # the words load_shard would use for the same value at the same place
+        expected = f"^shard sample 1 feature 1 is {value!r}, not finite$"
+        with pytest.raises(ValidationError, match=expected):
+            save_shard(shard, path, n_labels=2)
+        assert not path.exists()
+
     @pytest.mark.parametrize(
         "name,offset,dim,n_labels",
         [("feature dim", 13, 0, 4), ("label count", 17, 5, 0)],

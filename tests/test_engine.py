@@ -1355,12 +1355,15 @@ def test_unscorable_test_labels_rejected_before_encoding(
 
 
 @pytest.mark.parametrize("late_fusion", [False, True], ids=["evaluate", "evaluate_late_fusion"])
-def test_unaligned_test_shards_rejected(late_fusion):
-    # row i of every shard is one sample, so shards of unequal length
-    # cannot be fused or averaged row by row
+@pytest.mark.parametrize(
+    "rows", [lambda n: np.arange(n - 1), lambda n: np.arange(n)[::-1]], ids=["shorter", "reversed"]
+)
+def test_unaligned_test_shards_rejected(late_fusion, rows):
+    # row i of every shard is one sample, so shards of unequal length, or
+    # of the same rows in another order, cannot be fused or averaged row by row
     cfg = tiny_cfg()
     test = gen_synthetic(cfg.resolved_dataset()).test
-    test[1] = test[1].select(np.arange(test[1].n - 1))
+    test[1] = test[1].select(rows(test[1].n))
     with pytest.raises(DimensionError, match="rows"):
         scorer(cfg, late_fusion)(test, ALL_MODES)
 

@@ -289,6 +289,14 @@ class TestFlattening:
         with pytest.raises(DimensionError):
             GlobalModelSet(model.encoders, model.head, params=buf[1:])
 
+    def test_encoder_in_another_modality_slot_rejected(self):
+        # a checkpoint stores no modality id, so slot order is the only record
+        # of it; swapped slots would save and load back with ids [0, 1]
+        rngs = itertools.repeat(np.random.default_rng(0))
+        model = build_model([5, 5], 6, 4, 3, "multi-label", False, rngs)
+        with pytest.raises(ValidationError, match="^slot 0 holds the encoder of modality 1$"):
+            GlobalModelSet(model.encoders[::-1], model.head)
+
     def test_roundtrip_is_bitwise_identity(self):
         model = small_model(use_whitening=True, seed=11)
         # give the running statistics non-trivial values
