@@ -18,7 +18,7 @@ import dataclasses
 import sys
 from pathlib import Path
 
-from .config import load_config, load_gen_spec
+from .config import load_config, load_gen_spec, read_text
 from .data import build_scenario, gen_synthetic, save_shard, write_manifest
 from .engine import (
     DEFAULT_ABLATION_SCENARIOS,
@@ -177,10 +177,7 @@ def summarize_log(text: str) -> tuple[list[dict], list[tuple[int, float]]]:
 
 
 def _cmd_report(args) -> int:
-    path = Path(args.log)
-    if not path.exists():
-        raise ConfigError(f"log file not found: {path}")
-    final_rows, trajectory = summarize_log(path.read_text())
+    final_rows, trajectory = summarize_log(read_text(args.log, "log"))
     print(f"final round {final_rows[0]['round']}")
     print(f"{'mode':<10}{'micro_f1':>10}{'macro_f1':>10}{'accuracy':>10}")
     for row in final_rows:

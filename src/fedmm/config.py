@@ -155,14 +155,24 @@ def config_from_dict(payload: dict) -> ExperimentConfig:
     return cfg
 
 
-def _read_json_object(path, what: str) -> dict:
-    """The JSON object in the file at ``path``; ``what`` names the file in
-    the ConfigError raised when it is missing, not JSON or not an object."""
+def read_text(path, what: str) -> str:
+    """The UTF-8 text of the file at ``path``; ``what`` names the file in
+    the ConfigError raised when it is missing or not UTF-8."""
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"{what} file not found: {path}")
     try:
-        payload = json.loads(path.read_text())
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{what} file is not UTF-8 text: {exc}") from None
+
+
+def _read_json_object(path, what: str) -> dict:
+    """The JSON object in the file at ``path``; ``what`` names the file in
+    the ConfigError raised when it is missing, not UTF-8, not JSON or not
+    an object."""
+    try:
+        payload = json.loads(read_text(path, what))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{what} is not valid JSON: {exc}") from None
     if not isinstance(payload, dict):

@@ -1,11 +1,13 @@
 """Encoder/head model family, zero-padded fusion, cross-encoding, the
 parameter buffer, and binary checkpoints.
 
-The architecture is fixed: a dense input adapter (modality dim -> hidden,
-optional whitening, relu) followed by a body of [hidden -> hidden dense,
-relu] and a final hidden -> feature dense. All encoders of a model share
-the body topology, which is what lets one modality's adapter feed another
-modality's body during cross-encoding. Modality slots concatenate in
+The architecture is fixed, and :func:`_architecture` is its one record:
+a dense input adapter (modality dim -> hidden, optional whitening, relu)
+followed by a body of [hidden -> hidden dense, relu] and a final hidden ->
+feature dense. Every :class:`Encoder` has that layout, and all encoders of
+a model share its widths and whitening, which is what lets one modality's
+adapter feed another modality's body during cross-encoding and one
+checkpoint header describe every encoder. Modality slots concatenate in
 ascending modality id; absent slots are zero-filled.
 
 A global model keeps its parameters in one float64 vector, ``params``,
@@ -29,9 +31,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import TASK_KINDS, ByteReader, write_binary
-from .errors import ConfigError, DimensionError, FormatError, ValidationError
+from .errors import DimensionError, FormatError, ValidationError
 from .nncore import (
-    ACTIVATION_KINDS,
     Array,
     DenseLayer,
     WhiteningState,
@@ -56,6 +57,34 @@ WHITENING_EPS = 0.1
 WHITENING_MOMENTUM = 0.1
 
 
+def _architecture(
+    input_dim: int, hidden_dim: int, feature_dim: int, whitens: bool
+) -> list[tuple[tuple[int, int], str | None, int]]:
+    """The one encoder layout: each stage's (weight shape, activation,
+    whitened width or 0), the input adapter first.
+
+    Whitening, when on, sits on the adapter output. That placement aligns
+    each client's first-layer activations before any shared body weights
+    consume them; placing it deeper leaves the early layers exposed to the
+    raw per-client distributions.
+    """
+    h = hidden_dim
+    return [
+        ((input_dim, h), "relu", h if whitens else 0),
+        ((h, h), "relu", 0),
+        ((h, feature_dim), None, 0),
+    ]
+
+
+def _stage_layouts(encoder: Encoder) -> list[tuple]:
+    """Each stage's (weight shape, activation, whitened width or 0), as
+    :func:`_architecture` lists them."""
+    return [
+        (s.dense.weight.shape, s.activation, 0 if s.whitening is None else s.whitening.dim)
+        for s in encoder.stages()
+    ]
+
+
 @dataclass
 class Stage:
     """One encoder stage: dense map, optional whitening, optional activation."""
@@ -67,7 +96,9 @@ class Stage:
 
 @dataclass
 class Encoder:
-    """Modality-specific backbone: input adapter plus shared-topology body.
+    """Modality-specific backbone: input adapter plus shared-topology body,
+    the stages of :func:`_architecture`. Any other layout raises
+    DimensionError.
 
     Construction makes the stages' parameter arrays views of ``params``,
     whose values they take, or of a new vector holding their own values
@@ -81,18 +112,13 @@ class Encoder:
     params: Array | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        width = self.input_dim
-        for i, stage in enumerate(self.stages()):
-            dense, st = stage.dense, stage.whitening
-            if dense.in_dim != width:
-                raise DimensionError(f"stage {i} takes {dense.in_dim} inputs, gets {width}")
-            if st is not None and st.dim != dense.out_dim:
-                raise DimensionError(f"stage {i} whitens {st.dim} of {dense.out_dim} outputs")
-            if stage.activation not in (None, *ACTIVATION_KINDS):
-                raise ConfigError(f"unknown activation kind {stage.activation!r}")
-            width = dense.out_dim
-        if any(stage.whitening is not None for stage in self.body):
-            raise ValidationError("only the adapter stage may whiten")
+        got = _stage_layouts(self)
+        declared = _architecture(self.input_dim, self.hidden_dim, got[-1][0][1], got[0][2] > 0)
+        if got != declared:
+            raise DimensionError(
+                f"modality {self.modality_id} encoder stages (weight shape, activation, "
+                f"whitened width) are {got}, not the architecture's {declared}"
+            )
         bind_params(self, self.params)
 
     @property
@@ -147,10 +173,14 @@ class GlobalModelSet:
         for m, enc in enumerate(self.encoders):
             if enc.modality_id != m:
                 raise ValidationError(f"slot {m} holds the encoder of modality {enc.modality_id}")
-        # one hidden width, so cross-encoding fits any adapter to any body
-        dims = {(enc.hidden_dim, enc.feature_dim) for enc in self.encoders}
+        # one hidden width, so cross-encoding fits any adapter to any body,
+        # and one whitening flag, the one a checkpoint header holds
+        dims = {
+            (enc.hidden_dim, enc.feature_dim, enc.adapter.whitening is not None)
+            for enc in self.encoders
+        }
         if len(dims) != 1:
-            raise DimensionError(f"encoders disagree on (hidden, feature) dims: {sorted(dims)}")
+            raise DimensionError(f"encoders disagree on (hidden, feature, whitens): {sorted(dims)}")
         expected = len(self.encoders) * self.encoders[0].feature_dim
         if self.head.layer.in_dim != expected:
             raise DimensionError(
@@ -186,20 +216,16 @@ def build_encoder(
     use_whitening: bool,
     rng: np.random.Generator,
 ) -> Encoder:
-    """Standard encoder: whitening, when enabled, sits on the adapter output.
-
-    That placement aligns each client's first-layer activations before any
-    shared body weights consume them; placing it deeper leaves the early
-    layers exposed to the raw per-client distributions. Whitening uses
-    :data:`WHITENING_EPS` and :data:`WHITENING_MOMENTUM`.
-    """
-    whitening = None
-    if use_whitening:
-        whitening = WhiteningState.create(hidden_dim, WHITENING_EPS, WHITENING_MOMENTUM)
-    adapter = Stage(init_dense(rng, input_dim, hidden_dim, 2.0), whitening, "relu")
-    mid = Stage(init_dense(rng, hidden_dim, hidden_dim, 2.0), None, "relu")
-    out = Stage(init_dense(rng, hidden_dim, feature_dim, 1.0), None, None)
-    return Encoder(modality_id=modality_id, adapter=adapter, body=[mid, out])
+    """The encoder of :func:`_architecture`, its stages' weights drawn from
+    ``rng`` in stage order with gain 2 before a relu and 1 otherwise.
+    Whitening uses :data:`WHITENING_EPS` and :data:`WHITENING_MOMENTUM`."""
+    stages = []
+    layout = _architecture(input_dim, hidden_dim, feature_dim, use_whitening)
+    for (n_in, n_out), activation, w in layout:
+        st = WhiteningState.create(w, WHITENING_EPS, WHITENING_MOMENTUM) if w else None
+        gain = 2.0 if activation == "relu" else 1.0
+        stages.append(Stage(init_dense(rng, n_in, n_out, gain), st, activation))
+    return Encoder(modality_id, stages[0], stages[1:])
 
 
 def build_model(
@@ -355,7 +381,7 @@ def cross_encode(adapter_out: Array, global_other: Encoder) -> Array:
     means the adapter, and its eigendecomposition, runs once per batch.
     The body runs in eval mode, so no state of ``global_other`` changes,
     and its parameters act as constants: no gradient ever reaches them.
-    Bodies never whiten (see :class:`Encoder`).
+    Bodies never whiten (see :func:`_architecture`).
     """
     return _forward(global_other.body, adapter_out)
 
@@ -494,47 +520,38 @@ def _payload_floats(
     input_dims: list[int], hidden_dim: int, feature_dim: int, n_labels: int, whitening: bool
 ) -> int:
     """Floats that follow a checkpoint header: the parameters of the
-    :func:`build_model` layout it declares and, per whitening layer, the
-    ready flag, eps, momentum, running mean and running covariance."""
-    h, f = hidden_dim, feature_dim
-    per_encoder = h + h * h + h + h * f + f
-    if whitening:
-        per_encoder += 2 * h + 3 + h + h * h
-    return sum(d * h + per_encoder for d in input_dims) + (len(input_dims) * f + 1) * n_labels
-
-
-def _stage_layouts(encoder: Encoder) -> list[tuple]:
-    """Each stage's (weight shape, activation, whitens) in stage order."""
-    stages = encoder.stages()
-    return [(s.dense.weight.shape, s.activation, s.whitening is not None) for s in stages]
+    encoders (see :func:`_architecture`) and head it declares and, per
+    whitening layer, the ready flag, eps, momentum, running mean and
+    running covariance."""
+    floats = (len(input_dims) * feature_dim + 1) * n_labels
+    for d in input_dims:
+        for (n_in, n_out), _, w in _architecture(d, hidden_dim, feature_dim, whitening):
+            floats += (n_in + 1) * n_out + (3 + 3 * w + w * w if w else 0)
+    return floats
 
 
 def save_model(model: GlobalModelSet, path) -> None:
     """Write the checkpoint: header, flat parameters, running statistics.
 
-    The header declares the :func:`build_model` layout that
-    :func:`load_model` rebuilds, so a model whose encoder stages differ
-    from it in weight shape, activation or whitening raises
-    ValidationError and no file is written."""
+    The header declares the encoders' one layout (see :func:`_architecture`)
+    that :func:`load_model` rebuilds. A parameter, whitening setting or
+    running statistic that is not finite raises ValidationError, in the
+    words :func:`load_model` uses, and no file is written."""
     enc0 = model.encoders[0]
-    uses_whitening = any(s.whitening is not None for s in enc0.stages())
     dims = [enc.input_dim for enc in model.encoders]
-    template = build_model(
-        dims,
-        enc0.hidden_dim,
-        model.feature_dim,
-        model.head.n_labels,
-        model.head.task_kind,
-        uses_whitening,
-        itertools.repeat(np.random.default_rng(0)),
-    )
-    for m, (enc, built) in enumerate(zip(model.encoders, template.encoders)):
-        got, declared = _stage_layouts(enc), _stage_layouts(built)
-        if got != declared:
-            raise ValidationError(
-                f"encoder {m} stages (weight shape, activation, whitens) are {got}; "
-                f"a checkpoint header describes {declared}"
-            )
+    payload = [("checkpoint parameter", flatten_params(model))]
+    for layer, st in enumerate(whitening_states(model.encoders)):
+        name = f"checkpoint whitening layer {layer}"
+        setting = np.array([1.0 if st.stats_ready else 0.0, st.eps, st.momentum])
+        payload += [
+            (f"{name} setting", setting),
+            (f"{name} running mean", st.running_mean),
+            (f"{name} running covariance", st.running_cov.ravel()),
+        ]
+    for what, values in payload:
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            raise ValidationError(f"{what} {bad[0]} is {float(values[bad[0]])!r}, not finite")
     header = struct.pack(
         f"<H{len(dims)}IIIIBBI",
         len(dims),
@@ -543,20 +560,11 @@ def save_model(model: GlobalModelSet, path) -> None:
         model.feature_dim,
         model.head.n_labels,
         TASK_KINDS.index(model.head.task_kind),
-        1 if uses_whitening else 0,
+        0 if enc0.adapter.whitening is None else 1,
         model.round,
     )
-    payload = [flatten_params(model).astype("<f8").tobytes()]
-    for st in whitening_states(model.encoders):
-        stats = np.concatenate(
-            [
-                [1.0 if st.stats_ready else 0.0, st.eps, st.momentum],
-                st.running_mean,
-                st.running_cov.ravel(),
-            ]
-        )
-        payload.append(stats.astype("<f8").tobytes())
-    write_binary(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, header, *payload)
+    chunks = [values.astype("<f8").tobytes() for _, values in payload]
+    write_binary(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, header, *chunks)
 
 
 def load_model(path) -> GlobalModelSet:

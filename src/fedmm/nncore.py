@@ -103,9 +103,6 @@ def dense_backward(
 # activations
 # ---------------------------------------------------------------------------
 
-ACTIVATION_KINDS = ("relu", "sigmoid", "softmax-rows")
-
-
 def _sigmoid(x: Array) -> Array:
     # exp(-|x|) never overflows; each side of the where is the branch the
     # two-branch form (1 / (1 + exp(-x)) for x >= 0, exp(x) / (1 + exp(x))

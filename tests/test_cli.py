@@ -1,5 +1,6 @@
 """CLI behavior: subcommands, exit codes, determinism of written outputs."""
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -13,7 +14,7 @@ from kernels import kernels_note
 
 from fedmm import engine, workers
 from fedmm.cli import main, summarize_log
-from fedmm.config import ExperimentConfig, config_from_dict, load_gen_spec
+from fedmm.config import ExperimentConfig, config_from_dict, load_config, load_gen_spec
 from fedmm.data import SCENARIO_KINDS, build_scenario, gen_synthetic, load_shard
 from fedmm.errors import ConfigError
 from fedmm.engine import CSV_COLUMNS
@@ -102,6 +103,27 @@ class TestExitCodes:
         path = write_config(tmp_path, **override)
         assert main(["run", "--config", str(path)]) == 2
         assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command,flag",
+        [
+            ("run", "--config"),
+            ("baseline", "--config"),
+            ("ablate", "--config"),
+            ("gen-data", "--spec"),
+            ("report", "--log"),
+        ],
+    )
+    def test_non_utf8_file_is_a_config_error(self, tmp_path, capsys, command, flag):
+        path = tmp_path / "input"
+        path.write_bytes(b'{"seed": 0}\xff\n')
+        out = tmp_path / "out"
+        outputs = [] if command == "report" else ["--out", str(out)]
+        assert main([command, flag, str(path), *outputs]) == 2
+        assert "file is not UTF-8 text: 'utf-8' codec can't decode byte 0xff" in (
+            capsys.readouterr().err
+        )
+        assert not out.exists()
 
 
 class TestNegativeSeed:
@@ -192,6 +214,18 @@ class TestRun:
             main(["run", "--config", str(cfg), "--out", str(out_b), "--seed", "9"]) == 0
         )
         assert (out_a / "log.csv").read_bytes() != (out_b / "log.csv").read_bytes()
+
+    @pytest.mark.parametrize("command", ["run", "baseline"])
+    def test_written_config_reruns_byte_for_byte(self, tmp_path, capsys, command):
+        # the file a run writes is its config, and rerunning from it writes
+        # the same log.csv bytes
+        path = write_config(tmp_path)
+        out, rerun = tmp_path / "out", tmp_path / "rerun"
+        assert main([command, "--config", str(path), "--out", str(out)]) == 0
+        written = out / "config.json"
+        assert load_config(written) == dataclasses.replace(load_config(path), output_dir=str(out))
+        assert main([command, "--config", str(written), "--out", str(rerun)]) == 0
+        assert (rerun / "log.csv").read_bytes() == (out / "log.csv").read_bytes()
 
     def test_baseline_runs(self, tmp_path, capsys):
         cfg = write_config(tmp_path, rounds=1)

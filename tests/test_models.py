@@ -11,7 +11,7 @@ from onevector import assert_one_vector
 from test_frozen_formulas import frozen_dense_backward, frozen_whitening_backward
 
 from fedmm import models
-from fedmm.errors import ConfigError, DimensionError, FormatError, NumericError, ValidationError
+from fedmm.errors import DimensionError, FormatError, NumericError, ValidationError
 from fedmm.models import (
     Encoder,
     GlobalModelSet,
@@ -54,9 +54,12 @@ def small_model(use_whitening=True, task_kind="multi-label", seed=0):
 
 class TestEncode:
     def test_identity_body_returns_adapter_output(self):
+        # the one architecture with hidden = feature and identity body
+        # weights: the relu stage keeps the adapter's non-negative output
         rng = np.random.default_rng(0)
         adapter = Stage(DenseLayer(rng.normal(size=(3, 4)), np.zeros(4)), None, "relu")
-        body = [Stage(DenseLayer(np.eye(4), np.zeros(4)), None, None)]
+        mid = Stage(DenseLayer(np.eye(4), np.zeros(4)), None, "relu")
+        body = [mid, Stage(DenseLayer(np.eye(4), np.zeros(4)), None, None)]
         enc = Encoder(modality_id=0, adapter=adapter, body=body)
         x = rng.normal(size=(5, 3))
         adapter_out = np.maximum(x @ adapter.dense.weight, 0.0)
@@ -79,7 +82,7 @@ class TestEncode:
         [
             (None, [(8, 8), (6, 3)], "relu", DimensionError),  # body stage 2 takes 6, gets 8
             (5, [(8, 8), (8, 3)], "relu", DimensionError),  # whitens 5 of 8 adapter outputs
-            (None, [(8, 8), (8, 3)], "tanh", ConfigError),
+            (None, [(8, 8), (8, 3)], "tanh", DimensionError),  # not the architecture's relu
         ],
         ids=["body-chain", "whitening-dim", "activation"],
     )
@@ -413,6 +416,19 @@ class TestFlattening:
         assert grad.tobytes() == np.concatenate(pieces).tobytes()
 
 
+# a float of each checkpoint block and the name load_model gives it
+NON_FINITE_CASES = pytest.mark.parametrize(
+    "block,index,named",
+    [
+        ("parameter", 0, "checkpoint parameter 0"),
+        ("parameter", 40, "checkpoint parameter 40"),
+        ("mean", 2, "checkpoint whitening layer 1 running mean 2"),
+        ("cov", 7, "checkpoint whitening layer 1 running covariance 7"),
+    ],
+    ids=["first-parameter", "parameter", "running-mean", "running-cov"],
+)
+
+
 class TestCheckpoint:
     def test_roundtrip_bit_exact(self, tmp_path):
         model = small_model(use_whitening=True, seed=21)
@@ -509,16 +525,7 @@ class TestCheckpoint:
             load_model(path)
         assert info.value.offset == offset
 
-    @pytest.mark.parametrize(
-        "block,index,named",
-        [
-            ("parameter", 0, "checkpoint parameter 0"),
-            ("parameter", 40, "checkpoint parameter 40"),
-            ("mean", 2, "checkpoint whitening layer 1 running mean 2"),
-            ("cov", 7, "checkpoint whitening layer 1 running covariance 7"),
-        ],
-        ids=["first-parameter", "parameter", "running-mean", "running-cov"],
-    )
+    @NON_FINITE_CASES
     @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
     def test_non_finite_value_rejected_at_its_float(self, tmp_path, block, index, named, value):
         # the header takes 26 + 4 * P bytes, then the parameters and, per
@@ -561,28 +568,52 @@ class TestCheckpoint:
 
     @pytest.mark.parametrize("whitened", [(True, False), (False, True)], ids=["0", "1"])
     def test_encoders_disagreeing_on_whitening_not_saved(self, tmp_path, whitened):
-        # the header's one whitening flag cannot describe both encoders
+        # the header's one whitening flag cannot describe both encoders, so
+        # no model holds them
         rng = np.random.default_rng(0)
         encoders = [
             build_encoder(m, d, 6, 4, w, rng) for m, (d, w) in enumerate(zip([5, 7], whitened))
         ]
         head = TaskHead(models.init_dense(rng, 8, 3, 1.0), "multi-label")
         path = tmp_path / "model.ckpt"
-        with pytest.raises(ValidationError, match="^encoder 1 stages "):
+        with pytest.raises(DimensionError, match=r"^encoders disagree on \(hidden, feature, whitens"):
             save_model(GlobalModelSet(encoders, head), path)
         assert not path.exists()
 
     def test_activation_a_header_cannot_describe_not_saved(self, tmp_path):
         # load_model would rebuild the middle stage with relu: the same
-        # parameters, different features
+        # parameters, different features; no encoder holds this layout
         model = small_model(use_whitening=False)
         enc = model.encoders[1]
         mid, out = enc.body
         body = [Stage(mid.dense, None, "sigmoid"), out]
-        encoders = [model.encoders[0], Encoder(1, enc.adapter, body)]
         path = tmp_path / "model.ckpt"
-        with pytest.raises(ValidationError, match=r"^encoder 1 stages .*'sigmoid'"):
+        with pytest.raises(DimensionError, match=r"^modality 1 encoder stages .*'sigmoid'"):
+            encoders = [model.encoders[0], Encoder(1, enc.adapter, body)]
             save_model(GlobalModelSet(encoders, model.head), path)
+        assert not path.exists()
+
+    @NON_FINITE_CASES
+    @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_value_not_saved(self, tmp_path, block, index, named, value):
+        # the values load_model rejects, named in its words, and no file
+        model = small_model(use_whitening=True)
+        st = model.encoders[1].adapter.whitening
+        array = {"parameter": model.params, "mean": st.running_mean, "cov": st.running_cov}
+        array[block].flat[index] = value
+        path = tmp_path / "model.ckpt"
+        with pytest.raises(ValidationError, match=f"^{named} is {value!r}, not finite$"):
+            save_model(model, path)
+        assert not path.exists()
+
+    def test_non_finite_whitening_setting_not_saved(self, tmp_path):
+        # WhiteningState admits an infinite eps; the checkpoint does not
+        model = small_model(use_whitening=True)
+        model.encoders[0].adapter.whitening.eps = np.inf
+        path = tmp_path / "model.ckpt"
+        expected = "^checkpoint whitening layer 0 setting 1 is inf, not finite$"
+        with pytest.raises(ValidationError, match=expected):
+            save_model(model, path)
         assert not path.exists()
 
     def test_bad_magic_rejected(self, tmp_path):
@@ -620,7 +651,7 @@ def test_clone_is_deep():
 def test_whitening_body_stage_rejected():
     adapter = Stage(DenseLayer(np.zeros((3, 4)), np.zeros(4)), None, "relu")
     body = [Stage(DenseLayer(np.eye(4), np.zeros(4)), WhiteningState.create(4), "relu")]
-    with pytest.raises(ValidationError):
+    with pytest.raises(DimensionError, match="whitened width"):
         Encoder(modality_id=0, adapter=adapter, body=body)
 
 
